@@ -3,10 +3,10 @@ beamfocusing networks: exact, quantized-pattern, and closed-form-bound
 coverage/efficiency metrics, validated by Monte Carlo simulation of the
 physical model."""
 
-from .analysis import (DEFAULT_INVERSION, InversionConfig, LevelProbabilities,
-                       conditional_cp, conditional_cp_sinr, conditional_cp_upper,
-                       laplace_exact, laplace_mlap, level_probabilities, overall_cp,
-                       se_and_ase, sinr_equivalent_threshold, tau_star)
+from .analysis import (LevelProbabilities, conditional_cp, conditional_cp_sinr,
+                       conditional_cp_upper, laplace_exact, laplace_mlap,
+                       level_probabilities, overall_cp, se_and_ase,
+                       sinr_equivalent_threshold, tau_star)
 from .errors import (ConfigError, DegenerateSupportError, DomainError,
                      InvalidArgumentError, NumericFailureError)
 from .fresnel import fresnel_integrals

@@ -1,28 +1,37 @@
 """Analytical performance metrics.
 
 Coverage probability of user kappa is the CDF of its aggregate beam
-interference I at 1/tau, recovered from the Laplace transform by Gil-Pelaez
-inversion:
+interference I at 1/tau,
 
-    CP = 1/2 - (1/pi) * int_0^inf (1/t) Im{ exp(-j t / tau) L(-j t) } dt,
-    L(s) = L_in(s)^(kappa-1) * L_out(s)^(n_active-kappa),
+    CP = P{I <= 1/tau},  I = sum of kappa-1 inner and n_active-kappa outer
+                         interferer gains,
 
-where each side factor averages exp(-s * G) over one conditionally i.i.d.
-interferer (angle uniform over the sector, distance from the inner/outer
-conditional law). Two routes are implemented:
+where the interferers on each side are conditionally i.i.d. (angle uniform
+over the sector, distance from the inner/outer conditional law). Two routes
+are implemented:
 
-  exact - G is the Fresnel-phase pattern; the side factors are 2D integrals
-          evaluated on a lobe-aligned quadrature grid, built once per focal
-          point and compressed into a gain histogram.
-  mlap  - G is the multi-level pattern; the side factors are finite mixtures
-          sum_i p_i exp(-s g_i) with level-hit probabilities from the
-          spatial-angle law and the conditional distance law.
+  exact - G is the Fresnel-phase pattern; each side's gain law is a histogram
+          over a lobe-aligned quadrature grid, built once per focal point and
+          compressed by clustering nearby gains.
+  mlap  - G is the multi-level pattern; each side's gain law is a finite
+          mixture of the quantized levels g_i with level-hit probabilities
+          p_i from the spatial-angle law and the conditional distance law.
 
-The quantized-pattern transform is a discrete mixture whose characteristic
-function never decays, so its inversion integrand is mollified by a Gaussian
-factor exp(-(eps*t)^2/2); eps is kept well below the spacing of the
-interference atoms around the threshold. The exact-pattern transform decays
-on its own and needs only a safety damp.
+Both routes recover the CDF with one truncated lattice convolution (the
+compound-sum technique of Panjer recursion and FFT aggregation). Gains are
+nonnegative, so P{I <= 1/tau} depends only on each side's gain law on
+[0, 1/tau]: that law is put on the L+1 lattice points k*h, h = 1/(tau*L),
+with the mass above 1/tau dropped. Rounding every gain up gives a lower bound
+on CP and rounding it down an upper bound. Each side is raised to its power
+by FFT convolution truncated to [0, L] after every step, which is exact for
+the rounded laws. CP_kappa is then the dot product of the inner power kappa-1
+with the reversed cumulative sum of the outer power n_active-kappa. The
+public functions return the midpoint of the two bounds. For the exact route
+the bound covers the lattice rounding only, not the error of the side-grid
+quadrature or of the gain clustering.
+
+laplace_exact and laplace_mlap give the interference Laplace transforms of
+the two routes; the CP evaluator does not need them.
 
 The closed-form upper bound replaces each Laplace factor with the
 probability that a single interferer's quantized gain stays below 1/tau.
@@ -43,53 +52,6 @@ from .geometry import (PolarPoint, conditional_cdf_extended, ordered_distance_di
                        spatial_angle_cdf_extended)
 from .pattern import MlapLevels, angular_gain, beam_depth, mlap_levels
 from .scenario import ScenarioConfig
-
-# ---------------------------------------------------------------------------
-# Gauss-Kronrod 15/7 rule (QUADPACK constants)
-
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-])
-_WG7 = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-])
-_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 nodes, ascending
-_GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_G7_MASK = np.zeros(15, bool)
-_G7_MASK[1:14:2] = True
-_G7_WEIGHTS = np.concatenate([_WG7[:-1], _WG7[::-1]])
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    """Controls for the Gil-Pelaez integral and the exact-mode grid.
-
-    t_max caps the integration variable, rel_tol is the relative accuracy
-    target, max_nodes budgets transform evaluations, smoothing overrides the
-    mollification width, grid_t_resolve sets how far in t the exact-mode gain
-    grid fully resolves the oscillatory integrand (beyond it the compressed
-    histogram is still measure-accurate and its transform error stays
-    incoherently small).
-    """
-
-    t_max: float = 5e6
-    rel_tol: float = 1e-6
-    max_nodes: int = 8_000_000
-    smoothing: float | None = None
-    grid_t_resolve: float = 640.0
-
-    def __post_init__(self):
-        if not self.t_max > 0 or not self.rel_tol > 0:
-            raise InvalidArgumentError("t_max and rel_tol must be positive")
-
-
-DEFAULT_INVERSION = InversionConfig()
-
 
 @dataclass(frozen=True)
 class LevelProbabilities:
@@ -217,14 +179,20 @@ _ORD_RAD = 8
 _INNER_MASS_TOL = 1e-5
 _CLUSTER_REL = 1e-3
 _CLUSTER_ABS = 1e-7
+# how far in t the gain grid fully resolves exp(j t G); beyond it the
+# compressed histogram is still measure-accurate and its transform error
+# stays incoherently small
+_GRID_T_RESOLVE = 640.0
 
 
 @dataclass(frozen=True)
 class _SideGrid:
     g: np.ndarray
     w: np.ndarray
-    mean: float
-    t_resolve: float
+
+
+# law of a side that holds no interferers: all mass at gain 0
+_EMPTY_SIDE = _SideGrid(g=np.zeros(1), w=np.ones(1))
 
 
 @lru_cache(maxsize=32)
@@ -349,10 +317,10 @@ def _cluster(g: np.ndarray, w: np.ndarray):
 
 
 @lru_cache(maxsize=16)
-def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float, r_k: float,
-               t_resolve: float) -> _SideGrid:
-    th, w_th = _angular_nodes(scenario, theta_k, t_resolve)
-    r, w_r, trunc = _radial_nodes(scenario, side, theta_k, r_k, t_resolve)
+def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
+               r_k: float) -> _SideGrid:
+    th, w_th = _angular_nodes(scenario, theta_k, _GRID_T_RESOLVE)
+    r, w_r, trunc = _radial_nodes(scenario, side, theta_k, r_k, _GRID_T_RESOLVE)
     gains = kernels.gain_pairs(
         np.repeat(th, r.size), np.tile(r, th.size), theta_k, r_k,
         scenario.array.n_antennas, scenario.array.wavelength,
@@ -363,25 +331,22 @@ def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float, r_k: float,
         g = np.concatenate([[0.0], g])
         w = np.concatenate([[trunc], w])
     w = w / w.sum()
-    return _SideGrid(g=g, w=w, mean=float(g @ w), t_resolve=t_resolve)
+    return _SideGrid(g=g, w=w)
 
 
-def _exact_sides(scenario: ScenarioConfig, theta_k: float, r_k: float, kappa: int,
-                 t_resolve: float) -> dict[str, tuple[_SideGrid, int]]:
-    """Side grids with their product exponents for the given user order."""
-    sides = {}
-    if kappa > 1:
-        sides["inner"] = (_side_grid(scenario, "inner", theta_k, r_k, t_resolve),
-                          kappa - 1)
-    if kappa < scenario.n_active:
-        sides["outer"] = (_side_grid(scenario, "outer", theta_k, r_k, t_resolve),
-                          scenario.n_active - kappa)
-    return sides
+def _exact_sides(scenario: ScenarioConfig, theta_k: float, r_k: float,
+                 kappa: int) -> tuple[_SideGrid, _SideGrid]:
+    """(inner, outer) side grids for the given user order; a side that holds
+    no interferers gets the all-zero law and its grid is never built."""
+    inner = (_side_grid(scenario, "inner", theta_k, r_k) if kappa > 1
+             else _EMPTY_SIDE)
+    outer = (_side_grid(scenario, "outer", theta_k, r_k)
+             if kappa < scenario.n_active else _EMPTY_SIDE)
+    return inner, outer
 
 
 def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
-                  scenario: ScenarioConfig,
-                  quad: InversionConfig = DEFAULT_INVERSION) -> complex:
+                  scenario: ScenarioConfig) -> complex:
     """Interference Laplace transform under the exact pattern: the inner
     factor to the (kappa-1) power times the outer factor to the
     (n_active-kappa) power, each a gain-histogram average of exp(-s G)."""
@@ -389,152 +354,125 @@ def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
     _check_kappa(kappa, scenario)
     if scenario.n_active == 1 or s == 0:
         return 1.0 + 0.0j
-    if abs(complex(s).imag) > 100.0 * quad.grid_t_resolve:
+    if abs(complex(s).imag) > 100.0 * _GRID_T_RESOLVE:
         raise NumericFailureError(
-            "|Im s| far beyond the gain grid's validated range; raise grid_t_resolve",
+            "|Im s| far beyond the gain grid's validated range",
             complex("nan"), math.inf)
-    out = 1.0 + 0.0j
-    for grid, power in _exact_sides(scenario, theta_k, r_k, kappa,
-                                    quad.grid_t_resolve).values():
-        out *= complex(np.exp(-s * grid.g) @ grid.w) ** power
-    return out
+    inner, outer = _exact_sides(scenario, theta_k, r_k, kappa)
+    return (complex(np.exp(-s * inner.g) @ inner.w) ** (kappa - 1)
+            * complex(np.exp(-s * outer.g) @ outer.w) ** (scenario.n_active - kappa))
 
 
 # ---------------------------------------------------------------------------
-# Gil-Pelaez inversion
+# Truncated lattice convolution
+
+# Lattice cells on [0, 1/tau]. The bound width shrinks as 1/L; 2(L+1)-point
+# FFTs keep every product of two truncated laws free of wrap-around.
+_LATTICE_CELLS = 1023
+_NFFT = 2 * (_LATTICE_CELLS + 1)
 
 
-def _auto_smoothing(thr: float, mode: str) -> float:
-    # The transform never decays in practice (most gain mass is near zero),
-    # so the mollification width sets the truncation horizon t = 9/eps.
-    # Exact mode smooths a continuous CDF: eps = thr/16 biases the result by
-    # ~(eps^2/2) f'(thr), around 1e-3 at worst. Quantized mode must also keep
-    # 3*eps clear of the interference atoms around the threshold.
-    if mode == "exact":
-        return thr / 16.0
-    return min(1e-4, thr / 10.0) if thr <= 0.04 else thr / 400.0
+def _lattice_spectrum(thr: float, gains, probs, round_up: bool) -> np.ndarray:
+    """Spectrum of one interferer's gain law put on the lattice k*thr/L.
+
+    gains and probs broadcast to (rows, m), one law per row. Mass above thr
+    is dropped; the rest is rounded up (lower CP bound) or down (upper)."""
+    gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
+    rows = gains.shape[0]
+    x = gains * (_LATTICE_CELLS / thr)
+    cell = np.minimum(np.ceil(x) if round_up else np.floor(x), _LATTICE_CELLS)
+    keep = gains <= thr
+    flat = (np.arange(rows)[:, None] * (_LATTICE_CELLS + 1) + cell.astype(np.int64))
+    pmf = np.bincount(flat[keep], weights=probs[keep],
+                      minlength=rows * (_LATTICE_CELLS + 1))
+    return np.fft.rfft(pmf.reshape(rows, -1), _NFFT)
 
 
-def _integrand(t: np.ndarray, thr: float, cf: np.ndarray, ei: float,
-               eps: float) -> np.ndarray:
-    vals = np.imag(np.exp(-1j * t * thr) * cf)
-    if eps > 0:
-        vals = vals * np.exp(-0.5 * (eps * t) ** 2)
-    tiny = t < 1e-8
-    safe_t = np.where(tiny, 1.0, t)
-    return np.where(tiny, ei - thr, vals / safe_t)
+def _lattice_step(pmf: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """pmf convolved with the law behind spectrum, truncated to [0, L]."""
+    out = np.fft.irfft(np.fft.rfft(pmf, _NFFT) * spectrum, _NFFT)
+    return np.maximum(out[:, :_LATTICE_CELLS + 1], 0.0)
 
 
-def _fixed_t_panels(freq: float, t_end: float, max_nodes: int):
-    width = 2.0 * math.pi * 1.5 / freq
-    n_panels = max(8, int(math.ceil(t_end / width)))
-    if 15 * n_panels > max_nodes:
-        raise NumericFailureError("fixed-grid inversion would exceed max_nodes",
-                                  float("nan"), math.inf)
-    edges = np.linspace(0.0, t_end, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return mids[:, None] + half * _GK_NODES[None, :], half
+def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
+    """Lower and upper bounds on P{I <= thr} for each user order in kappas.
 
-
-_CF_CHUNK = 1 << 17
-
-
-def _invert_fixed(thr: float, cf_batch, ei: float, freq: float, eps: float,
-                  quad: InversionConfig) -> float:
-    """Vectorized Gauss-Kronrod inversion on oscillation-sized panels up to
-    the mollification horizon 9/eps; one refinement pass at half width if the
-    embedded error estimate is too large."""
-
-    def run(t, half):
-        flat = t.ravel()
-        h_t = np.empty_like(flat)
-        for lo in range(0, flat.size, _CF_CHUNK):
-            hi = min(lo + _CF_CHUNK, flat.size)
-            h_t[lo:hi] = _integrand(flat[lo:hi], thr, cf_batch(flat[lo:hi]), ei, eps)
-        h_t = h_t.reshape(t.shape)
-        k15 = half * (h_t @ _GK_WEIGHTS)
-        g7 = half * (h_t[:, _G7_MASK] @ _G7_WEIGHTS)
-        return float(k15.sum()), float(np.abs(k15 - g7).sum())
-
-    t_end = min(9.0 / eps, quad.t_max)
-    total, err = run(*_fixed_t_panels(freq, t_end, quad.max_nodes))
-    if err > max(quad.rel_tol * max(0.05, abs(total)) * 8.0, 1e-7):
-        total, err = run(*_fixed_t_panels(2.0 * freq, t_end, quad.max_nodes))
-        if err > max(quad.rel_tol * max(0.05, abs(total)) * 64.0, 1e-5):
-            raise NumericFailureError("inversion did not converge",
-                                      0.5 - total / math.pi, err / math.pi)
-    return 0.5 - total / math.pi
+    inner and outer are the (gains, probs) laws of one interferer on each
+    side, shaped (m,) or (rows, m) for a batch of focal points. The outer
+    powers are stored as reversed CDFs; the inner power walks up the kappa
+    ladder, so every order costs one dot product. Returns (lower, upper),
+    each of shape (rows, len(kappas)).
+    """
+    kap = np.asarray(kappas, int)
+    bounds = []
+    for round_up in (True, False):
+        f_in = _lattice_spectrum(thr, *inner, round_up)
+        f_out = _lattice_spectrum(thr, *outer, round_up)
+        rows = f_out.shape[0]
+        delta = np.zeros((rows, _LATTICE_CELLS + 1))
+        delta[:, 0] = 1.0
+        n_out = n_active - int(kap.min())
+        cdf_out = np.empty((n_out + 1, rows, _LATTICE_CELLS + 1))
+        pmf = delta
+        for j in range(n_out + 1):
+            if j:
+                pmf = _lattice_step(pmf, f_out)
+            cdf_out[j] = np.cumsum(pmf, axis=1)[:, ::-1]
+        cp = np.empty((rows, kap.size))
+        pmf = delta
+        for k in range(1, int(kap.max()) + 1):
+            if k > 1:
+                pmf = _lattice_step(pmf, f_in)
+            for q in np.flatnonzero(kap == k):
+                cp[:, q] = np.einsum("rl,rl->r", pmf, cdf_out[n_active - k])
+        bounds.append(np.clip(cp, 0.0, 1.0))
+    return bounds[0], bounds[1]
 
 
 def _clamp_cp(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _ipow(z: np.ndarray, n: int) -> np.ndarray:
-    """Integer power of a complex array by repeated squaring (numpy's
-    elementwise ** goes through log/exp and dominates the batch runtime)."""
-    out = np.ones_like(z)
-    base = z
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Coverage probabilities
 
 
-def conditional_cp(tau: float, theta_k: float, r_k: float, kappa: int,
-                   scenario: ScenarioConfig, mode: str = "mlap",
-                   quad: InversionConfig = DEFAULT_INVERSION) -> float:
-    """P{SIR > tau} for user kappa fixed at (theta_k, r_k), by Gil-Pelaez
-    inversion of the exact or quantized-pattern Laplace transform."""
+def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
+                           scenario: ScenarioConfig, mode: str) -> tuple[float, float]:
+    """Lattice (lower, upper) bounds on the route's CP for user kappa fixed
+    at (theta_k, r_k)."""
     if not tau > 0:
         raise DomainError("tau must be positive")
     _check_kappa(kappa, scenario)
     if scenario.n_active == 1:
-        return 1.0
+        return 1.0, 1.0
     _check_point_in_sector(theta_k, r_k, scenario)
     thr = 1.0 / tau
     n_active = scenario.n_active
-    eps = quad.smoothing if quad.smoothing is not None else _auto_smoothing(thr, mode)
 
     if mode == "mlap":
         levels = mlap_levels(scenario.array, scenario.mlap, PolarPoint(theta_k, r_k))
-        probs = level_probabilities(theta_k, r_k, kappa, scenario)
+        p_in, p_out = level_probabilities(theta_k, r_k, kappa, scenario).as_arrays()
         g = np.asarray(levels.gains)
-        p_in, p_out = probs.as_arrays()
         if thr > (n_active - 1) * float(g.max()):
-            return 1.0
-        ei = (kappa - 1) * float(p_in @ g) + (n_active - kappa) * float(p_out @ g)
-        freq = thr + 1.0 + 3.0 * ei
-
-        def cf_batch(t):
-            e = np.exp(1j * np.multiply.outer(t, g))
-            return _ipow(e @ p_in, kappa - 1) * _ipow(e @ p_out, n_active - kappa)
-
-        return _clamp_cp(_invert_fixed(thr, cf_batch, ei, freq, eps, quad))
-
-    if mode != "exact":
+            return 1.0, 1.0
+        inner, outer = (g, p_in), (g, p_out)
+    elif mode == "exact":
+        if thr > n_active - 1:
+            return 1.0, 1.0
+        inner, outer = ((s.g, s.w) for s in _exact_sides(scenario, theta_k, r_k, kappa))
+    else:
         raise InvalidArgumentError("mode must be 'exact' or 'mlap'")
-    if thr > n_active - 1:
-        return 1.0
-    sides = _exact_sides(scenario, theta_k, r_k, kappa, quad.grid_t_resolve)
-    ei = sum(power * grid.mean for grid, power in sides.values())
-    freq = thr + 1.0 + 3.0 * ei
+    lower, upper = _lattice_cp(thr, inner, outer, n_active, [kappa])
+    return float(lower[0, 0]), float(upper[0, 0])
 
-    def cf_fn(t):
-        out = np.ones(t.size, complex)
-        for grid, power in sides.values():
-            out *= _ipow(kernels.cf_reduce(grid.g, grid.w, t), power)
-        return out
 
-    return _clamp_cp(_invert_fixed(thr, cf_fn, ei, freq, eps, quad))
+def conditional_cp(tau: float, theta_k: float, r_k: float, kappa: int,
+                   scenario: ScenarioConfig, mode: str = "mlap") -> float:
+    """P{SIR > tau} for user kappa fixed at (theta_k, r_k) under the exact or
+    quantized pattern: the midpoint of the lattice bounds."""
+    lower, upper = _conditional_cp_bounds(tau, theta_k, r_k, kappa, scenario, mode)
+    return 0.5 * (lower + upper)
 
 
 def conditional_cp_upper(tau: float, theta_k: float, r_k: float, kappa: int,
@@ -576,13 +514,12 @@ def sinr_equivalent_threshold(tau: float, r_k: float,
 
 
 def conditional_cp_sinr(tau: float, theta_k: float, r_k: float, kappa: int,
-                        scenario: ScenarioConfig, mode: str = "mlap",
-                        quad: InversionConfig = DEFAULT_INVERSION) -> float:
+                        scenario: ScenarioConfig, mode: str = "mlap") -> float:
     """SINR coverage via the threshold substitution."""
     tau_eq = sinr_equivalent_threshold(tau, r_k, scenario)
     if tau_eq is None:
         return 0.0
-    return conditional_cp(tau_eq, theta_k, r_k, kappa, scenario, mode, quad)
+    return conditional_cp(tau_eq, theta_k, r_k, kappa, scenario, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -611,89 +548,50 @@ def _radial_weights_for_kappa(kappa, r, w_r, scenario):
     return w / w.sum()
 
 
-def _batch_smoothing(thr: float) -> float:
-    # Coarser mollification than the single-point route: the location average
-    # washes out per-node atom detail, and the sweep has hundreds of nodes.
-    if thr > 0.04:
-        return thr / 400.0
-    return max(thr / 20.0, min(9e-5, thr / 10.0))
-
-
 def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
-                      quad: InversionConfig, kappas) -> np.ndarray:
+                      kappas) -> np.ndarray:
     """Overall CP for each requested kappa at one threshold (mlap or upper).
 
-    The side mixtures are kappa-independent, so the transform components are
-    evaluated once per location node and reused across user orders; only the
-    beyond-depth level g_0 varies across nodes, so the shared level columns
-    are exponentiated once. Nodes in the frozen region (1/tau below every
-    retained level) reduce to the exact all-interferers-at-zero probability.
+    The side laws are kappa-independent, so one lattice evaluation per
+    location node serves every user order. Nodes where every interferer
+    clears 1/tau are covered for sure, and nodes in the frozen region (1/tau
+    below every retained level) reduce to the exact all-interferers-at-zero
+    probability. The rest go through the lattice one angle row at a time,
+    which bounds the memory of the stored outer powers.
     """
     thr = 1.0 / tau
     n_active = scenario.n_active
     kap = np.asarray(list(kappas), int)
     th, w_th, r, w_r = _anchor_nodes(scenario)
 
-    nodes = []
-    ei_side_max = 0.0
-    need_grid = False
-    for i, theta_k in enumerate(th):
-        for j, r_k in enumerate(r):
-            levels = mlap_levels(scenario.array, scenario.mlap,
-                                 PolarPoint(float(theta_k), float(r_k)))
-            g = np.asarray(levels.gains)
-            p_in, p_out = _level_probs_raw(float(theta_k), float(r_k), scenario)
-            nodes.append((i, j, g, p_in, p_out))
-            if mode == "mlap" and not (thr > (n_active - 1) * g.max()
-                                       or thr < g[:-1].min()):
-                need_grid = True
-                ei_side_max = max(ei_side_max, float(p_in @ g), float(p_out @ g))
+    g, p_in, p_out = [], [], []
+    for theta_k in th:
+        for r_k in r:
+            focal = PolarPoint(float(theta_k), float(r_k))
+            g.append(mlap_levels(scenario.array, scenario.mlap, focal).gains)
+            p_in_k, p_out_k = _level_probs_raw(focal.theta, focal.r, scenario)
+            p_in.append(p_in_k)
+            p_out.append(p_out_k)
+    g, p_in, p_out = np.array(g), np.array(p_in), np.array(p_out)
 
-    if mode == "mlap" and need_grid:
-        eps = quad.smoothing if quad.smoothing is not None else _batch_smoothing(thr)
-        freq = thr + 1.0 + 3.0 * (n_active - 1) * ei_side_max
-        t_grid, half = _fixed_t_panels(freq, 9.0 / eps, quad.max_nodes)
-        t_flat = t_grid.ravel()
-        with np.errstate(divide="ignore"):
-            inv_t = np.where(t_flat < 1e-8, 0.0, 1.0 / t_flat)
-        # one complex weight vector folds phase, damping, 1/t and GK weights,
-        # so each (node, kappa) reduces to a single dot product
-        q_vec = (np.exp(-1j * t_flat * thr)
-                 * np.exp(-0.5 * (eps * t_flat) ** 2) * inv_t
-                 * (half * np.tile(_GK_WEIGHTS, t_grid.shape[0])))
-        # shared level columns: every gain except the node-dependent g_0
-        g_shared = np.asarray(mlap_levels(
-            scenario.array, scenario.mlap,
-            PolarPoint(0.0, scenario.sector.cell_radius / 2.0)).gains)[1:]
-        e_shared = np.exp(1j * np.multiply.outer(t_flat, g_shared))
-
-    cp_nodes = np.empty((th.size, r.size, kap.size))
-    for i, j, g, p_in, p_out in nodes:
-        if mode == "upper":
-            ok = g < thr
-            cp = (p_in[ok].sum() ** (kap - 1)) * (p_out[ok].sum() ** (n_active - kap))
-        elif thr > (n_active - 1) * g.max():
-            cp = np.ones(kap.size)
-        elif thr < g[:-1].min():
-            cp = (p_in[-1] ** (kap - 1)) * (p_out[-1] ** (n_active - kap))
-        else:
-            e0 = np.exp(1j * g[0] * t_flat)
-            a_in = e_shared @ p_in[1:] + p_in[0] * e0
-            a_out = e_shared @ p_out[1:] + p_out[0] * e0
-            # |a_out| >= 2*p_zero - 1 > 0 for these mixtures, so the kappa
-            # ladder can walk cf_k -> cf_{k+1} with one multiply
-            ratio = a_in / a_out
-            cf = _ipow(a_out, n_active - 1)
-            cp = np.empty(kap.size)
-            ladder = {}
-            cur_k = 1
-            for q, k in enumerate(np.sort(kap)):
-                while cur_k < int(k):
-                    cf = cf * ratio
-                    cur_k += 1
-                ladder[int(k)] = 0.5 - float(np.imag(q_vec @ cf)) / math.pi
-            cp = np.array([ladder[int(k)] for k in kap])
-        cp_nodes[i, j] = np.clip(cp, 0.0, 1.0)
+    if mode == "upper":
+        ok = g < thr
+        cp = (((p_in * ok).sum(axis=1)[:, None] ** (kap - 1))
+              * ((p_out * ok).sum(axis=1)[:, None] ** (n_active - kap)))
+    else:
+        cp = np.empty((g.shape[0], kap.size))
+        covered = thr > (n_active - 1) * g.max(axis=1)
+        frozen = ~covered & (thr < g[:, :-1].min(axis=1))
+        cp[covered] = 1.0
+        cp[frozen] = ((p_in[frozen, -1:] ** (kap - 1))
+                      * (p_out[frozen, -1:] ** (n_active - kap)))
+        todo = np.flatnonzero(~(covered | frozen))
+        for lo in range(0, todo.size, r.size):
+            rows = todo[lo:lo + r.size]
+            lower, upper = _lattice_cp(thr, (g[rows], p_in[rows]),
+                                       (g[rows], p_out[rows]), n_active, kap)
+            cp[rows] = 0.5 * (lower + upper)
+    cp_nodes = np.clip(cp, 0.0, 1.0).reshape(th.size, r.size, kap.size)
 
     out = np.zeros(kap.size)
     for q, k in enumerate(kap):
@@ -703,7 +601,7 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
 
 
 def overall_cp(tau: float, kappa: int, scenario: ScenarioConfig,
-               mode: str = "mlap", quad: InversionConfig = DEFAULT_INVERSION) -> float:
+               mode: str = "mlap") -> float:
     """Coverage averaged over the kappa-th user's ordered location law."""
     if not tau > 0:
         raise DomainError("tau must be positive")
@@ -711,25 +609,24 @@ def overall_cp(tau: float, kappa: int, scenario: ScenarioConfig,
     if scenario.n_active == 1:
         return 1.0
     if mode in ("mlap", "upper"):
-        return float(_overall_cp_batch(tau, scenario, mode, quad, [kappa])[0])
+        return float(_overall_cp_batch(tau, scenario, mode, [kappa])[0])
     if mode != "exact":
         raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
-    # exact mode runs a full grid build + inversion per location node; the
-    # lobe-resolving grids grow with the antenna count, so this is practical
-    # for moderate N only
+    # exact mode runs a full grid build + lattice evaluation per location
+    # node; the lobe-resolving grids grow with the antenna count, so this is
+    # practical for moderate N only
     th, w_th, r, w_r = _anchor_nodes(scenario)
     w_rk = _radial_weights_for_kappa(kappa, r, w_r, scenario)
     acc = 0.0
     for i in range(th.size):
         for j in range(r.size):
             cp = conditional_cp(tau, float(th[i]), float(r[j]), kappa, scenario,
-                                "exact", quad)
+                                "exact")
             acc += w_th[i] * w_rk[j] * cp
     return _clamp_cp(acc)
 
 
-def se_and_ase(tau: float, scenario: ScenarioConfig, mode: str = "mlap",
-               quad: InversionConfig = DEFAULT_INVERSION):
+def se_and_ase(tau: float, scenario: ScenarioConfig, mode: str = "mlap"):
     """Per-user spectrum efficiencies CP_k * log2(1+tau) and the aggregate
     per-area efficiency over the sector."""
     if not tau > 0:
@@ -738,9 +635,9 @@ def se_and_ase(tau: float, scenario: ScenarioConfig, mode: str = "mlap",
     if scenario.n_active == 1:
         cps = np.ones(1)
     elif mode in ("mlap", "upper"):
-        cps = _overall_cp_batch(tau, scenario, mode, quad, kappas)
+        cps = _overall_cp_batch(tau, scenario, mode, kappas)
     else:
-        cps = np.array([overall_cp(tau, k, scenario, mode, quad) for k in kappas])
+        cps = np.array([overall_cp(tau, k, scenario, mode) for k in kappas])
     se = cps * math.log2(1.0 + tau)
     sector_area = math.pi * scenario.sector.cell_radius**2
     ase = scenario.sector.n_sectors / sector_area * float(se.sum())

@@ -118,7 +118,7 @@ def _build_scenario(doc: dict) -> ScenarioConfig:
         )
         sector = SectorGeometry(
             n_sectors=_number(get("n_sectors"), "scenario.n_sectors",
-                              minimum=1, integer=True),
+                              minimum=2, integer=True),
             cell_radius=_number(get("cell_radius_m"), "scenario.cell_radius_m",
                                 minimum=1e-9),
             los_radius=_number(get("los_radius_m"), "scenario.los_radius_m",

@@ -26,8 +26,9 @@ class SectorGeometry:
     los_radius: float
 
     def __post_init__(self):
-        if self.n_sectors < 1 or int(self.n_sectors) != self.n_sectors:
-            raise InvalidArgumentError("n_sectors must be a positive integer")
+        # the spatial-angle law assumes |theta| <= pi/2, i.e. at least 2 sectors
+        if self.n_sectors < 2 or int(self.n_sectors) != self.n_sectors:
+            raise InvalidArgumentError("n_sectors must be an integer >= 2")
         if not self.cell_radius > 0:
             raise InvalidArgumentError("cell_radius must be positive")
         if self.cell_radius > self.los_radius:

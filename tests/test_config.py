@@ -30,6 +30,11 @@ def test_wavelength_is_derived():
         parse_config(json.dumps({"scenario": {"wavelength": 0.01}}))
 
 
+def test_single_sector_rejected():
+    with pytest.raises(ConfigError, match="scenario.n_sectors"):
+        parse_config(json.dumps({"scenario": {"n_sectors": 1}}))
+
+
 def test_level_count_cap_rejected():
     with pytest.raises(ConfigError, match="scenario"):
         parse_config(json.dumps({"scenario": {"n_antennas": 256, "n_levels": 200}}))

@@ -21,6 +21,8 @@ class TestSectorGeometry:
         with pytest.raises(InvalidArgumentError):
             SectorGeometry(0, 150.0, 150.0)
         with pytest.raises(InvalidArgumentError):
+            SectorGeometry(1, 150.0, 150.0)  # one sector spans |theta| > pi/2
+        with pytest.raises(InvalidArgumentError):
             SectorGeometry(3, -1.0, 150.0)
         with pytest.raises(InvalidArgumentError):
             SectorGeometry(3, 200.0, 150.0)  # cell larger than LoS ball

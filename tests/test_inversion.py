@@ -1,42 +1,61 @@
-"""Gil-Pelaez inversion, coverage probabilities, bounds, SINR mapping."""
+"""Lattice CP evaluator, coverage probabilities, bounds, SINR mapping."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import mlap_network_interference, two_level_sum_cdf
-from nfsg import (DomainError, InversionConfig, NumericFailureError, PolarPoint,
-                  TrialPlan, conditional_cp, conditional_cp_sinr,
-                  conditional_cp_upper, mlap_levels, overall_cp, se_and_ase,
-                  sinr_equivalent_threshold, tau_star, thermal_noise_power)
-from nfsg.analysis import _invert_fixed, _overall_cp_batch, DEFAULT_INVERSION
+from nfsg import (DomainError, PolarPoint, TrialPlan, conditional_cp,
+                  conditional_cp_sinr, conditional_cp_upper, mlap_levels,
+                  overall_cp, se_and_ase, sinr_equivalent_threshold, tau_star,
+                  thermal_noise_power)
+from nfsg.analysis import _conditional_cp_bounds, _lattice_cp, _overall_cp_batch
 from nfsg.geometry import sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
+# FFT round-off allowed on either side of an exact probability
+ROUNDOFF = 1e-12
+
+
+def _lattice_brackets(vals, probs, counts, kappa, w):
+    """Lattice bounds on P{X_1 + ... + X_counts <= w} for i.i.d. X with
+    support vals, split into kappa-1 inner and counts-kappa+1 outer copies,
+    against the exact staircase CDF."""
+    xs, cdf = two_level_sum_cdf(vals, probs, counts)
+    exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, w, side="right")])
+    lower, upper = _lattice_cp(w, (vals, probs), (vals, probs), counts + 1,
+                               [kappa])
+    return float(lower[0, 0]), exact, float(upper[0, 0])
 
 
 class TestSyntheticInversion:
     def test_two_level_sum_cdf(self):
-        # I = X1 + X2, X in {0, a, b}: inversion must reproduce the exact
-        # staircase CDF at continuity points to 1e-4
+        # I = X1 + X2, X in {0, a, b}: the lattice bounds must bracket the
+        # exact staircase CDF
         a, b = 0.35, 0.8
         probs = np.array([0.55, 0.3, 0.15])
         vals = np.array([0.0, a, b])
-        xs, cdf = two_level_sum_cdf(vals, probs, 2)
-
-        def cf_batch(t):
-            e = np.exp(1j * np.multiply.outer(t, vals))
-            return (e @ probs) ** 2
-
-        ei = 2 * float(vals @ probs)
-        quad = DEFAULT_INVERSION
         for w in (0.19, 0.5, 0.71, 1.0, 1.4):
-            exact = float(cdf[np.searchsorted(xs, w, side="right") - 1])
-            eps = w / 500.0
-            got = _invert_fixed(w, cf_batch, ei, w + 1.0 + 3 * ei, eps, quad)
-            assert abs(got - exact) < 1e-4
+            lower, exact, upper = _lattice_brackets(vals, probs, 2, 2, w)
+            assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
+
+    @settings(max_examples=60, deadline=None)
+    @given(vals=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+           counts=st.integers(1, 5), kappa_share=st.floats(0.0, 1.0),
+           w=st.floats(0.01, 3.0))
+    def test_random_sums_bracketed(self, vals, weights, counts, kappa_share, w):
+        vals = np.array(vals)
+        probs = np.array(weights[:vals.size]) / sum(weights[:vals.size])
+        xs, _ = two_level_sum_cdf(vals, probs, counts)
+        assume(np.min(np.abs(xs - w)) > 1e-9)  # continuity points only
+        kappa = 1 + round(kappa_share * counts)
+        lower, exact, upper = _lattice_brackets(vals, probs, counts, kappa, w)
+        assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
 
 
 class TestConditionalCp:
@@ -98,10 +117,22 @@ class TestConditionalCp:
             cp = conditional_cp(tau, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
             assert abs(cp - mc) < 0.02
 
-    def test_numeric_failure_carries_estimate(self, scn):
-        quad = InversionConfig(max_nodes=100)
-        with pytest.raises(NumericFailureError):
-            conditional_cp(100.0, ANCHOR.theta, ANCHOR.r, 3, scn, "mlap", quad)
+    @settings(max_examples=40, deadline=None)
+    @given(theta_share=st.floats(-0.99, 0.99), r=st.floats(1.0, 149.0),
+           kappa=st.integers(1, 15), db_val=st.floats(0.0, 40.0),
+           step_db=st.floats(0.1, 10.0))
+    def test_mlap_bounds_across_routes(self, scn, theta_share, r, kappa, db_val,
+                                       step_db):
+        theta = theta_share * scn.sector.half_width
+        tau = 10 ** (db_val / 10)
+        lower, upper = _conditional_cp_bounds(tau, theta, r, kappa, scn, "mlap")
+        assert 0.0 <= lower <= upper + ROUNDOFF and upper <= 1.0
+        mid = conditional_cp(tau, theta, r, kappa, scn, "mlap")
+        closed = conditional_cp_upper(tau, theta, r, kappa, scn)
+        assert mid <= closed + 0.5 * (upper - lower) + ROUNDOFF
+        larger = 10 ** ((db_val + step_db) / 10)
+        lower_next, _ = _conditional_cp_bounds(larger, theta, r, kappa, scn, "mlap")
+        assert lower_next <= upper + ROUNDOFF
 
 
 class TestSinr:
@@ -148,8 +179,7 @@ class TestOverall:
         theta, r = sample_user_arrays(scn.sector, scn.n_active, nt, rng)
         interference = mlap_network_interference(scn, theta, r)
         tau = 100.0
-        cps = _overall_cp_batch(tau, scn, "mlap", DEFAULT_INVERSION,
-                                range(1, scn.n_active + 1))
+        cps = _overall_cp_batch(tau, scn, "mlap", range(1, scn.n_active + 1))
         mc = (interference < 1.0 / tau).mean(axis=0)
         assert np.max(np.abs(cps - mc)) < 0.012
 
