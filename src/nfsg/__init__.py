@@ -14,7 +14,6 @@ from .geometry import (OrderedUserSet, PolarPoint, SectorGeometry,
                        conditional_distance_dist, ordered_distance_dist,
                        sample_conditional_user_set, sample_user_set,
                        spatial_angle_dist, unordered_distance_dist)
-from .kernels import IMPL as KERNEL_IMPL
 from .montecarlo import (EstimateWithError, TrialPlan, estimate_ase,
                          estimate_conditional_cp, estimate_network,
                          estimate_overall_cp, realize_sinr, realize_sir)
@@ -25,3 +24,6 @@ from .pattern import (ArrayConfig, BeamDepthInterval, MlapConfig, MlapLevels,
 from .scenario import ScenarioConfig, default_scenario, thermal_noise_power
 
 __version__ = "0.1.0"
+
+# Backend of the pattern kernels (`nfsg.kernels`); numpy is the only one.
+KERNEL_IMPL = "numpy"

@@ -7,7 +7,8 @@
 Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
 std_error). All thresholds cross the CLI boundary in dB and are converted to
-linear exactly once, here. NFSG_THREADS sets the sweep worker count.
+linear exactly once, here. NFSG_THREADS sets the sweep worker count; a value
+that is not a positive integer is a config error.
 """
 
 from __future__ import annotations
@@ -391,6 +392,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _load_spec(args)
+        montecarlo._workers()  # NFSG_THREADS is checked before anything runs
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError
 from .geometry import (OrderedUserSet, PolarPoint, sample_conditional_arrays,
                        sample_user_arrays)
 from .pattern import array_response
@@ -64,10 +64,16 @@ def _blocks(plan: TrialPlan):
 
 
 def _workers() -> int:
+    """Worker count from NFSG_THREADS (default 1); anything but a positive
+    integer is a ConfigError."""
+    raw = os.environ.get("NFSG_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("NFSG_THREADS", "1")))
+        n = int(raw)
+        if n >= 1:
+            return n
     except ValueError:
-        return 1
+        pass
+    raise ConfigError("NFSG_THREADS", f"must be a positive integer, got {raw!r}")
 
 
 def _map_blocks(plan: TrialPlan, fn):

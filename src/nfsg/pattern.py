@@ -1,9 +1,10 @@
 """Near-field array physics: response vectors, polar-domain beam patterns,
 beam-depth geometry, and the multi-level quantized pattern.
 
-A half-wavelength ULA with an odd number of elements is centered at the
-origin. A beam focused on (theta_f, r_f) produces, at an observation point
-(theta, r), the normalized gain
+A half-wavelength ULA of N elements is centered at the origin, so the element
+offsets n are integers for odd N and half-integers for even N (the baseline
+N=256 is even). A beam focused on (theta_f, r_f) produces, at an observation
+point (theta, r), the normalized gain
 
     G = |sum_n exp(j Phi_n)|^2 / N^2,
     Phi_n = 2*pi*n*phi + c*n^2,

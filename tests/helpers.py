@@ -8,7 +8,20 @@ code under test never checks itself against itself.
 import numpy as np
 
 from nfsg.fresnel import fresnel_integrals
-from nfsg.pattern import angular_gain
+from nfsg.pattern import ArrayConfig, angular_gain
+
+
+def fresnel_phase_gain(cfg: ArrayConfig, theta_obs, r_obs, theta_f, r_f):
+    """Direct unfolded Fresnel-phase gain |sum_n exp(j(2 pi n phi + c n^2))|^2
+    / N^2 over the element offsets, with phi and c as in nfsg.pattern;
+    arguments broadcast together."""
+    so, sf = np.sin(theta_obs), np.sin(theta_f)
+    phi = np.asarray(0.5 * (so - sf))[..., None]
+    c = np.asarray(0.25 * np.pi * cfg.wavelength
+                   * ((1.0 - sf * sf) / r_f - (1.0 - so * so) / r_obs))[..., None]
+    n = cfg.element_offsets
+    phase = 2.0 * np.pi * phi * n + c * n * n
+    return np.abs(np.exp(1j * phase).sum(axis=-1)) ** 2 / cfg.n_antennas**2
 
 
 def mlap_cross_gains(scn, theta_f, r_f, theta_o, r_o):

@@ -133,6 +133,18 @@ class TestMain:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "scenario.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("NFSG_THREADS", value)
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        out = tmp_path / "r.csv"
+        for argv in (["validate", "--config", str(cfg)],
+                     ["run", "--config", str(cfg), "--out", str(out)]):
+            assert main(argv) == 1
+            assert "config error: NFSG_THREADS:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_and_overrides(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scenario": SMALL_SCENARIO,

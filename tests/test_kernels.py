@@ -1,53 +1,78 @@
 import numpy as np
 import pytest
 
+import nfsg
 from nfsg import kernels
-from nfsg.kernels import _reference
+from nfsg.pattern import ArrayConfig
 
-pytestmark = pytest.mark.skipif(
-    kernels.IMPL != "compiled",
-    reason="compiled kernels unavailable; reference path is exercised directly")
+from helpers import fresnel_phase_gain
 
-LAM = 0.0107068735
+FREQ = 28e9
 
 
-@pytest.mark.parametrize("n_ant", [13, 100, 256, 257])
-def test_gain_pairs_agree(n_ant, rng):
-    ta = rng.uniform(-1.2, 1.2, 512)
-    ra = rng.uniform(0.3, 300.0, 512)
-    tb = rng.uniform(-1.2, 1.2, 512)
-    rb = rng.uniform(0.3, 300.0, 512)
-    fast = kernels.gain_pairs(ta, ra, tb, rb, n_ant, LAM)
-    ref = _reference.gain_pairs(ta, ra, tb, rb, n_ant, LAM)
-    assert np.max(np.abs(fast - ref)) < 1e-10
+def _pairs(rng, size):
+    return (rng.uniform(-1.2, 1.2, size), rng.uniform(0.3, 300.0, size),
+            rng.uniform(-1.2, 1.2, size), rng.uniform(0.3, 300.0, size))
+
+
+@pytest.mark.parametrize("n_ant", [13, 100, 256, 257, 1024])
+def test_gain_pairs_matches_direct_sum(n_ant, rng):
+    cfg = ArrayConfig(n_ant, FREQ)
+    ta, ra, tb, rb = _pairs(rng, 512)
+    got = kernels.gain_pairs(ta, ra, tb, rb, n_ant, cfg.wavelength)
+    assert np.max(np.abs(got - fresnel_phase_gain(cfg, ta, ra, tb, rb))) < 1e-10
 
 
 def test_gain_pairs_broadcasting(rng):
+    cfg = ArrayConfig(64, FREQ)
     ta = rng.uniform(-1, 1, (6, 5))
     ra = rng.uniform(1, 100, (6, 5))
-    out = kernels.gain_pairs(ta, ra, 0.2, 30.0, 64, LAM)
+    out = kernels.gain_pairs(ta, ra, 0.2, 30.0, 64, cfg.wavelength)
     assert out.shape == (6, 5)
-    ref = _reference.gain_pairs(ta, ra, 0.2, 30.0, 64, LAM)
-    assert np.allclose(out, ref, atol=1e-12)
+    assert np.allclose(out, fresnel_phase_gain(cfg, ta, ra, 0.2, 30.0),
+                       rtol=0.0, atol=1e-12)
+    assert kernels.gain_pairs(0.1, 20.0, 0.2, 30.0, 64, cfg.wavelength).shape == ()
 
 
-def test_interference_sums_agree(rng):
+def test_gain_pairs_bitwise_independent_of_batch(rng):
+    # A pair's gain must not depend on the batch around it, or reruns and
+    # thread counts that split the work differently would change results.
+    wavelength = ArrayConfig(256, FREQ).wavelength
+    size = 2 * kernels._CHUNK + 123
+    ta, ra, tb, rb = _pairs(rng, size)
+    batch = kernels.gain_pairs(ta, ra, tb, rb, 256, wavelength)
+    shifted = kernels.gain_pairs(ta[7:], ra[7:], tb[7:], rb[7:], 256, wavelength)
+    assert np.array_equal(batch[7:], shifted)
+    picks = [0, 1, kernels._CHUNK - 1, kernels._CHUNK, kernels._CHUNK + 5,
+             2 * kernels._CHUNK, size - 1]
+    for i in picks:
+        alone = kernels.gain_pairs(ta[i], ra[i], tb[i], rb[i], 256, wavelength)
+        assert alone == batch[i], i
+
+
+def test_interference_sums_matches_pair_loop(rng):
+    cfg = ArrayConfig(64, FREQ)
     theta = rng.uniform(-1, 1, (40, 9))
     r = rng.uniform(1, 150, (40, 9))
-    fast = kernels.interference_sums(theta, r, 64, LAM)
-    ref = _reference.interference_sums(theta, r, 64, LAM)
-    assert np.max(np.abs(fast - ref)) < 1e-10
+    got = kernels.interference_sums(theta, r, 64, cfg.wavelength)
+    want = np.zeros_like(got)
+    for t in range(theta.shape[0]):
+        for i in range(9):
+            for j in range(9):
+                if i != j:
+                    want[t, i] += fresnel_phase_gain(cfg, theta[t, j], r[t, j],
+                                                     theta[t, i], r[t, i])
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_cf_reduce_agree(rng):
+def test_cf_reduce_matches_dense_product(rng):
     g = rng.uniform(0, 1, 2000)
     w = rng.dirichlet(np.ones(2000))
     t = rng.uniform(0, 500, 300)
-    fast = kernels.cf_reduce(g, w, t)
-    ref = _reference.cf_reduce(g, w, t)
-    assert np.max(np.abs(fast - ref)) < 1e-11
-    assert np.all(np.abs(fast) <= 1.0 + 1e-12)
+    got = kernels.cf_reduce(g, w, t)
+    assert np.max(np.abs(got - np.exp(1j * np.outer(t, g)) @ w)) < 1e-11
+    assert np.all(np.abs(got) <= 1.0 + 1e-12)
 
 
-def test_impl_flag():
-    assert kernels.IMPL in ("compiled", "numpy")
+def test_kernel_impl():
+    assert nfsg.KERNEL_IMPL == "numpy"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from nfsg import (InvalidArgumentError, PolarPoint, TrialPlan, estimate_ase,
+from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan, estimate_ase,
                   estimate_conditional_cp, estimate_network, estimate_overall_cp,
                   realize_sinr, realize_sir, sample_user_set)
 from nfsg.geometry import OrderedUserSet
@@ -67,6 +67,13 @@ class TestDeterminism:
             else:
                 os.environ["NFSG_THREADS"] = old
         assert serial == threaded
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_rejected(self, scn, monkeypatch, value):
+        monkeypatch.setenv("NFSG_THREADS", value)
+        plan = TrialPlan(n_trials=16, root_seed=1, scenario=scn, block_size=8)
+        with pytest.raises(ConfigError, match="NFSG_THREADS"):
+            estimate_overall_cp(plan, [10.0], 1)
 
     def test_block_structure_part_of_plan(self, scn):
         a = TrialPlan(n_trials=1000, root_seed=1, scenario=scn)
