@@ -16,6 +16,17 @@ are implemented:
   mlap  - G is the multi-level pattern; each side's gain law is a finite
           mixture of the quantized levels g_i with level-hit probabilities
           p_i from the spatial-angle law and the conditional distance law.
+          One builder, vectorised over focal points, gives the levels and
+          both sides' probabilities; they do not depend on tau.
+
+One per-node evaluator turns the side laws into CP for every route: it
+returns 1 where every interferer clears 1/tau, the all-interferers-at-zero
+probability where no gain falls in (0, 1/tau] (the frozen region), the
+closed-form product for the upper bound, and the lattice bounds below for
+the rest. The location average runs that evaluator on the quadrature nodes
+once per threshold for every user order: the quantized laws at those nodes
+are built once per scenario, and the exact route builds each node's side
+grids once per call.
 
 Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
@@ -76,76 +87,81 @@ def _check_kappa(kappa: int, scenario: ScenarioConfig):
         raise InvalidArgumentError("kappa must be in [1, n_active]")
 
 
-def _angular_band_masses(theta_k: float, scenario: ScenarioConfig):
-    """Spatial-angle mass of the mainlobe band and of each sidelobe band."""
-    sec = scenario.sector
-    n = scenario.array.n_antennas
-    m = scenario.mlap.n_levels
-    vk = 0.5 * math.sin(theta_k)
-
-    def band(lo, hi):
-        return (spatial_angle_cdf_extended(vk + hi, sec)
-                - spatial_angle_cdf_extended(vk + lo, sec))
-
-    a_main = band(-1.0 / n, 1.0 / n)
-    a_side = [band((i - 1) / n, i / n) + band(-i / n, -(i - 1) / n)
-              for i in range(2, m + 1)]
-    return a_main, a_side
-
-
-def _level_probs_side(theta_k: float, r_k: float, scenario: ScenarioConfig,
-                      side: str) -> np.ndarray:
-    """Level-hit probabilities for one nonempty conditional side.
+def _level_laws(scenario: ScenarioConfig, focals) -> tuple[np.ndarray, ...]:
+    """Quantized laws (g, p_in, p_out) of the beams focused on each point of
+    focals, each shaped (rows, M+2): the levels g_0..g_{M+1} and the
+    probability that one inner / outer interferer lands on each of them.
 
     Mainlobe levels combine the spatial-angle mass of the first-null band
     with the conditional radial mass beyond / inside the beam-depth interval;
     sidelobe levels use only the angle bands, so they are side-independent.
+    The zero level takes the rest.
     """
     sec = scenario.sector
-    a_main, a_side = _angular_band_masses(theta_k, scenario)
-    depth = beam_depth(scenario.array, theta_k, r_k, scenario.mlap.beta_gamma)
-    if depth.unbounded:
-        beyond = 0.0
-        inside = 1.0 - conditional_cdf_extended(side, depth.d_left, r_k, sec)
-    else:
-        f_right = conditional_cdf_extended(side, depth.d_right, r_k, sec)
-        beyond = 1.0 - f_right
-        inside = f_right - conditional_cdf_extended(side, depth.d_left, r_k, sec)
-    p = [a_main * beyond, a_main * inside, *a_side]
-    p = [min(max(x, 0.0), 1.0) for x in p]
-    p.append(max(0.0, 1.0 - sum(p)))
-    return np.asarray(p)
+    n = scenario.array.n_antennas
+    m = scenario.mlap.n_levels
+    levels = [mlap_levels(scenario.array, scenario.mlap, f) for f in focals]
+    g = np.array([lv.gains for lv in levels])
+    r_k = np.array([f.r for f in focals])
+    d_left = np.array([lv.depth.d_left for lv in levels])
+    # an unbounded interval reaches past the cell, where both radial CDFs are 1
+    d_right = np.array([lv.depth.right_or_inf for lv in levels])
+    vk = 0.5 * np.sin([f.theta for f in focals])
+    # spatial-angle CDF at the band edges vk + k/N, k = -M..M
+    cdf = spatial_angle_cdf_extended(vk[:, None] + np.arange(-m, m + 1) / n, sec)
+    band = np.diff(cdf, axis=1)
+    a_main = cdf[:, m + 1] - cdf[:, m - 1]
+    # lobe i >= 2 covers the band (i-1)/N..i/N on either side of vk
+    a_side = band[:, m + 1:] + band[:, :m - 1][:, ::-1]
+
+    def law(side):
+        f_left = conditional_cdf_extended(side, d_left, r_k, sec)
+        f_right = conditional_cdf_extended(side, d_right, r_k, sec)
+        p = np.clip(np.column_stack([a_main * (1.0 - f_right),
+                                     a_main * (f_right - f_left), a_side]), 0.0, 1.0)
+        rest = np.maximum(0.0, 1.0 - np.cumsum(p, axis=1)[:, -1])
+        return np.column_stack([p, rest])
+
+    return g, law("inner"), law("outer")
 
 
-def _level_probs_raw(theta_k: float, r_k: float, scenario: ScenarioConfig):
-    """(p_in, p_out) arrays for an interior focal point (0 < r_k < R_c)."""
-    return (_level_probs_side(theta_k, r_k, scenario, "inner"),
-            _level_probs_side(theta_k, r_k, scenario, "outer"))
+@lru_cache(maxsize=8)
+def _anchor_laws(scenario: ScenarioConfig) -> tuple[np.ndarray, ...]:
+    """Quantized laws at the location-average nodes, angle-major. They do not
+    depend on the threshold, so one build serves every call on a scenario."""
+    th, _, r, _ = _anchor_nodes(scenario)
+    laws = _level_laws(scenario, [PolarPoint(float(t), float(d)) for t in th for d in r])
+    for a in laws:
+        a.flags.writeable = False
+    return laws
+
+
+def _point_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig):
+    """Quantized laws (g, p_in, p_out), each shaped (1, M+2), for user kappa
+    fixed at (theta_k, r_k)."""
+    _check_point_in_sector(theta_k, r_k, scenario)
+    _check_kappa(kappa, scenario)
+    rc = scenario.sector.cell_radius
+    if r_k == 0.0 and kappa > 1:
+        raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
+    if r_k == rc and kappa < scenario.n_active:
+        raise DegenerateSupportError("outer interferers conditioned on r_k = cell_radius")
+    # On the cell edge the outer law is undefined (0/0). That side holds no
+    # interferer, so its mass is parked on the zero level.
+    with np.errstate(invalid="ignore"):
+        g, p_in, p_out = _level_laws(scenario, [PolarPoint(theta_k, r_k)])
+    if r_k == rc:
+        p_out = np.zeros_like(p_out)
+        p_out[:, -1] = 1.0
+    return g, p_in, p_out
 
 
 def level_probabilities(theta_k: float, r_k: float, kappa: int,
                         scenario: ScenarioConfig) -> LevelProbabilities:
     """Probability that one inner/outer interferer lands on each quantized
     gain level of the beam focused on (theta_k, r_k)."""
-    _check_point_in_sector(theta_k, r_k, scenario)
-    _check_kappa(kappa, scenario)
-    sec = scenario.sector
-    m = scenario.mlap.n_levels
-    inner_empty = kappa == 1
-    outer_empty = kappa == scenario.n_active
-    if r_k == 0.0 and not inner_empty:
-        raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
-    if r_k == sec.cell_radius and not outer_empty:
-        raise DegenerateSupportError("outer interferers conditioned on r_k = cell_radius")
-    # A side whose conditional law is well defined is always filled in, even
-    # when that side holds no interferers (its factor enters with exponent 0);
-    # only a boundary r_k leaves a side undefined, and then that side must be
-    # empty, so its mass is parked on the zero level.
-    parked = np.array([0.0] * (m + 1) + [1.0])
-    p_in = parked if r_k == 0.0 else _level_probs_side(theta_k, r_k, scenario, "inner")
-    p_out = (parked if r_k == sec.cell_radius
-             else _level_probs_side(theta_k, r_k, scenario, "outer"))
-    return LevelProbabilities(p_in=tuple(p_in), p_out=tuple(p_out),
+    _, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
+    return LevelProbabilities(p_in=tuple(p_in[0]), p_out=tuple(p_out[0]),
                               focal=PolarPoint(theta_k, r_k))
 
 
@@ -334,15 +350,15 @@ def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
     return _SideGrid(g=g, w=w)
 
 
-def _exact_sides(scenario: ScenarioConfig, theta_k: float, r_k: float,
-                 kappa: int) -> tuple[_SideGrid, _SideGrid]:
-    """(inner, outer) side grids for the given user order; a side that holds
-    no interferers gets the all-zero law and its grid is never built."""
-    inner = (_side_grid(scenario, "inner", theta_k, r_k) if kappa > 1
+def _exact_sides(scenario: ScenarioConfig, theta_k: float, r_k: float, kappas):
+    """(inner, outer) gain laws (g, w), each shaped (1, m), for the given user
+    orders; a side that holds no interferer at any of them gets the all-zero
+    law and its grid is never built."""
+    inner = (_side_grid(scenario, "inner", theta_k, r_k) if max(kappas) > 1
              else _EMPTY_SIDE)
     outer = (_side_grid(scenario, "outer", theta_k, r_k)
-             if kappa < scenario.n_active else _EMPTY_SIDE)
-    return inner, outer
+             if min(kappas) < scenario.n_active else _EMPTY_SIDE)
+    return (inner.g[None], inner.w[None]), (outer.g[None], outer.w[None])
 
 
 def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
@@ -358,9 +374,9 @@ def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
         raise NumericFailureError(
             "|Im s| far beyond the gain grid's validated range",
             complex("nan"), math.inf)
-    inner, outer = _exact_sides(scenario, theta_k, r_k, kappa)
-    return (complex(np.exp(-s * inner.g) @ inner.w) ** (kappa - 1)
-            * complex(np.exp(-s * outer.g) @ outer.w) ** (scenario.n_active - kappa))
+    (g_in, w_in), (g_out, w_out) = _exact_sides(scenario, theta_k, r_k, [kappa])
+    return (complex(np.exp(-s * g_in[0]) @ w_in[0]) ** (kappa - 1)
+            * complex(np.exp(-s * g_out[0]) @ w_out[0]) ** (scenario.n_active - kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +386,8 @@ def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
 # FFTs keep every product of two truncated laws free of wrap-around.
 _LATTICE_CELLS = 1023
 _NFFT = 2 * (_LATTICE_CELLS + 1)
+# focal nodes per lattice pass: bounds the memory of the stored outer powers
+_LATTICE_ROWS = 28
 
 
 def _lattice_spectrum(thr: float, gains, probs, round_up: bool) -> np.ndarray:
@@ -429,8 +447,38 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     return bounds[0], bounds[1]
 
 
-def _clamp_cp(x: float) -> float:
-    return min(1.0, max(0.0, x))
+def _node_cp(thr: float, inner, outer, n_active: int, kappas,
+             closed_form: bool = False):
+    """Lower and upper bounds on P{I <= thr} for each user order in kappas at
+    each focal node.
+
+    inner and outer are the (gains, probs) laws of one interferer on each
+    side, shaped (rows, m), one node per row. closed_form gives the 'upper'
+    route instead: every interferer's gain must stay below thr on its own,
+    returned as both bounds. Nodes where every interferer clears thr are
+    covered for sure. Nodes with no gain in (0, thr] (the frozen region)
+    are covered only when every interferer sits on gain 0, which is the
+    closed-form product. The rest go through the lattice _LATTICE_ROWS rows
+    at a time, which bounds the memory of the stored outer powers. Returns
+    (lower, upper), each of shape (rows, len(kappas)).
+    """
+    (g_in, p_in), (g_out, p_out) = inner, outer
+    kap = np.asarray(kappas, int)
+    closed = (((p_in * (g_in < thr)).sum(axis=1)[:, None] ** (kap - 1))
+              * ((p_out * (g_out < thr)).sum(axis=1)[:, None] ** (n_active - kap)))
+    if closed_form:
+        return closed, closed
+    lower, upper = closed.copy(), closed.copy()
+    covered = thr > (n_active - 1) * np.maximum(g_in.max(axis=1), g_out.max(axis=1))
+    lower[covered] = upper[covered] = 1.0
+    frozen = ~(((g_in > 0) & (g_in <= thr)).any(axis=1)
+               | ((g_out > 0) & (g_out <= thr)).any(axis=1))
+    todo = np.flatnonzero(~(covered | frozen))
+    for lo in range(0, todo.size, _LATTICE_ROWS):
+        rows = todo[lo:lo + _LATTICE_ROWS]
+        lower[rows], upper[rows] = _lattice_cp(
+            thr, (g_in[rows], p_in[rows]), (g_out[rows], p_out[rows]), n_active, kap)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +492,15 @@ def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
     if not tau > 0:
         raise DomainError("tau must be positive")
     _check_kappa(kappa, scenario)
-    if scenario.n_active == 1:
-        return 1.0, 1.0
-    _check_point_in_sector(theta_k, r_k, scenario)
-    thr = 1.0 / tau
-    n_active = scenario.n_active
-
     if mode == "mlap":
-        levels = mlap_levels(scenario.array, scenario.mlap, PolarPoint(theta_k, r_k))
-        p_in, p_out = level_probabilities(theta_k, r_k, kappa, scenario).as_arrays()
-        g = np.asarray(levels.gains)
-        if thr > (n_active - 1) * float(g.max()):
-            return 1.0, 1.0
+        g, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
         inner, outer = (g, p_in), (g, p_out)
     elif mode == "exact":
-        if thr > n_active - 1:
-            return 1.0, 1.0
-        inner, outer = ((s.g, s.w) for s in _exact_sides(scenario, theta_k, r_k, kappa))
+        _check_point_in_sector(theta_k, r_k, scenario)
+        inner, outer = _exact_sides(scenario, theta_k, r_k, [kappa])
     else:
         raise InvalidArgumentError("mode must be 'exact' or 'mlap'")
-    lower, upper = _lattice_cp(thr, inner, outer, n_active, [kappa])
+    lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa])
     return float(lower[0, 0]), float(upper[0, 0])
 
 
@@ -481,17 +518,10 @@ def conditional_cp_upper(tau: float, theta_k: float, r_k: float, kappa: int,
     individually stay below 1/tau."""
     if not tau > 0:
         raise DomainError("tau must be positive")
-    _check_kappa(kappa, scenario)
-    if scenario.n_active == 1:
-        return 1.0
-    _check_point_in_sector(theta_k, r_k, scenario)
-    levels = mlap_levels(scenario.array, scenario.mlap, PolarPoint(theta_k, r_k))
-    probs = level_probabilities(theta_k, r_k, kappa, scenario)
-    g = np.asarray(levels.gains)
-    p_in, p_out = probs.as_arrays()
-    ok = g < 1.0 / tau
-    return float(p_in[ok].sum() ** (kappa - 1)
-                 * p_out[ok].sum() ** (scenario.n_active - kappa))
+    g, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
+    _, upper = _node_cp(1.0 / tau, (g, p_in), (g, p_out), scenario.n_active,
+                        [kappa], closed_form=True)
+    return float(upper[0, 0])
 
 
 def sinr_equivalent_threshold(tau: float, r_k: float,
@@ -550,48 +580,35 @@ def _radial_weights_for_kappa(kappa, r, w_r, scenario):
 
 def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
                       kappas) -> np.ndarray:
-    """Overall CP for each requested kappa at one threshold (mlap or upper).
+    """Overall CP for each requested kappa at one threshold.
 
-    The side laws are kappa-independent, so one lattice evaluation per
-    location node serves every user order. Nodes where every interferer
-    clears 1/tau are covered for sure, and nodes in the frozen region (1/tau
-    below every retained level) reduce to the exact all-interferers-at-zero
-    probability. The rest go through the lattice one angle row at a time,
-    which bounds the memory of the stored outer powers.
+    The side laws do not depend on kappa, so one evaluation per location
+    node serves every user order. The quantized routes read the node laws
+    built once per scenario; the exact route builds each node's side grids
+    once per call, which is practical for moderate N only, as the
+    lobe-resolving grids grow with the antenna count.
     """
-    thr = 1.0 / tau
-    n_active = scenario.n_active
+    if not tau > 0:
+        raise DomainError("tau must be positive")
     kap = np.asarray(list(kappas), int)
+    for k in kap:
+        _check_kappa(int(k), scenario)
+    if mode not in ("exact", "mlap", "upper"):
+        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+    n_active = scenario.n_active
+    if n_active == 1:
+        return np.ones(kap.size)
+    thr = 1.0 / tau
     th, w_th, r, w_r = _anchor_nodes(scenario)
-
-    g, p_in, p_out = [], [], []
-    for theta_k in th:
-        for r_k in r:
-            focal = PolarPoint(float(theta_k), float(r_k))
-            g.append(mlap_levels(scenario.array, scenario.mlap, focal).gains)
-            p_in_k, p_out_k = _level_probs_raw(focal.theta, focal.r, scenario)
-            p_in.append(p_in_k)
-            p_out.append(p_out_k)
-    g, p_in, p_out = np.array(g), np.array(p_in), np.array(p_out)
-
-    if mode == "upper":
-        ok = g < thr
-        cp = (((p_in * ok).sum(axis=1)[:, None] ** (kap - 1))
-              * ((p_out * ok).sum(axis=1)[:, None] ** (n_active - kap)))
+    if mode == "exact":
+        nodes = [_node_cp(thr, *_exact_sides(scenario, float(t), float(d), kap),
+                          n_active, kap) for t in th for d in r]
+        lower, upper = (np.concatenate(b) for b in zip(*nodes))
     else:
-        cp = np.empty((g.shape[0], kap.size))
-        covered = thr > (n_active - 1) * g.max(axis=1)
-        frozen = ~covered & (thr < g[:, :-1].min(axis=1))
-        cp[covered] = 1.0
-        cp[frozen] = ((p_in[frozen, -1:] ** (kap - 1))
-                      * (p_out[frozen, -1:] ** (n_active - kap)))
-        todo = np.flatnonzero(~(covered | frozen))
-        for lo in range(0, todo.size, r.size):
-            rows = todo[lo:lo + r.size]
-            lower, upper = _lattice_cp(thr, (g[rows], p_in[rows]),
-                                       (g[rows], p_out[rows]), n_active, kap)
-            cp[rows] = 0.5 * (lower + upper)
-    cp_nodes = np.clip(cp, 0.0, 1.0).reshape(th.size, r.size, kap.size)
+        g, p_in, p_out = _anchor_laws(scenario)
+        lower, upper = _node_cp(thr, (g, p_in), (g, p_out), n_active, kap,
+                                closed_form=mode == "upper")
+    cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, kap.size)
 
     out = np.zeros(kap.size)
     for q, k in enumerate(kap):
@@ -603,42 +620,14 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
 def overall_cp(tau: float, kappa: int, scenario: ScenarioConfig,
                mode: str = "mlap") -> float:
     """Coverage averaged over the kappa-th user's ordered location law."""
-    if not tau > 0:
-        raise DomainError("tau must be positive")
-    _check_kappa(kappa, scenario)
-    if scenario.n_active == 1:
-        return 1.0
-    if mode in ("mlap", "upper"):
-        return float(_overall_cp_batch(tau, scenario, mode, [kappa])[0])
-    if mode != "exact":
-        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
-    # exact mode runs a full grid build + lattice evaluation per location
-    # node; the lobe-resolving grids grow with the antenna count, so this is
-    # practical for moderate N only
-    th, w_th, r, w_r = _anchor_nodes(scenario)
-    w_rk = _radial_weights_for_kappa(kappa, r, w_r, scenario)
-    acc = 0.0
-    for i in range(th.size):
-        for j in range(r.size):
-            cp = conditional_cp(tau, float(th[i]), float(r[j]), kappa, scenario,
-                                "exact")
-            acc += w_th[i] * w_rk[j] * cp
-    return _clamp_cp(acc)
+    return float(_overall_cp_batch(tau, scenario, mode, [kappa])[0])
 
 
 def se_and_ase(tau: float, scenario: ScenarioConfig, mode: str = "mlap"):
     """Per-user spectrum efficiencies CP_k * log2(1+tau) and the aggregate
     per-area efficiency over the sector."""
-    if not tau > 0:
-        raise DomainError("tau must be positive")
-    kappas = list(range(1, scenario.n_active + 1))
-    if scenario.n_active == 1:
-        cps = np.ones(1)
-    elif mode in ("mlap", "upper"):
-        cps = _overall_cp_batch(tau, scenario, mode, kappas)
-    else:
-        cps = np.array([overall_cp(tau, k, scenario, mode) for k in kappas])
-    se = cps * math.log2(1.0 + tau)
+    kappas = range(1, scenario.n_active + 1)
+    se = _overall_cp_batch(tau, scenario, mode, kappas) * math.log2(1.0 + tau)
     sector_area = math.pi * scenario.sector.cell_radius**2
     ase = scenario.sector.n_sectors / sector_area * float(se.sum())
     return se, ase

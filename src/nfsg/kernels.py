@@ -107,17 +107,25 @@ def interference_sums(theta, r, n_antennas, wavelength):
 
     theta, r: (trials, K) arrays. Returns (trials, K) where entry [t, k] is
     the sum of pattern cross-gains from the other K-1 users of trial t.
+    The pair arrays are gathered for about one chunk of pairs at a time.
+    Each user's gains are added by a running sum in ascending pair order, so
+    the sums do not depend on how the trials are split.
     """
     theta = np.asarray(theta, float)
     r = np.asarray(r, float)
     trials, k = theta.shape
     iu, ju = np.triu_indices(k, 1)
-    gains = gain_pairs(theta[:, iu], r[:, iu], theta[:, ju], r[:, ju],
-                       n_antennas, wavelength)
-    out = np.zeros((trials, k))
-    for p in range(iu.size):
-        out[:, iu[p]] += gains[:, p]
-        out[:, ju[p]] += gains[:, p]
+    if iu.size == 0:
+        return np.zeros((trials, k))
+    # own[i]: the pairs that hold user i, in ascending order
+    own = np.array([np.flatnonzero((iu == i) | (ju == i)) for i in range(k)])
+    step = max(1, _CHUNK // iu.size)
+    out = np.empty((trials, k))
+    for lo in range(0, trials, step):
+        th, rr = theta[lo:lo + step], r[lo:lo + step]
+        gains = gain_pairs(th[:, iu], rr[:, iu], th[:, ju], rr[:, ju],
+                           n_antennas, wavelength)
+        out[lo:lo + step] = np.cumsum(gains[:, own], axis=2)[:, :, -1]
     return out
 
 

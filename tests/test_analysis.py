@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import mlap_cross_gains, mlap_interference_on_anchor
-from nfsg import (DegenerateSupportError, DomainError, PolarPoint, TrialPlan,
-                  laplace_exact, laplace_mlap, level_probabilities, mlap_levels,
-                  tau_star)
+from nfsg import (DegenerateSupportError, DomainError, MlapConfig, PolarPoint,
+                  TrialPlan, laplace_exact, laplace_mlap, level_probabilities,
+                  mlap_levels, tau_star)
 from nfsg.geometry import sample_conditional_arrays
 from nfsg.montecarlo import conditional_interference_samples
 from nfsg.pattern import mlap_level_index_many
@@ -35,7 +35,10 @@ class TestLevelProbabilities:
             for m in range(2, scn.mlap.n_levels + 1):
                 assert probs.p_in[m] == probs.p_out[m]
 
-    def test_bucketed_frequencies(self, scn, rng):
+    # M=1 has no sidelobe band and M=128 = N/2 has every one
+    @pytest.mark.parametrize("n_levels", [1, 10, 128])
+    def test_bucketed_frequencies(self, scn, rng, n_levels):
+        scn = scn.with_(mlap=MlapConfig(n_levels, scn.mlap.beta_gamma, scn.mlap.delta))
         kappa = 3
         probs = level_probabilities(ANCHOR.theta, ANCHOR.r, kappa, scn)
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
@@ -48,6 +51,14 @@ class TestLevelProbabilities:
                                         theta[:, cols].ravel(), r[:, cols].ravel())
             freq = np.bincount(idx, minlength=len(p)) / idx.size
             assert np.max(np.abs(freq - np.asarray(p))) < 0.006
+
+    def test_cell_edge_parks_outer_side(self, scn):
+        # the last user on the cell edge has no outer law and needs none
+        m = scn.mlap.n_levels
+        probs = level_probabilities(0.0, scn.sector.cell_radius, scn.n_active, scn)
+        assert probs.p_out == tuple([0.0] * (m + 1) + [1.0])
+        assert abs(sum(probs.p_in) - 1.0) < 1e-9
+        assert all(0.0 <= p <= 1.0 for p in probs.p_in)
 
     def test_degenerate_errors(self, scn):
         with pytest.raises(DegenerateSupportError):
@@ -66,7 +77,6 @@ class TestTauStar:
         assert tau_star(levels) == pytest.approx(1.0 / min(levels.gains[:-1]))
 
     def test_nonincreasing_in_level_count(self, scn):
-        from nfsg import MlapConfig
         prev = None
         for m in (1, 3, 6, 10):
             lv = mlap_levels(scn.array, MlapConfig(n_levels=m), ANCHOR)

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import mlap_network_interference, two_level_sum_cdf
-from nfsg import (DomainError, PolarPoint, TrialPlan, conditional_cp,
-                  conditional_cp_sinr, conditional_cp_upper, mlap_levels,
-                  overall_cp, se_and_ase, sinr_equivalent_threshold, tau_star,
-                  thermal_noise_power)
+from nfsg import (DomainError, InvalidArgumentError, PolarPoint, TrialPlan,
+                  conditional_cp, conditional_cp_sinr, conditional_cp_upper,
+                  estimate_overall_cp, mlap_levels, overall_cp, se_and_ase,
+                  sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.analysis import _conditional_cp_bounds, _lattice_cp, _overall_cp_batch
 from nfsg.geometry import sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
@@ -63,6 +63,14 @@ class TestConditionalCp:
         single = scn.with_(n_active=1)
         assert conditional_cp(5.0, 0.0, 30.0, 1, single, "mlap") == 1.0
         assert conditional_cp(5.0, 0.0, 30.0, 1, single, "exact") == 1.0
+        assert conditional_cp_upper(5.0, 0.0, 30.0, 1, single) == 1.0
+        # a lone user is still checked like any other
+        with pytest.raises(DomainError):
+            conditional_cp(5.0, 2.0, 30.0, 1, single, "mlap")
+        with pytest.raises(DomainError):
+            conditional_cp_upper(5.0, 2.0, 30.0, 1, single)
+        with pytest.raises(InvalidArgumentError):
+            conditional_cp(5.0, 0.0, 30.0, 1, single, "bogus")
 
     def test_tau_positive(self, scn):
         with pytest.raises(DomainError):
@@ -158,7 +166,15 @@ class TestSinr:
 
 class TestOverall:
     def test_single_user(self, scn):
-        assert overall_cp(10.0, 1, scn.with_(n_active=1), "mlap") == 1.0
+        single = scn.with_(n_active=1)
+        for mode in ("exact", "mlap", "upper"):
+            assert overall_cp(10.0, 1, single, mode) == 1.0
+        se, _ = se_and_ase(10.0, single, "mlap")
+        assert se.tolist() == [math.log2(11.0)]
+        with pytest.raises(InvalidArgumentError):
+            overall_cp(5.0, 1, single, "bogus")
+        with pytest.raises(InvalidArgumentError):
+            se_and_ase(5.0, single, "bogus")
 
     def test_monotone_in_tau(self, scn):
         for mode in ("mlap", "upper"):
@@ -197,7 +213,8 @@ class TestOverall:
         assert ase < 1e-7
 
     def test_exact_mode_smoke(self):
-        # exact overall on a small array stays tractable and bounded
+        # exact overall on a small array stays tractable and agrees with
+        # simulation of the same scenario
         from nfsg import ArrayConfig, MlapConfig, ScenarioConfig, SectorGeometry
         small = ScenarioConfig(
             array=ArrayConfig(n_antennas=13, carrier_freq=28e9),
@@ -205,4 +222,6 @@ class TestOverall:
             n_active=3, pathloss_exponent=2.0, tx_power=1.0, noise_power=0.0,
             mlap=MlapConfig(n_levels=3))
         cp = overall_cp(3.0, 2, small, "exact")
-        assert 0.0 <= cp <= 1.0
+        plan = TrialPlan(n_trials=200_000, root_seed=41, scenario=small)
+        mc = estimate_overall_cp(plan, [3.0], 2)[0]
+        assert abs(cp - mc.value) < 0.01

@@ -65,6 +65,32 @@ def test_interference_sums_matches_pair_loop(rng):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_interference_sums_bitwise_independent_of_split(rng):
+    # The simulation splits trials into blocks; wherever a block boundary
+    # falls, every sum must add its pair gains in ascending pair order, as
+    # the reference pair loop below does.
+    wavelength = ArrayConfig(16, FREQ).wavelength
+    k = 9
+    iu, ju = np.triu_indices(k, 1)
+    per_chunk = kernels._CHUNK // iu.size
+    theta = rng.uniform(-1, 1, (3 * per_chunk + 17, k))
+    r = rng.uniform(1, 150, theta.shape)
+    gains = kernels.gain_pairs(theta[:, iu], r[:, iu], theta[:, ju], r[:, ju],
+                               16, wavelength)
+    want = np.zeros_like(theta)
+    for p in range(iu.size):
+        want[:, iu[p]] += gains[:, p]
+        want[:, ju[p]] += gains[:, p]
+    split = per_chunk + 100
+    whole = kernels.interference_sums(theta, r, 16, wavelength)
+    parts = [kernels.interference_sums(theta[s], r[s], 16, wavelength)
+             for s in (slice(None, split), slice(split, None))]
+    assert np.array_equal(whole, want)
+    assert np.array_equal(np.concatenate(parts), want)
+    lone = kernels.interference_sums(theta[:, :1], r[:, :1], 16, wavelength)
+    assert np.array_equal(lone, np.zeros((theta.shape[0], 1)))
+
+
 def test_cf_reduce_matches_dense_product(rng):
     g = rng.uniform(0, 1, 2000)
     w = rng.dirichlet(np.ones(2000))
