@@ -34,11 +34,19 @@ nonnegative, so P{I <= 1/tau} depends only on each side's gain law on
 [0, 1/tau]: that law is put on the L+1 lattice points k*h, h = 1/(tau*L),
 with the mass above 1/tau dropped. Rounding every gain up gives a lower bound
 on CP and rounding it down an upper bound. Each side is raised to its power
-by FFT convolution truncated to [0, L] after every step, which is exact for
-the rounded laws. CP_kappa is then the dot product of the inner power kappa-1
-with the reversed cumulative sum of the outer power n_active-kappa. The
-public functions return the midpoint of the two bounds. For the exact route
-the bound covers the lattice rounding only, not the error of the side-grid
+one convolution at a time, truncated to [0, L] after every step, which is
+exact for the rounded laws. A step takes one of two forms, chosen from the
+law. When no row of a pass keeps more than _SHIFT_ADD_ATOMS positive-mass
+atoms, it adds that many shifted copies of the array, weighted by the atoms'
+masses; the quantized laws have M+2 atoms, so mlap up to M = 28 goes this
+way. Denser laws, such as the exact route's binned histograms, multiply
+2(L+1)-point FFT spectra. The constant is the measured crossover of the two.
+The outer ladder is carried as CDFs: convolution commutes with the
+cumulative sum, and a CDF is 0 below cell 0, so one step serves both
+ladders. CP_kappa is then the dot product of the inner pmf power kappa-1
+with the reversed CDF of the outer power n_active-kappa. The public
+functions return the midpoint of the two bounds. For the exact route the
+bound covers the lattice rounding only, not the error of the side-grid
 quadrature or of the gain clustering.
 
 laplace_exact and laplace_mlap give the interference Laplace transforms of
@@ -319,17 +327,16 @@ def _cluster(g: np.ndarray, w: np.ndarray):
     w = w[order]
     limits = np.searchsorted(g, np.maximum(g * (1.0 + _CLUSTER_REL), g + _CLUSTER_ABS),
                              side="right")
-    out_g, out_w = [], []
+    # greedy chain: a cluster runs from its first gain up to that gain's limit
+    starts = []
     i = 0
-    n = g.size
-    while i < n:
-        j = max(int(limits[i]), i + 1)
-        ww = w[i:j]
-        tot = float(ww.sum())
-        out_w.append(tot)
-        out_g.append(float(g[i:j] @ ww) / tot if tot > 0 else float(g[i]))
-        i = j
-    return np.asarray(out_g), np.asarray(out_w)
+    while i < g.size:
+        starts.append(i)
+        i = max(int(limits[i]), i + 1)
+    tot = np.add.reduceat(w, starts)
+    mean = g[starts]  # a massless cluster keeps its first gain
+    np.divide(np.add.reduceat(g * w, starts), tot, out=mean, where=tot > 0)
+    return mean, tot
 
 
 @lru_cache(maxsize=16)
@@ -386,30 +393,61 @@ def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
 # FFTs keep every product of two truncated laws free of wrap-around.
 _LATTICE_CELLS = 1023
 _NFFT = 2 * (_LATTICE_CELLS + 1)
-# focal nodes per lattice pass: bounds the memory of the stored outer powers
-_LATTICE_ROWS = 28
+# Focal nodes per lattice pass. One shift-and-add gather holds
+# rows x atoms x (L+1) doubles: 0.8 MB at 8 rows and M = 10, which fits a
+# 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. The location-
+# averaged mlap route at 9 thresholds took 0.98 s at 8 rows, 1.17 s at 16
+# and 1.87 s at 28 (Xeon, 2 MiB L2 per core).
+_LATTICE_ROWS = 8
+# Most positive-mass atoms per row for which a shift-and-add step beats a
+# 2(L+1)-point FFT round trip, a measured crossover. One _lattice_cp call at
+# 8 rows, n_active = 15: 12 atoms 7.6 ms against 21.5 ms by FFT, 28 atoms
+# 18.4 against 19.4, 32 atoms 22.2 against 20.0, 48 atoms 32.5 against
+# 19.7. So mlap laws up to M = 28 shift and add, while M = 128 and the exact
+# route's binned histograms take the FFT.
+_SHIFT_ADD_ATOMS = 30
 
 
-def _lattice_spectrum(thr: float, gains, probs, round_up: bool) -> np.ndarray:
-    """Spectrum of one interferer's gain law put on the lattice k*thr/L.
+def _lattice_step(thr: float, gains, probs, round_up: bool):
+    """One interferer's gain law put on the lattice k*thr/L, as a function
+    that convolves a (rows, L+1) array with it, truncated to [0, L].
 
     gains and probs broadcast to (rows, m), one law per row. Mass above thr
-    is dropped; the rest is rounded up (lower CP bound) or down (upper)."""
+    is dropped; the rest is rounded up (lower CP bound) or down (upper). A
+    law with at most _SHIFT_ADD_ATOMS positive-mass atoms in every row sums
+    shifted copies of the array, new[r, s] = sum_i p[r, i] a[r, s - c[r, i]],
+    which is exact and never negative. Denser laws multiply spectra."""
     gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
     rows = gains.shape[0]
+    width = _LATTICE_CELLS + 1
     x = gains * (_LATTICE_CELLS / thr)
-    cell = np.minimum(np.ceil(x) if round_up else np.floor(x), _LATTICE_CELLS)
-    keep = gains <= thr
-    flat = (np.arange(rows)[:, None] * (_LATTICE_CELLS + 1) + cell.astype(np.int64))
-    pmf = np.bincount(flat[keep], weights=probs[keep],
-                      minlength=rows * (_LATTICE_CELLS + 1))
-    return np.fft.rfft(pmf.reshape(rows, -1), _NFFT)
+    cell = np.minimum(np.ceil(x) if round_up else np.floor(x),
+                      _LATTICE_CELLS).astype(np.int64)
+    keep = (gains <= thr) & (probs > 0)
+    m = int(keep.sum(axis=1).max())
+    if m <= _SHIFT_ADD_ATOMS:
+        # the kept atoms first in every row; the padding ones carry no mass
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :m]
+        shift = width - np.take_along_axis(cell, first, axis=1)
+        p = np.take_along_axis(np.where(keep, probs, 0.0), first, axis=1)[:, None, :]
+        # a[r, s - c] is buf[r, width + s - c], and cells below 0 stay zero
+        buf = np.zeros((rows, 2 * width))
+        windows = np.lib.stride_tricks.sliding_window_view(buf, width, axis=1)
+        row = np.arange(rows)[:, None]
 
+        def shift_add(a):
+            buf[:, width:] = a
+            return (p @ windows[row, shift])[:, 0]
+        return shift_add
 
-def _lattice_step(pmf: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """pmf convolved with the law behind spectrum, truncated to [0, L]."""
-    out = np.fft.irfft(np.fft.rfft(pmf, _NFFT) * spectrum, _NFFT)
-    return np.maximum(out[:, :_LATTICE_CELLS + 1], 0.0)
+    flat = np.arange(rows)[:, None] * width + cell
+    pmf = np.bincount(flat[keep], weights=probs[keep], minlength=rows * width)
+    spectrum = np.fft.rfft(pmf.reshape(rows, width), _NFFT)
+
+    def fft(a):
+        out = np.fft.irfft(np.fft.rfft(a, _NFFT) * spectrum, _NFFT)
+        return np.maximum(out[:, :width], 0.0)
+    return fft
 
 
 def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
@@ -417,30 +455,33 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
 
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (m,) or (rows, m) for a batch of focal points. The outer
-    powers are stored as reversed CDFs; the inner power walks up the kappa
-    ladder, so every order costs one dot product. Returns (lower, upper),
-    each of shape (rows, len(kappas)).
+    ladder starts from the CDF of zero interference, which is 1 on every
+    cell, and each step convolves it with one more outer law: convolution
+    commutes with the cumulative sum, and a CDF is 0 below cell 0. Those
+    CDFs are stored reversed; the inner pmf walks up the kappa ladder, so
+    every order costs one dot product. Returns (lower, upper), each of
+    shape (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
+    width = _LATTICE_CELLS + 1
     bounds = []
     for round_up in (True, False):
-        f_in = _lattice_spectrum(thr, *inner, round_up)
-        f_out = _lattice_spectrum(thr, *outer, round_up)
-        rows = f_out.shape[0]
-        delta = np.zeros((rows, _LATTICE_CELLS + 1))
-        delta[:, 0] = 1.0
+        step_in = _lattice_step(thr, *inner, round_up)
+        step_out = _lattice_step(thr, *outer, round_up)
+        rows = np.atleast_2d(outer[1]).shape[0]
         n_out = n_active - int(kap.min())
-        cdf_out = np.empty((n_out + 1, rows, _LATTICE_CELLS + 1))
-        pmf = delta
+        cdf_out = np.empty((n_out + 1, rows, width))
+        cdf = np.ones((rows, width))
         for j in range(n_out + 1):
             if j:
-                pmf = _lattice_step(pmf, f_out)
-            cdf_out[j] = np.cumsum(pmf, axis=1)[:, ::-1]
+                cdf = step_out(cdf)
+            cdf_out[j] = cdf[:, ::-1]
         cp = np.empty((rows, kap.size))
-        pmf = delta
+        pmf = np.zeros((rows, width))
+        pmf[:, 0] = 1.0
         for k in range(1, int(kap.max()) + 1):
             if k > 1:
-                pmf = _lattice_step(pmf, f_in)
+                pmf = step_in(pmf)
             for q in np.flatnonzero(kap == k):
                 cp[:, q] = np.einsum("rl,rl->r", pmf, cdf_out[n_active - k])
         bounds.append(np.clip(cp, 0.0, 1.0))
@@ -459,8 +500,7 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     covered for sure. Nodes with no gain in (0, thr] (the frozen region)
     are covered only when every interferer sits on gain 0, which is the
     closed-form product. The rest go through the lattice _LATTICE_ROWS rows
-    at a time, which bounds the memory of the stored outer powers. Returns
-    (lower, upper), each of shape (rows, len(kappas)).
+    at a time. Returns (lower, upper), each of shape (rows, len(kappas)).
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
     kap = np.asarray(kappas, int)

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mlap_cross_gains, mlap_interference_on_anchor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import cluster_reference, mlap_cross_gains, mlap_interference_on_anchor
 from nfsg import (DegenerateSupportError, DomainError, MlapConfig, PolarPoint,
-                  TrialPlan, laplace_exact, laplace_mlap, level_probabilities,
+                  TrialPlan, kernels, laplace_exact, laplace_mlap, level_probabilities,
                   mlap_levels, tau_star)
+from nfsg.analysis import (_CLUSTER_ABS, _CLUSTER_REL, _GRID_T_RESOLVE, _angular_nodes,
+                           _cluster, _radial_nodes)
 from nfsg.geometry import sample_conditional_arrays
 from nfsg.montecarlo import conditional_interference_samples
 from nfsg.pattern import mlap_level_index_many
@@ -155,6 +160,37 @@ class TestLaplaceExact:
         for t in (1.0, 50.0, 400.0):
             val = laplace_exact(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn)
             assert abs(val) <= 1.0 + 1e-9
+
+
+class TestCluster:
+    """The greedy chain and reduceat against the per-cluster loop."""
+
+    @staticmethod
+    def _check(g, w):
+        starts, means, masses = cluster_reference(g, w, _CLUSTER_REL, _CLUSTER_ABS)
+        mean, mass = _cluster(g, w)
+        assert mass.size == starts.size
+        np.testing.assert_allclose(mass, masses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mean, means, rtol=1e-12, atol=0)
+        # with unit weights every mass is its cluster's size, exactly
+        _, size = _cluster(g, np.ones_like(g))
+        assert np.array_equal(size, np.diff(np.append(starts, g.size)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-8, 0.5]),
+                                    st.floats(0.0, 1.0) | st.just(0.0)),
+                          min_size=1, max_size=300))
+    def test_matches_loop(self, pairs):
+        # ties, gains within _CLUSTER_ABS of 0 and massless clusters included
+        g, w = (np.array(c) for c in zip(*pairs))
+        self._check(g, w)
+
+    def test_matches_loop_on_side_grid(self, scn):
+        th, w_th = _angular_nodes(scn, 0.1, _GRID_T_RESOLVE)
+        r, w_r, _ = _radial_nodes(scn, "outer", 0.1, 60.0, _GRID_T_RESOLVE)
+        g = kernels.gain_pairs(np.repeat(th, r.size), np.tile(r, th.size), 0.1, 60.0,
+                               scn.array.n_antennas, scn.array.wavelength)
+        self._check(g, (w_th[:, None] * w_r[None, :]).ravel())
 
 
 def test_oracle_matches_library_pattern(scn, rng):

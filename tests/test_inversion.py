@@ -7,41 +7,73 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import mlap_network_interference, two_level_sum_cdf
+from helpers import (mlap_interference_on_anchor, mlap_network_interference,
+                     two_level_sum_cdf)
 from nfsg import (DomainError, InvalidArgumentError, PolarPoint, TrialPlan,
                   conditional_cp, conditional_cp_sinr, conditional_cp_upper,
                   estimate_overall_cp, mlap_levels, overall_cp, se_and_ase,
                   sinr_equivalent_threshold, tau_star, thermal_noise_power)
-from nfsg.analysis import _conditional_cp_bounds, _lattice_cp, _overall_cp_batch
-from nfsg.geometry import sample_user_arrays
+from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws,
+                           _conditional_cp_bounds, _lattice_cp, _node_cp,
+                           _overall_cp_batch)
+from nfsg.geometry import sample_conditional_arrays, sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
 # FFT round-off allowed on either side of an exact probability
 ROUNDOFF = 1e-12
+# copies per atom that make any kept atom select the FFT step
+FFT_COPIES = _SHIFT_ADD_ATOMS + 1
 
 
-def _lattice_brackets(vals, probs, counts, kappa, w):
+def _split(vals, probs, copies):
+    """The same law with every atom's mass spread over copies atoms."""
+    return np.repeat(vals, copies), np.repeat(probs, copies) / copies
+
+
+def _lattice_brackets(vals, probs, counts, kappa, w, copies=1):
     """Lattice bounds on P{X_1 + ... + X_counts <= w} for i.i.d. X with
     support vals, split into kappa-1 inner and counts-kappa+1 outer copies,
-    against the exact staircase CDF."""
+    against the exact staircase CDF. copies > _SHIFT_ADD_ATOMS writes the law
+    with enough atoms to take the FFT step."""
     xs, cdf = two_level_sum_cdf(vals, probs, counts)
     exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, w, side="right")])
-    lower, upper = _lattice_cp(w, (vals, probs), (vals, probs), counts + 1,
-                               [kappa])
+    law = _split(vals, probs, copies)
+    lower, upper = _lattice_cp(w, law, law, counts + 1, [kappa])
     return float(lower[0, 0]), exact, float(upper[0, 0])
+
+
+def _law_rows(atoms, thr):
+    """(gains, probs), each (rows, m), from one list of (gain share of thr,
+    weight) atoms per row, an atom at gain 0 first; short rows are padded
+    with massless atoms."""
+    m = 1 + max(len(a) for a in atoms)
+    gains, probs = np.zeros((len(atoms), m)), np.zeros((len(atoms), m))
+    for i, row in enumerate(atoms):
+        gains[i, 1:len(row) + 1] = [share * thr for share, _ in row]
+        weights = np.array([1.0] + [wt for _, wt in row])
+        probs[i, :len(row) + 1] = weights / weights.sum()
+    return gains, probs
+
+
+# gain shares of thr: exactly at thr, above it, in the top cell (cell L
+# rounded up, L-1 rounded down) and anywhere on (0, 1]
+_ATOM = st.tuples(st.sampled_from([1.0, 1.5, 1.0 - 0.3 / _LATTICE_CELLS])
+                  | st.floats(1e-6, 1.0), st.floats(0.01, 1.0))
+_ROWS = st.lists(st.lists(_ATOM, min_size=1, max_size=10), min_size=1, max_size=3)
 
 
 class TestSyntheticInversion:
     def test_two_level_sum_cdf(self):
         # I = X1 + X2, X in {0, a, b}: the lattice bounds must bracket the
-        # exact staircase CDF
+        # exact staircase CDF, through both convolution steps
         a, b = 0.35, 0.8
         probs = np.array([0.55, 0.3, 0.15])
         vals = np.array([0.0, a, b])
         for w in (0.19, 0.5, 0.71, 1.0, 1.4):
-            lower, exact, upper = _lattice_brackets(vals, probs, 2, 2, w)
-            assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
+            for copies in (1, FFT_COPIES):
+                lower, exact, upper = _lattice_brackets(vals, probs, 2, 2, w, copies)
+                assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
 
     @settings(max_examples=60, deadline=None)
     @given(vals=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
@@ -54,8 +86,31 @@ class TestSyntheticInversion:
         xs, _ = two_level_sum_cdf(vals, probs, counts)
         assume(np.min(np.abs(xs - w)) > 1e-9)  # continuity points only
         kappa = 1 + round(kappa_share * counts)
-        lower, exact, upper = _lattice_brackets(vals, probs, counts, kappa, w)
-        assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
+        for copies in (1, FFT_COPIES):
+            lower, exact, upper = _lattice_brackets(vals, probs, counts, kappa, w,
+                                                    copies)
+            assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
+
+    @settings(max_examples=40, deadline=None)
+    @given(inner=_ROWS, outer=_ROWS, n_active=st.integers(2, 8),
+           thr=st.floats(0.01, 2.0))
+    def test_shift_add_matches_fft(self, inner, outer, n_active, thr):
+        # the same laws with each gain-0 mass split over 40 atoms take the
+        # FFT step; both steps must give the same bounds at kappa = 1 and n
+        rows = min(len(inner), len(outer))
+        few = [_law_rows(atoms[:rows], thr) for atoms in (inner, outer)]
+        many = [(np.column_stack([np.zeros((rows, 39)), g]),
+                 np.column_stack([np.repeat(p[:, :1] / 40, 40, axis=1), p[:, 1:]]))
+                for g, p in few]
+
+        def kept(laws):
+            return max(np.count_nonzero((g <= thr) & (p > 0), axis=1).max()
+                       for g, p in laws)
+        assert kept(few) <= _SHIFT_ADD_ATOMS < kept(many)
+        kappas = [1, n_active]
+        for a, b in zip(_lattice_cp(thr, *few, n_active, kappas),
+                        _lattice_cp(thr, *many, n_active, kappas)):
+            assert np.all(np.abs(a - b) <= ROUNDOFF)
 
 
 class TestConditionalCp:
@@ -124,6 +179,22 @@ class TestConditionalCp:
             mc = float((interference < 1.0 / tau).mean())
             cp = conditional_cp(tau, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
             assert abs(cp - mc) < 0.02
+
+    def test_many_users_against_model_sampling(self, scn, rng):
+        # n_active = 64: 63 quantized interferer gains per trial, checked with
+        # the confidence interval of the exact-route agreement test
+        many = scn.with_(n_active=64)
+        n = 20_000
+        for kappa in (1, 32, 64):
+            theta, r = sample_conditional_arrays(kappa, ANCHOR, many.n_active,
+                                                 many.sector, n, rng)
+            interference = mlap_interference_on_anchor(many, ANCHOR, theta, r, kappa)
+            for db_val in (5.0, 15.0, 25.0):
+                tau = 10 ** (db_val / 10)
+                mc = float((interference < 1.0 / tau).mean())
+                se = math.sqrt(max(mc * (1 - mc), 1e-12) / n)
+                cp = conditional_cp(tau, ANCHOR.theta, ANCHOR.r, kappa, many, "mlap")
+                assert abs(cp - mc) <= 2.576 * se + 5e-4, (kappa, db_val, cp, mc)
 
     @settings(max_examples=40, deadline=None)
     @given(theta_share=st.floats(-0.99, 0.99), r=st.floats(1.0, 149.0),
@@ -198,6 +269,18 @@ class TestOverall:
         cps = _overall_cp_batch(tau, scn, "mlap", range(1, scn.n_active + 1))
         mc = (interference < 1.0 / tau).mean(axis=0)
         assert np.max(np.abs(cps - mc)) < 0.012
+
+    def test_many_users_bounds_ordered(self, scn):
+        many = scn.with_(n_active=64)
+        g, p_in, p_out = _anchor_laws(many)
+        kappas = range(1, many.n_active + 1)
+        for tau in (3.0, 100.0):
+            lower, upper = _node_cp(1.0 / tau, (g, p_in), (g, p_out), many.n_active,
+                                    kappas)
+            assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
+            assert np.all(lower <= upper + ROUNDOFF)
+            cps = _overall_cp_batch(tau, many, "mlap", kappas)
+            assert np.all((cps >= 0.0) & (cps <= 1.0))
 
     def test_se_and_ase(self, scn):
         tau = 100.0
