@@ -4,9 +4,9 @@ coverage/efficiency metrics, validated by Monte Carlo simulation of the
 physical model."""
 
 from .analysis import (LevelProbabilities, conditional_cp, conditional_cp_sinr,
-                       conditional_cp_upper, laplace_exact, laplace_mlap,
-                       level_probabilities, overall_cp, se_and_ase,
-                       sinr_equivalent_threshold, tau_star)
+                       laplace_exact, laplace_mlap, level_probabilities,
+                       overall_cp, se_and_ase, sinr_equivalent_threshold,
+                       tau_star)
 from .errors import (ConfigError, DegenerateSupportError, DomainError,
                      InvalidArgumentError, NumericFailureError)
 from .fresnel import fresnel_integrals

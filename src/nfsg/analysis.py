@@ -53,7 +53,9 @@ laplace_exact and laplace_mlap give the interference Laplace transforms of
 the two routes; the CP evaluator does not need them.
 
 The closed-form upper bound replaces each Laplace factor with the
-probability that a single interferer's quantized gain stays below 1/tau.
+probability that a single interferer's quantized gain stays below 1/tau. It
+is the third mode, 'upper', of conditional_cp, overall_cp and se_and_ase,
+next to 'exact' and 'mlap', and runs on the mlap laws.
 """
 
 from __future__ import annotations
@@ -527,41 +529,34 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
 
 def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
                            scenario: ScenarioConfig, mode: str) -> tuple[float, float]:
-    """Lattice (lower, upper) bounds on the route's CP for user kappa fixed
-    at (theta_k, r_k)."""
+    """(lower, upper) bounds on the route's CP for user kappa fixed at
+    (theta_k, r_k): the lattice bounds for 'exact' and 'mlap', the closed
+    form twice for 'upper'."""
     if not tau > 0:
         raise DomainError("tau must be positive")
     _check_kappa(kappa, scenario)
-    if mode == "mlap":
+    if mode in ("mlap", "upper"):
         g, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
         inner, outer = (g, p_in), (g, p_out)
     elif mode == "exact":
         _check_point_in_sector(theta_k, r_k, scenario)
         inner, outer = _exact_sides(scenario, theta_k, r_k, [kappa])
     else:
-        raise InvalidArgumentError("mode must be 'exact' or 'mlap'")
-    lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa])
+        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+    lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa],
+                            closed_form=mode == "upper")
     return float(lower[0, 0]), float(upper[0, 0])
 
 
 def conditional_cp(tau: float, theta_k: float, r_k: float, kappa: int,
                    scenario: ScenarioConfig, mode: str = "mlap") -> float:
-    """P{SIR > tau} for user kappa fixed at (theta_k, r_k) under the exact or
-    quantized pattern: the midpoint of the lattice bounds."""
+    """P{SIR > tau} for user kappa fixed at (theta_k, r_k): the midpoint of
+    the lattice bounds under the exact ('exact') or quantized ('mlap')
+    pattern, or the closed-form upper bound on the quantized route
+    ('upper'), where every interferer's quantized gain must individually
+    stay below 1/tau."""
     lower, upper = _conditional_cp_bounds(tau, theta_k, r_k, kappa, scenario, mode)
     return 0.5 * (lower + upper)
-
-
-def conditional_cp_upper(tau: float, theta_k: float, r_k: float, kappa: int,
-                         scenario: ScenarioConfig) -> float:
-    """Closed-form upper bound: every interferer's quantized gain must
-    individually stay below 1/tau."""
-    if not tau > 0:
-        raise DomainError("tau must be positive")
-    g, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
-    _, upper = _node_cp(1.0 / tau, (g, p_in), (g, p_out), scenario.n_active,
-                        [kappa], closed_form=True)
-    return float(upper[0, 0])
 
 
 def sinr_equivalent_threshold(tau: float, r_k: float,
@@ -585,7 +580,8 @@ def sinr_equivalent_threshold(tau: float, r_k: float,
 
 def conditional_cp_sinr(tau: float, theta_k: float, r_k: float, kappa: int,
                         scenario: ScenarioConfig, mode: str = "mlap") -> float:
-    """SINR coverage via the threshold substitution."""
+    """SINR coverage via the threshold substitution, for any conditional_cp
+    mode."""
     tau_eq = sinr_equivalent_threshold(tau, r_k, scenario)
     if tau_eq is None:
         return 0.0

@@ -17,19 +17,17 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import analysis, montecarlo
-from .config import ExperimentSpec, parse_config
-from .errors import ConfigError, NumericFailureError
-from .pattern import (ArrayConfig, MlapConfig, angular_gain, distance_gain,
-                      exact_gain_many, m_star, mlap_gain_many, mlap_levels,
-                      three_level_distance_gain)
+from .config import SWEEP_PARAMS, ExperimentSpec, _scenario_for_sweep, parse_config
+from .errors import ConfigError
+from .pattern import (angular_gain, distance_gain, exact_gain_many, m_star,
+                      mlap_gain_many, mlap_levels, three_level_distance_gain)
 
 COLUMNS = ("experiment", "mode", "sweep_param", "sweep_value", "kappa",
            "tau_db", "metric", "value", "std_error")
@@ -41,13 +39,6 @@ _DEFAULT_TAU = {
     "ase-vs-n": (10.0, 20.0),
     "ase-vs-na": (10.0, 20.0),
     "ratio-sweep": (20.0,),
-}
-
-_DEFAULT_SWEEP = {
-    "m-sweep": ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)),
-    "ase-vs-n": ("n_antennas", (64, 128, 192, 256)),
-    "ase-vs-na": ("n_active", (4, 8, 16, 24, 32)),
-    "ratio-sweep": ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
 }
 
 
@@ -77,7 +68,7 @@ def _tau_grid(spec: ExperimentSpec):
 def _sweep(spec: ExperimentSpec):
     if spec.sweep is not None:
         return spec.sweep.param, spec.sweep.values
-    return _DEFAULT_SWEEP[spec.name]
+    return SWEEP_PARAMS[spec.name]
 
 
 def _plan(spec: ExperimentSpec, scenario) -> montecarlo.TrialPlan:
@@ -85,22 +76,7 @@ def _plan(spec: ExperimentSpec, scenario) -> montecarlo.TrialPlan:
                                 scenario=scenario)
 
 
-class _FailureLog:
-    def __init__(self):
-        self.attempted = 0
-        self.failed = 0
-
-    def guard(self, fn, *args, **kwargs):
-        self.attempted += 1
-        try:
-            return fn(*args, **kwargs)
-        except NumericFailureError as exc:
-            self.failed += 1
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return math.nan
-
-
-def _rows_pattern_cut(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
+def _rows_pattern_cut(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     arr = scn.array
     f = spec.anchor
@@ -131,7 +107,7 @@ def _rows_pattern_cut(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
     return rows
 
 
-def _rows_polar_heatmap(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
+def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     sec = scn.sector
     f = spec.anchor
@@ -157,7 +133,7 @@ def _rows_polar_heatmap(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
     return rows
 
 
-def _rows_cond_cp(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
+def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     f = spec.anchor
     taus_db = _tau_grid(spec)
@@ -179,36 +155,28 @@ def _rows_cond_cp(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
             continue
         for d in taus_db:
             tau = _db_to_linear(d)
-            if mode == "upper":
-                val = log.guard(analysis.conditional_cp_upper, tau, f.theta, f.r,
-                                spec.kappa, scn)
-            else:
-                val = log.guard(analysis.conditional_cp, tau, f.theta, f.r,
-                                spec.kappa, scn, mode)
+            val = analysis.conditional_cp(tau, f.theta, f.r, spec.kappa, scn, mode)
             rows.append(Row(spec.name, mode, None, None, spec.kappa, d, "cp", val))
             if with_noise and mode in ("exact", "mlap"):
-                val = log.guard(analysis.conditional_cp_sinr, tau, f.theta, f.r,
-                                spec.kappa, scn, mode)
+                val = analysis.conditional_cp_sinr(tau, f.theta, f.r, spec.kappa,
+                                                   scn, mode)
                 rows.append(Row(spec.name, mode, None, None, spec.kappa, d,
                                 "cp_sinr", val))
     return rows
 
 
-def _rows_m_sweep(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
+def _rows_m_sweep(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     f = spec.anchor
     param, values = _sweep(spec)
     taus_db = _tau_grid(spec)
     rows = []
     for v in values:
-        m = int(v)
-        mlap = MlapConfig(n_levels=min(m, scn.array.n_antennas // 2),
-                          beta_gamma=scn.mlap.beta_gamma, delta=scn.mlap.delta)
-        scn_m = scn.with_(mlap=mlap)
+        scn_m = _scenario_for_sweep(scn, param, v)
         for d in taus_db:
-            val = log.guard(analysis.conditional_cp, _db_to_linear(d), f.theta,
-                            f.r, spec.kappa, scn_m, "mlap")
-            rows.append(Row(spec.name, "mlap", param, float(m), spec.kappa, d,
+            val = analysis.conditional_cp(_db_to_linear(d), f.theta, f.r,
+                                          spec.kappa, scn_m, "mlap")
+            rows.append(Row(spec.name, "mlap", param, float(v), spec.kappa, d,
                             "cp", val))
     for d in taus_db:
         ms = m_star(scn.array, scn.mlap, _db_to_linear(d))
@@ -217,79 +185,44 @@ def _rows_m_sweep(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
     return rows
 
 
-def _rows_overall(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
-    scn = spec.scenario
-    taus_db = _tau_grid(spec)
+def _network_rows(spec: ExperimentSpec, scn, mode: str) -> list[Row]:
+    """Per threshold, the cp and se rows of every user and the ase row of one
+    route on one scenario."""
     rows = []
-    for mode in spec.modes:
+    taus_db = _tau_grid(spec)
+    taus = [_db_to_linear(d) for d in taus_db]
+    if mode == "montecarlo":
+        cp, ase = montecarlo.estimate_network(_plan(spec, scn), taus)
+    for i, (d, tau) in enumerate(zip(taus_db, taus)):
+        rate = math.log2(1.0 + tau)
         if mode == "montecarlo":
-            plan = _plan(spec, scn)
-            taus = [_db_to_linear(d) for d in taus_db]
-            cp, ase = montecarlo.estimate_network(plan, taus)
-            for i, d in enumerate(taus_db):
-                for k in range(1, scn.n_active + 1):
-                    e = cp[k - 1][i]
-                    rows.append(Row(spec.name, mode, None, None, k, d, "cp",
-                                    e.value, e.std_error))
-                    rows.append(Row(spec.name, mode, None, None, k, d, "se",
-                                    e.value * math.log2(1.0 + taus[i]),
-                                    e.std_error * math.log2(1.0 + taus[i])))
-                rows.append(Row(spec.name, mode, None, None, None, d, "ase",
-                                ase[i].value, ase[i].std_error))
-            continue
-        for d in taus_db:
-            tau = _db_to_linear(d)
-            result = log.guard(analysis.se_and_ase, tau, scn, mode)
-            if isinstance(result, float) and math.isnan(result):
-                rows.append(Row(spec.name, mode, None, None, None, d, "ase", result))
-                continue
-            se, ase = result
-            denom = math.log2(1.0 + tau)
-            for k in range(1, scn.n_active + 1):
-                rows.append(Row(spec.name, mode, None, None, k, d, "cp",
-                                float(se[k - 1] / denom)))
-                rows.append(Row(spec.name, mode, None, None, k, d, "se",
-                                float(se[k - 1])))
-            rows.append(Row(spec.name, mode, None, None, None, d, "ase", ase))
+            users = [(e.value, e.std_error, e.value * rate, e.std_error * rate)
+                     for e in (c[i] for c in cp)]
+            total = (ase[i].value, ase[i].std_error)
+        else:
+            se, total_ase = analysis.se_and_ase(tau, scn, mode)
+            users = [(float(s / rate), None, float(s), None) for s in se]
+            total = (total_ase, None)
+        for k, (c, c_err, s, s_err) in enumerate(users, 1):
+            rows.append(Row(spec.name, mode, None, None, k, d, "cp", c, c_err))
+            rows.append(Row(spec.name, mode, None, None, k, d, "se", s, s_err))
+        rows.append(Row(spec.name, mode, None, None, None, d, "ase", *total))
     return rows
 
 
-def _scenario_for_sweep(scn, param: str, value: float):
-    if param == "n_antennas":
-        n = int(value)
-        return scn.with_(
-            array=ArrayConfig(n_antennas=n, carrier_freq=scn.array.carrier_freq),
-            mlap=MlapConfig(n_levels=min(scn.mlap.n_levels, n // 2),
-                            beta_gamma=scn.mlap.beta_gamma, delta=scn.mlap.delta))
-    if param == "n_active":
-        return scn.with_(n_active=int(value))
-    if param == "na_over_n":
-        return scn.with_(n_active=max(1, round(value * scn.array.n_antennas)))
-    raise ConfigError("sweep.param", f"unsupported for this experiment: {param}")
+def _rows_overall(spec: ExperimentSpec) -> list[Row]:
+    return [row for mode in spec.modes
+            for row in _network_rows(spec, spec.scenario, mode)]
 
 
-def _rows_ase_sweep(spec: ExperimentSpec, log: _FailureLog) -> list[Row]:
-    scn = spec.scenario
+def _rows_ase_sweep(spec: ExperimentSpec) -> list[Row]:
     param, values = _sweep(spec)
-    taus_db = _tau_grid(spec)
 
     def point(value):
-        out = []
-        scn_v = _scenario_for_sweep(scn, param, value)
-        for mode in spec.modes:
-            if mode == "montecarlo":
-                est = montecarlo.estimate_ase(_plan(spec, scn_v),
-                                              [_db_to_linear(d) for d in taus_db])
-                out += [Row(spec.name, mode, param, float(value), None, d, "ase",
-                            e.value, e.std_error) for d, e in zip(taus_db, est)]
-            else:
-                for d in taus_db:
-                    result = log.guard(analysis.se_and_ase, _db_to_linear(d),
-                                       scn_v, mode)
-                    ase = result if isinstance(result, float) else result[1]
-                    out.append(Row(spec.name, mode, param, float(value), None, d,
-                                   "ase", ase))
-        return out
+        scn_v = _scenario_for_sweep(spec.scenario, param, value)
+        return [replace(row, sweep_param=param, sweep_value=float(value))
+                for mode in spec.modes for row in _network_rows(spec, scn_v, mode)
+                if row.metric == "ase"]
 
     workers = montecarlo._workers()
     if workers > 1 and len(values) > 1:
@@ -313,13 +246,8 @@ _EXPERIMENTS = {
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Row]:
-    """Execute a named experiment; numeric failures become NaN rows and are
-    reported on stderr, the run continues."""
-    log = _FailureLog()
-    rows = _EXPERIMENTS[spec.name](spec, log)
-    if log.attempted and log.failed == log.attempted:
-        raise NumericFailureError("all rows failed", math.nan, math.inf)
-    return rows
+    """Execute a named experiment and return its rows."""
+    return _EXPERIMENTS[spec.name](spec)
 
 
 def _format_cell(v) -> str:
@@ -402,11 +330,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"ok: experiment={spec.name} modes={','.join(spec.modes)}")
         return 0
-    try:
-        table = run_experiment(spec)
-    except NumericFailureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+    table = run_experiment(spec)
     try:
         emit_results(table, spec.output_path, spec.fmt)
     except OSError as exc:

@@ -4,6 +4,8 @@ Every field is optional; omitted scenario fields fall back to the baseline
 (N=256 at 28 GHz, 3 sectors of 150 m, 15 active users, alpha=2, 10 W,
 beta_gamma=1.3, M=10). Wavelength and spacing are derived from the carrier
 frequency and are not settable. Unknown keys are rejected with their path.
+A sweep experiment takes only its own parameter (SWEEP_PARAMS), and every
+scenario it would run is built at parse time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from .scenario import ScenarioConfig, thermal_noise_power
 EXPERIMENTS = ("pattern-cut", "polar-heatmap", "cond-cp", "m-sweep", "overall",
                "ase-vs-n", "ase-vs-na", "ratio-sweep")
 MODES = ("exact", "mlap", "upper", "montecarlo")
-SWEEP_PARAMS = ("tau_db", "n_antennas", "n_active", "na_over_n", "n_levels")
+# The parameter each sweep experiment varies and its default values.
+SWEEP_PARAMS = {
+    "m-sweep": ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)),
+    "ase-vs-n": ("n_antennas", (64, 128, 192, 256)),
+    "ase-vs-na": ("n_active", (4, 8, 16, 24, 32)),
+    "ratio-sweep": ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
+}
 
 _SCENARIO_DEFAULTS = {
     "n_antennas": 256,
@@ -84,8 +92,9 @@ def _take(doc: dict, key: str, defaults: dict):
 
 
 def _number(value, key: str, minimum=None, integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, "must be a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(key, "must be a finite number")
     if integer and int(value) != value:
         raise ConfigError(key, "must be an integer")
     if minimum is not None and value < minimum:
@@ -151,8 +160,9 @@ def _build_sweep(doc) -> SweepSpec | None:
         raise ConfigError("sweep", "must be an object")
     _reject_unknown(doc, ("param", "values"), "sweep.")
     param = doc.get("param")
-    if param not in SWEEP_PARAMS:
-        raise ConfigError("sweep.param", f"must be one of {SWEEP_PARAMS}")
+    params = tuple(p for p, _ in SWEEP_PARAMS.values())
+    if param not in params:
+        raise ConfigError("sweep.param", f"must be one of {params}")
     values = doc.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values", "must be a nonempty list")
@@ -160,6 +170,43 @@ def _build_sweep(doc) -> SweepSpec | None:
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError("sweep.values", "must be strictly increasing")
     return SweepSpec(param=param, values=vals)
+
+
+def _scenario_for_sweep(scn: ScenarioConfig, param: str,
+                        value: float) -> ScenarioConfig:
+    """The scenario at one point of a sweep over param; the lobe count is
+    clamped to N//2."""
+    if param == "n_active":
+        return scn.with_(n_active=int(value))
+    if param == "na_over_n":
+        return scn.with_(n_active=max(1, round(value * scn.array.n_antennas)))
+    n = int(value) if param == "n_antennas" else scn.array.n_antennas
+    m = int(value) if param == "n_levels" else scn.mlap.n_levels
+    mlap = MlapConfig(n_levels=min(m, n // 2), beta_gamma=scn.mlap.beta_gamma,
+                      delta=scn.mlap.delta)
+    if param == "n_levels":
+        return scn.with_(mlap=mlap)
+    return scn.with_(array=ArrayConfig(n_antennas=n,
+                                       carrier_freq=scn.array.carrier_freq),
+                     mlap=mlap)
+
+
+def _check_sweep(name: str, sweep: SweepSpec | None, scenario: ScenarioConfig):
+    """A sweep experiment runs on its own parameter, and every swept
+    scenario must be valid."""
+    param, values = SWEEP_PARAMS[name]
+    if sweep is not None:
+        if sweep.param != param:
+            raise ConfigError("sweep.param", f"{name} sweeps {param}")
+        values = sweep.values
+    for v in values:
+        # every parameter but the ratio counts antennas, users or lobes
+        if param != "na_over_n" and not float(v).is_integer():
+            raise ConfigError("sweep.values", f"{param} takes integers")
+        try:
+            _scenario_for_sweep(scenario, param, v)
+        except InvalidArgumentError as exc:
+            raise ConfigError("sweep.values", f"{param}={v:g}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -209,10 +256,20 @@ def parse_config(text: str) -> ExperimentSpec:
     if abs(anchor.theta) > scenario.sector.half_width \
             or anchor.r > scenario.sector.cell_radius:
         raise ConfigError("anchor", "outside the sector")
+    if anchor.r == 0.0:
+        raise ConfigError("anchor", "r_m must be positive")
 
     kappa = _number(get("kappa"), "kappa", minimum=1, integer=True)
     if kappa > scenario.n_active:
         raise ConfigError("kappa", "exceeds n_active")
+    # no outer interferer can lie beyond the cell edge
+    if name in ("cond-cp", "m-sweep") and anchor.r == scenario.sector.cell_radius \
+            and kappa < scenario.n_active:
+        raise ConfigError("anchor", "on the cell edge only kappa = n_active fits")
+
+    sweep = _build_sweep(get("sweep"))
+    if name in SWEEP_PARAMS:
+        _check_sweep(name, sweep, scenario)
 
     fmt = get("format")
     if fmt not in ("csv", "jsonl"):
@@ -225,7 +282,7 @@ def parse_config(text: str) -> ExperimentSpec:
         tau_grid_db=tau_grid,
         kappa=kappa,
         anchor=anchor,
-        sweep=_build_sweep(get("sweep")),
+        sweep=sweep,
         trials=_number(get("trials"), "trials", minimum=1, integer=True),
         seed=_number(get("seed"), "seed", minimum=0, integer=True),
         output_path=str(get("output")),

@@ -137,21 +137,10 @@ def _coverage_counts(sir_kappa: np.ndarray, tau_grid: np.ndarray) -> np.ndarray:
 def estimate_overall_cp(plan: TrialPlan, tau_grid, kappa: int
                         ) -> list[EstimateWithError]:
     """Empirical P{SIR_kappa > tau} over fresh user sets, one estimate per
-    threshold."""
-    scn = plan.scenario
-    if not 1 <= kappa <= scn.n_active:
+    threshold: user kappa's row of estimate_network."""
+    if not 1 <= kappa <= plan.scenario.n_active:
         raise InvalidArgumentError("kappa must be in [1, n_active]")
-    taus = np.asarray(tau_grid, float)
-    if scn.n_active == 1:
-        return [EstimateWithError(1.0, 0.0, plan.n_trials) for _ in taus]
-
-    def block(b, size, rng):
-        theta, r = sample_user_arrays(scn.sector, scn.n_active, size, rng)
-        sir = 1.0 / _interference_matrix(theta, r, scn)[:, kappa - 1]
-        return _coverage_counts(sir, taus)
-
-    counts = sum(_map_blocks(plan, block))
-    return _binomial_estimates(counts, plan.n_trials)
+    return estimate_network(plan, tau_grid)[0][kappa - 1]
 
 
 def _binomial_estimates(counts: np.ndarray, n: int) -> list[EstimateWithError]:

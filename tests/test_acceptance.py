@@ -17,10 +17,9 @@ import pytest
 
 from helpers import ks_distance, mlap_cross_gains
 from nfsg import (ArrayConfig, MlapConfig, PolarPoint, TrialPlan, conditional_cp,
-                  conditional_cp_sinr, conditional_cp_upper, estimate_ase,
-                  fresnel_integrals, level_probabilities, m_star, mlap_levels,
-                  ordered_distance_dist, se_and_ase, tau_star,
-                  thermal_noise_power)
+                  conditional_cp_sinr, estimate_ase, fresnel_integrals,
+                  level_probabilities, m_star, mlap_levels, ordered_distance_dist,
+                  se_and_ase, tau_star, thermal_noise_power)
 from nfsg.geometry import (conditional_distance_dist, sample_conditional_arrays,
                            sample_user_arrays)
 from nfsg.kernels import gain_pairs
@@ -154,13 +153,13 @@ def test_07_bound_ordering_and_plateau(scn, rng):
     worst_violation = -1.0
     for tau, kappa, a in triples:
         cp = conditional_cp(tau, a.theta, a.r, kappa, scn, "mlap")
-        up = conditional_cp_upper(tau, a.theta, a.r, kappa, scn)
+        up = conditional_cp(tau, a.theta, a.r, kappa, scn, "upper")
         worst_violation = max(worst_violation, cp - up)
     eq_worst = 0.0
     flat_worst = 0.0
     for a, ts, taus in eq_sets:
         cps = [conditional_cp(t, a.theta, a.r, 7, scn, "mlap") for t in taus]
-        ups = [conditional_cp_upper(t, a.theta, a.r, 7, scn) for t in taus]
+        ups = [conditional_cp(t, a.theta, a.r, 7, scn, "upper") for t in taus]
         eq_worst = max(eq_worst, max(abs(c - u) for c, u in zip(cps, ups)))
         flat_worst = max(flat_worst, max(cps) - min(cps))
     ok = worst_violation <= 1e-3 and eq_worst < 1e-4 and flat_worst < 1e-4

@@ -99,3 +99,72 @@ def test_round_trip():
     assert again == spec
     assert isinstance(spec, ExperimentSpec)
     assert spec.anchor.theta == pytest.approx(math.radians(10.0))
+
+
+def test_sweep_param_belongs_to_experiment():
+    # each of these used to validate, then ran mislabelled or crashed
+    for experiment, param in (("m-sweep", "n_active"), ("ase-vs-n", "n_levels"),
+                              ("ase-vs-na", "na_over_n"), ("ratio-sweep", "n_active")):
+        with pytest.raises(ConfigError, match="sweep.param"):
+            parse_config(json.dumps({"experiment": experiment,
+                                     "sweep": {"param": param, "values": [4, 8]}}))
+    with pytest.raises(ConfigError, match="sweep.param"):
+        parse_config(json.dumps({"sweep": {"param": "tau_db", "values": [10.0]}}))
+
+
+def test_swept_scenarios_must_be_valid():
+    with pytest.raises(ConfigError, match="sweep.values"):
+        parse_config(json.dumps({"experiment": "ase-vs-n",
+                                 "sweep": {"param": "n_antennas", "values": [2, 8]}}))
+    with pytest.raises(ConfigError, match="sweep.values"):
+        parse_config(json.dumps({"experiment": "m-sweep",
+                                 "sweep": {"param": "n_levels", "values": [0, 4]}}))
+    with pytest.raises(ConfigError, match="sweep.values"):
+        parse_config(json.dumps({"experiment": "ase-vs-na",
+                                 "sweep": {"param": "n_active", "values": [4, 8.5]}}))
+    # lobe counts beyond N//2 are clamped, and ratios need not be integers
+    parse_config(json.dumps({"experiment": "m-sweep",
+                             "sweep": {"param": "n_levels", "values": [4, 200]}}))
+    parse_config(json.dumps({"experiment": "ratio-sweep",
+                             "sweep": {"param": "na_over_n", "values": [0.05]}}))
+
+
+def test_numbers_must_be_finite():
+    # JSON parsing accepts Infinity and NaN
+    for doc in ('{"experiment": "ratio-sweep", '
+                '"sweep": {"param": "na_over_n", "values": [Infinity]}}',
+                '{"tau_grid_db": [NaN]}', '{"scenario": {"tx_power_w": Infinity}}'):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(doc)
+
+
+def test_sweep_defaults_and_other_experiments():
+    for experiment in ("m-sweep", "ase-vs-n", "ase-vs-na", "ratio-sweep"):
+        assert parse_config(json.dumps({"experiment": experiment})).sweep is None
+    # an experiment that does not sweep ignores the parameter it is given
+    spec = parse_config(json.dumps({"experiment": "overall",
+                                    "sweep": {"param": "n_levels", "values": [500]}}))
+    assert spec.sweep.param == "n_levels"
+
+
+def test_anchor_radius_positive():
+    for experiment in ("pattern-cut", "polar-heatmap", "cond-cp", "m-sweep",
+                       "overall", "ase-vs-n", "ase-vs-na", "ratio-sweep"):
+        with pytest.raises(ConfigError, match="anchor"):
+            parse_config(json.dumps({"experiment": experiment, "kappa": 1,
+                                     "anchor": {"theta_deg": 0.0, "r_m": 0.0}}))
+
+
+def test_anchor_on_cell_edge():
+    edge = {"theta_deg": 10.0, "r_m": 150.0}
+    for experiment in ("cond-cp", "m-sweep"):
+        for kappa in (1, 3, 14):
+            with pytest.raises(ConfigError, match="anchor"):
+                parse_config(json.dumps({"experiment": experiment, "kappa": kappa,
+                                         "anchor": edge}))
+        spec = parse_config(json.dumps({"experiment": experiment, "kappa": 15,
+                                        "anchor": edge}))
+        assert spec.anchor.r == 150.0
+    for experiment in ("pattern-cut", "polar-heatmap"):
+        parse_config(json.dumps({"experiment": experiment, "kappa": 3,
+                                 "anchor": edge}))

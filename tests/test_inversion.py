@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from helpers import (mlap_interference_on_anchor, mlap_network_interference,
                      two_level_sum_cdf)
 from nfsg import (DomainError, InvalidArgumentError, PolarPoint, TrialPlan,
-                  conditional_cp, conditional_cp_sinr, conditional_cp_upper,
-                  estimate_overall_cp, mlap_levels, overall_cp, se_and_ase,
+                  conditional_cp, conditional_cp_sinr, estimate_overall_cp,
+                  level_probabilities, mlap_levels, overall_cp, se_and_ase,
                   sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws,
                            _conditional_cp_bounds, _lattice_cp, _node_cp,
@@ -118,12 +118,12 @@ class TestConditionalCp:
         single = scn.with_(n_active=1)
         assert conditional_cp(5.0, 0.0, 30.0, 1, single, "mlap") == 1.0
         assert conditional_cp(5.0, 0.0, 30.0, 1, single, "exact") == 1.0
-        assert conditional_cp_upper(5.0, 0.0, 30.0, 1, single) == 1.0
+        assert conditional_cp(5.0, 0.0, 30.0, 1, single, "upper") == 1.0
         # a lone user is still checked like any other
         with pytest.raises(DomainError):
             conditional_cp(5.0, 2.0, 30.0, 1, single, "mlap")
         with pytest.raises(DomainError):
-            conditional_cp_upper(5.0, 2.0, 30.0, 1, single)
+            conditional_cp(5.0, 2.0, 30.0, 1, single, "upper")
         with pytest.raises(InvalidArgumentError):
             conditional_cp(5.0, 0.0, 30.0, 1, single, "bogus")
 
@@ -155,21 +155,37 @@ class TestConditionalCp:
             kappa = int(rng.integers(1, scn.n_active + 1))
             tau = 10 ** (rng.uniform(0, 36) / 10)
             mlap = conditional_cp(tau, theta, r, kappa, scn, "mlap")
-            upper = conditional_cp_upper(tau, theta, r, kappa, scn)
+            upper = conditional_cp(tau, theta, r, kappa, scn, "upper")
             assert mlap <= upper + 1e-3
 
     def test_upper_equals_plateau_beyond_tau_star(self, scn):
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
         ts = tau_star(levels)
         for factor in (1.5, 4.0):
-            up = conditional_cp_upper(ts * factor, ANCHOR.theta, ANCHOR.r, 3, scn)
+            up = conditional_cp(ts * factor, ANCHOR.theta, ANCHOR.r, 3, scn, "upper")
             cp = conditional_cp(ts * factor, ANCHOR.theta, ANCHOR.r, 3, scn, "mlap")
             assert abs(up - cp) < 1e-5
 
     def test_upper_all_levels_pass(self, scn):
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
         tau = 0.9 / max(levels.gains)
-        assert conditional_cp_upper(tau, ANCHOR.theta, ANCHOR.r, 3, scn) == 1.0
+        assert conditional_cp(tau, ANCHOR.theta, ANCHOR.r, 3, scn, "upper") == 1.0
+
+    @pytest.mark.parametrize("theta, r, kappa", [(0.0, 30.0, 1), (0.4, 70.0, 8),
+                                                 (-0.2, 150.0, 15)])
+    def test_upper_mode_is_closed_form(self, scn, theta, r, kappa):
+        # (sum p_in [g < 1/tau])^(kappa-1) (sum p_out [g < 1/tau])^(n-kappa),
+        # at kappa = 1, an interior kappa and on the cell edge
+        assert scn.sector.cell_radius == 150.0 and scn.n_active == 15
+        g = np.asarray(mlap_levels(scn.array, scn.mlap, PolarPoint(theta, r)).gains)
+        p_in, p_out = level_probabilities(theta, r, kappa, scn).as_arrays()
+        for db_val in (0.0, 12.0, 25.0, 40.0):
+            tau = 10 ** (db_val / 10)
+            below = g < 1.0 / tau
+            closed = (p_in[below].sum() ** (kappa - 1)
+                      * p_out[below].sum() ** (scn.n_active - kappa))
+            got = conditional_cp(tau, theta, r, kappa, scn, "upper")
+            assert abs(got - closed) <= 1e-12
 
     def test_exact_against_sampling(self, scn):
         plan = TrialPlan(n_trials=30_000, root_seed=31, scenario=scn)
@@ -207,7 +223,7 @@ class TestConditionalCp:
         lower, upper = _conditional_cp_bounds(tau, theta, r, kappa, scn, "mlap")
         assert 0.0 <= lower <= upper + ROUNDOFF and upper <= 1.0
         mid = conditional_cp(tau, theta, r, kappa, scn, "mlap")
-        closed = conditional_cp_upper(tau, theta, r, kappa, scn)
+        closed = conditional_cp(tau, theta, r, kappa, scn, "upper")
         assert mid <= closed + 0.5 * (upper - lower) + ROUNDOFF
         larger = 10 ** ((db_val + step_db) / 10)
         lower_next, _ = _conditional_cp_bounds(larger, theta, r, kappa, scn, "mlap")

@@ -8,6 +8,7 @@ from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan, esti
                   estimate_conditional_cp, estimate_network, estimate_overall_cp,
                   realize_sinr, realize_sir, sample_user_set)
 from nfsg.geometry import OrderedUserSet
+from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
 
@@ -76,9 +77,15 @@ class TestDeterminism:
             estimate_overall_cp(plan, [10.0], 1)
 
     def test_block_structure_part_of_plan(self, scn):
+        # each block draws its own stream, so the block size changes the draws
         a = TrialPlan(n_trials=1000, root_seed=1, scenario=scn)
         b = TrialPlan(n_trials=1000, root_seed=1, scenario=scn, block_size=128)
         assert a != b
+        draws_a = conditional_interference_samples(a, 3, ANCHOR)
+        draws_b = conditional_interference_samples(b, 3, ANCHOR)
+        assert draws_a.shape == draws_b.shape == (1000,)
+        assert not np.array_equal(draws_a, draws_b)
+        assert np.array_equal(conditional_interference_samples(a, 3, ANCHOR), draws_a)
 
 
 class TestEstimators:

@@ -36,3 +36,15 @@ def test_tracer_installs_and_restores(spans):
     for ns, attr, wrapper, original in patched:
         assert wrapper is not original
         assert getattr(ns, attr) is original, attr
+
+
+def test_workload_configs_parse(monkeypatch):
+    # a config check that rejects a benchmark input would otherwise show
+    # only as a zero pass ratio when the benchmark runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from nfsg.config import parse_config
+
+    for workload in workloads.WORKLOADS.values():
+        for seed in range(workloads.SLOTS):
+            parse_config(workloads.config_text(workload.config(seed)))
