@@ -49,6 +49,11 @@ functions return the midpoint of the two bounds. For the exact route the
 bound covers the lattice rounding only, not the error of the side-grid
 quadrature or of the gain clustering.
 
+A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
+one builder with one set of checks: orders, mode, sector, then supports (a
+side that holds an interferer needs room for it, so r_k = 0 is rejected with
+inner interferers and the cell edge with outer ones).
+
 laplace_exact and laplace_mlap give the interference Laplace transforms of
 the two routes; the CP evaluator does not need them.
 
@@ -86,15 +91,29 @@ class LevelProbabilities:
         return np.asarray(self.p_in), np.asarray(self.p_out)
 
 
-def _check_point_in_sector(theta_k: float, r_k: float, scenario: ScenarioConfig):
+def _check_orders(kappas, scenario: ScenarioConfig, mode: str):
+    if not all(1 <= k <= scenario.n_active for k in kappas):
+        raise InvalidArgumentError("kappa must be in [1, n_active]")
+    if mode not in ("exact", "mlap", "upper"):
+        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+
+
+def _pinned_sides(theta_k: float, r_k: float, kappas, scenario: ScenarioConfig,
+                  mode: str) -> tuple[bool, bool]:
+    """Check a user fixed at (theta_k, r_k) with any order in kappas: orders,
+    mode, sector, supports. Returns whether the inner and the outer side hold
+    an interferer at some order; r_k = 0 leaves the inner support empty and
+    r_k = cell_radius the outer one."""
+    _check_orders(kappas, scenario, mode)
     sec = scenario.sector
     if abs(theta_k) > sec.half_width or not 0 <= r_k <= sec.cell_radius:
         raise DomainError("focal point outside the sector")
-
-
-def _check_kappa(kappa: int, scenario: ScenarioConfig):
-    if not 1 <= kappa <= scenario.n_active:
-        raise InvalidArgumentError("kappa must be in [1, n_active]")
+    inner, outer = max(kappas) > 1, min(kappas) < scenario.n_active
+    if inner and r_k == 0.0:
+        raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
+    if outer and r_k == sec.cell_radius:
+        raise DegenerateSupportError("outer interferers conditioned on r_k = cell_radius")
+    return inner, outer
 
 
 def _level_laws(scenario: ScenarioConfig, focals) -> tuple[np.ndarray, ...]:
@@ -146,31 +165,32 @@ def _anchor_laws(scenario: ScenarioConfig) -> tuple[np.ndarray, ...]:
     return laws
 
 
-def _point_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig):
-    """Quantized laws (g, p_in, p_out), each shaped (1, M+2), for user kappa
-    fixed at (theta_k, r_k)."""
-    _check_point_in_sector(theta_k, r_k, scenario)
-    _check_kappa(kappa, scenario)
-    rc = scenario.sector.cell_radius
-    if r_k == 0.0 and kappa > 1:
-        raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
-    if r_k == rc and kappa < scenario.n_active:
-        raise DegenerateSupportError("outer interferers conditioned on r_k = cell_radius")
-    # On the cell edge the outer law is undefined (0/0). That side holds no
-    # interferer, so its mass is parked on the zero level.
+def _pinned_laws(theta_k: float, r_k: float, kappas, scenario: ScenarioConfig,
+                 mode: str):
+    """(inner, outer) gain laws (g, p) of one interferer, each shaped (1, m),
+    for the user fixed at (theta_k, r_k) with any order in kappas: side grids
+    for 'exact', quantized laws otherwise. An exact side with no interferer
+    at any order gets the all-zero law and no grid. On the cell edge the
+    quantized outer law is 0/0; that side then holds no interferer, so its
+    mass is parked on the zero level."""
+    inner, outer = _pinned_sides(theta_k, r_k, kappas, scenario, mode)
+    if mode == "exact":
+        sides = [_side_grid(scenario, side, theta_k, r_k) if used else _EMPTY_SIDE
+                 for side, used in (("inner", inner), ("outer", outer))]
+        return tuple((grid.g[None], grid.w[None]) for grid in sides)
     with np.errstate(invalid="ignore"):
         g, p_in, p_out = _level_laws(scenario, [PolarPoint(theta_k, r_k)])
-    if r_k == rc:
+    if r_k == scenario.sector.cell_radius:
         p_out = np.zeros_like(p_out)
         p_out[:, -1] = 1.0
-    return g, p_in, p_out
+    return (g, p_in), (g, p_out)
 
 
 def level_probabilities(theta_k: float, r_k: float, kappa: int,
                         scenario: ScenarioConfig) -> LevelProbabilities:
     """Probability that one inner/outer interferer lands on each quantized
     gain level of the beam focused on (theta_k, r_k)."""
-    _, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
+    (_, p_in), (_, p_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, "mlap")
     return LevelProbabilities(p_in=tuple(p_in[0]), p_out=tuple(p_out[0]),
                               focal=PolarPoint(theta_k, r_k))
 
@@ -359,31 +379,19 @@ def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
     return _SideGrid(g=g, w=w)
 
 
-def _exact_sides(scenario: ScenarioConfig, theta_k: float, r_k: float, kappas):
-    """(inner, outer) gain laws (g, w), each shaped (1, m), for the given user
-    orders; a side that holds no interferer at any of them gets the all-zero
-    law and its grid is never built."""
-    inner = (_side_grid(scenario, "inner", theta_k, r_k) if max(kappas) > 1
-             else _EMPTY_SIDE)
-    outer = (_side_grid(scenario, "outer", theta_k, r_k)
-             if min(kappas) < scenario.n_active else _EMPTY_SIDE)
-    return (inner.g[None], inner.w[None]), (outer.g[None], outer.w[None])
-
-
 def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
                   scenario: ScenarioConfig) -> complex:
     """Interference Laplace transform under the exact pattern: the inner
     factor to the (kappa-1) power times the outer factor to the
     (n_active-kappa) power, each a gain-histogram average of exp(-s G)."""
-    _check_point_in_sector(theta_k, r_k, scenario)
-    _check_kappa(kappa, scenario)
+    _pinned_sides(theta_k, r_k, [kappa], scenario, "exact")
     if scenario.n_active == 1 or s == 0:
         return 1.0 + 0.0j
     if abs(complex(s).imag) > 100.0 * _GRID_T_RESOLVE:
         raise NumericFailureError(
             "|Im s| far beyond the gain grid's validated range",
             complex("nan"), math.inf)
-    (g_in, w_in), (g_out, w_out) = _exact_sides(scenario, theta_k, r_k, [kappa])
+    (g_in, w_in), (g_out, w_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, "exact")
     return (complex(np.exp(-s * g_in[0]) @ w_in[0]) ** (kappa - 1)
             * complex(np.exp(-s * g_out[0]) @ w_out[0]) ** (scenario.n_active - kappa))
 
@@ -534,15 +542,7 @@ def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
     form twice for 'upper'."""
     if not tau > 0:
         raise DomainError("tau must be positive")
-    _check_kappa(kappa, scenario)
-    if mode in ("mlap", "upper"):
-        g, p_in, p_out = _point_laws(theta_k, r_k, kappa, scenario)
-        inner, outer = (g, p_in), (g, p_out)
-    elif mode == "exact":
-        _check_point_in_sector(theta_k, r_k, scenario)
-        inner, outer = _exact_sides(scenario, theta_k, r_k, [kappa])
-    else:
-        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+    inner, outer = _pinned_laws(theta_k, r_k, [kappa], scenario, mode)
     lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa],
                             closed_form=mode == "upper")
     return float(lower[0, 0]), float(upper[0, 0])
@@ -627,17 +627,14 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
     if not tau > 0:
         raise DomainError("tau must be positive")
     kap = np.asarray(list(kappas), int)
-    for k in kap:
-        _check_kappa(int(k), scenario)
-    if mode not in ("exact", "mlap", "upper"):
-        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+    _check_orders(kap, scenario, mode)
     n_active = scenario.n_active
     if n_active == 1:
         return np.ones(kap.size)
     thr = 1.0 / tau
     th, w_th, r, w_r = _anchor_nodes(scenario)
     if mode == "exact":
-        nodes = [_node_cp(thr, *_exact_sides(scenario, float(t), float(d), kap),
+        nodes = [_node_cp(thr, *_pinned_laws(float(t), float(d), kap, scenario, mode),
                           n_active, kap) for t in th for d in r]
         lower, upper = (np.concatenate(b) for b in zip(*nodes))
     else:

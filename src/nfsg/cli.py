@@ -157,7 +157,7 @@ def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
             tau = _db_to_linear(d)
             val = analysis.conditional_cp(tau, f.theta, f.r, spec.kappa, scn, mode)
             rows.append(Row(spec.name, mode, None, None, spec.kappa, d, "cp", val))
-            if with_noise and mode in ("exact", "mlap"):
+            if with_noise:
                 val = analysis.conditional_cp_sinr(tau, f.theta, f.r, spec.kappa,
                                                    scn, mode)
                 rows.append(Row(spec.name, mode, None, None, spec.kappa, d,

@@ -88,12 +88,6 @@ def _map_blocks(plan: TrialPlan, fn):
         return [f.result() for f in futures]
 
 
-def _interference_matrix(theta: np.ndarray, r: np.ndarray,
-                         scenario: ScenarioConfig) -> np.ndarray:
-    return kernels.interference_sums(theta, r, scenario.array.n_antennas,
-                                     scenario.array.wavelength)
-
-
 def realize_sir(users: OrderedUserSet, scenario: ScenarioConfig,
                 exact_distances: bool = False) -> np.ndarray:
     """Per-user SIR for one realization: 1 / sum of cross gains.
@@ -103,16 +97,15 @@ def realize_sir(users: OrderedUserSet, scenario: ScenarioConfig,
     inner products instead of the Fresnel-phase sum, for cross-validation.
     """
     theta, r = users.as_arrays()
-    k = theta.size
-    if k == 1:
-        return np.array([math.inf])
     if exact_distances:
         vecs = np.stack([array_response(scenario.array, PolarPoint(t, d))
                          for t, d in zip(theta, r)])
         cross = np.abs(np.conj(vecs) @ vecs.T) ** 2
         interference = cross.sum(axis=1) - np.diag(cross)
     else:
-        interference = _interference_matrix(theta[None, :], r[None, :], scenario)[0]
+        interference = kernels.interference_sums(
+            theta[None, :], r[None, :], scenario.array.n_antennas,
+            scenario.array.wavelength)[0]
     with np.errstate(divide="ignore"):
         return 1.0 / interference
 
@@ -121,10 +114,9 @@ def realize_sinr(users: OrderedUserSet, scenario: ScenarioConfig) -> np.ndarray:
     """Per-user SINR: the interference sum plus the location-dependent noise
     term n_active * sigma^2 / (P_t N zeta r^-alpha)."""
     theta, r = users.as_arrays()
-    if theta.size == 1:
-        interference = np.zeros(1)
-    else:
-        interference = _interference_matrix(theta[None, :], r[None, :], scenario)[0]
+    interference = kernels.interference_sums(theta[None, :], r[None, :],
+                                             scenario.array.n_antennas,
+                                             scenario.array.wavelength)[0]
     noise = np.array([scenario.noise_term(float(d)) for d in r])
     with np.errstate(divide="ignore"):
         return 1.0 / (interference + noise)
@@ -156,8 +148,6 @@ def conditional_interference_samples(plan: TrialPlan, kappa: int,
     """Beam-interference draws for a user pinned at `anchor` with order kappa;
     oracle material for the conditional Laplace transform and CP."""
     scn = plan.scenario
-    if scn.n_active == 1:
-        return np.zeros(plan.n_trials)
 
     def block(b, size, rng):
         theta, r = sample_conditional_arrays(kappa, anchor, scn.n_active,
@@ -177,8 +167,6 @@ def estimate_conditional_cp(plan: TrialPlan, kappa: int, anchor: PolarPoint,
     """Empirical conditional coverage for a user pinned at `anchor`."""
     scn = plan.scenario
     taus = np.asarray(tau_grid, float)
-    if scn.n_active == 1:
-        return [EstimateWithError(1.0, 0.0, plan.n_trials) for _ in taus]
     interference = conditional_interference_samples(plan, kappa, anchor)
     if use_sinr:
         interference = interference + scn.noise_term(anchor.r)
@@ -197,17 +185,12 @@ def estimate_network(plan: TrialPlan, tau_grid):
     scn = plan.scenario
     taus = np.asarray(tau_grid, float)
     n_a = scn.n_active
-    if n_a == 1:
-        cp = [[EstimateWithError(1.0, 0.0, plan.n_trials) for _ in taus]]
-        const = scn.sector.n_sectors / (math.pi * scn.sector.cell_radius**2)
-        ase = [EstimateWithError(const * math.log2(1.0 + t), 0.0, plan.n_trials)
-               for t in taus]
-        return cp, ase
 
     def block(b, size, rng):
         theta, r = sample_user_arrays(scn.sector, n_a, size, rng)
         with np.errstate(divide="ignore"):
-            sir = 1.0 / _interference_matrix(theta, r, scn)
+            sir = 1.0 / kernels.interference_sums(theta, r, scn.array.n_antennas,
+                                                  scn.array.wavelength)
         covered = sir[:, :, None] > taus[None, None, :]
         per_user = covered.sum(axis=0)                 # (n_a, n_tau)
         per_trial = covered.sum(axis=1).astype(float)  # (size, n_tau)

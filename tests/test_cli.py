@@ -85,6 +85,17 @@ class TestExperiments:
         mc = [r for r in rows if r.mode == "montecarlo"]
         assert all(r.std_error is not None for r in mc)
 
+    def test_cond_cp_noise_rows(self):
+        noisy = {**SMALL_SCENARIO, "noise_power_w": 1e-8}
+        modes = ["exact", "mlap", "upper", "montecarlo"]
+        spec = _spec(experiment="cond-cp", scenario=noisy, modes=modes,
+                     kappa=2, anchor={"theta_deg": -5.0, "r_m": 20.0},
+                     tau_grid_db=[0.0, 10.0])
+        value = {(r.mode, r.tau_db, r.metric): r.value for r in run_experiment(spec)}
+        for mode in modes:
+            for d in (0.0, 10.0):
+                assert value[(mode, d, "cp_sinr")] <= value[(mode, d, "cp")]
+
     def test_m_sweep(self):
         spec = _spec(experiment="m-sweep", tau_grid_db=[10.0],
                      sweep={"param": "n_levels", "values": [1, 2, 4]},
@@ -156,6 +167,22 @@ class TestMain:
         text = out.read_text().splitlines()
         assert text[0] == ",".join(COLUMNS)
         assert len(text) > 1
+
+    def test_sweep_thread_count_invariance(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": SMALL_SCENARIO, "experiment": "ase-vs-na",
+            "modes": ["mlap", "montecarlo"], "tau_grid_db": [10.0, 20.0],
+            "trials": 300, "seed": 5,
+            "sweep": {"param": "n_active", "values": [1, 2, 4]}}))
+        tables = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NFSG_THREADS", threads)
+            out = tmp_path / f"r{threads}.csv"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].splitlines()) == 1 + 3 * 2 * 2
 
     def test_io_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import (mlap_interference_on_anchor, mlap_network_interference,
                      two_level_sum_cdf)
-from nfsg import (DomainError, InvalidArgumentError, PolarPoint, TrialPlan,
-                  conditional_cp, conditional_cp_sinr, estimate_overall_cp,
-                  level_probabilities, mlap_levels, overall_cp, se_and_ase,
-                  sinr_equivalent_threshold, tau_star, thermal_noise_power)
+from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError, PolarPoint,
+                  TrialPlan, conditional_cp, conditional_cp_sinr, estimate_overall_cp,
+                  laplace_exact, level_probabilities, mlap_levels, overall_cp,
+                  se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws,
                            _conditional_cp_bounds, _lattice_cp, _node_cp,
                            _overall_cp_batch)
@@ -130,6 +130,21 @@ class TestConditionalCp:
     def test_tau_positive(self, scn):
         with pytest.raises(DomainError):
             conditional_cp(0.0, 0.0, 30.0, 3, scn)
+
+    @pytest.mark.parametrize("mode", ["exact", "mlap", "upper"])
+    def test_empty_support_rejected(self, scn, mode):
+        # a side that holds an interferer needs room for it: nothing lies
+        # beyond the cell edge or inside r_k = 0, in every route
+        four = scn.with_(n_active=4)
+        rc = four.sector.cell_radius
+        for kappa in (1, 2, 3):
+            with pytest.raises(DegenerateSupportError):
+                conditional_cp(10.0, 0.0, rc, kappa, four, mode)
+        for kappa in (2, 3, 4):
+            with pytest.raises(DegenerateSupportError):
+                conditional_cp(10.0, 0.0, 0.0, kappa, four, mode)
+        with pytest.raises(DegenerateSupportError):
+            laplace_exact(0.1, 0.0, rc, 2, four)
 
     def test_monotone_in_tau(self, scn):
         taus = [10 ** (d / 10) for d in (0, 5, 10, 15, 20, 25, 30)]

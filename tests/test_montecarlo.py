@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan, estimate_ase,
-                  estimate_conditional_cp, estimate_network, estimate_overall_cp,
-                  realize_sinr, realize_sir, sample_user_set)
+from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan,
+                  conditional_cp_sinr, estimate_ase, estimate_conditional_cp,
+                  estimate_network, estimate_overall_cp, realize_sinr, realize_sir,
+                  sample_user_set)
 from nfsg.geometry import OrderedUserSet
 from nfsg.montecarlo import conditional_interference_samples
 
@@ -93,6 +94,19 @@ class TestEstimators:
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn.with_(n_active=1))
         for est in estimate_overall_cp(plan, [1.0, 1e6], 1):
             assert est.value == 1.0 and est.std_error == 0.0
+
+    def test_single_user_pays_noise(self, scn):
+        # the noise term alone exceeds the 30 dB budget at 100 m
+        one = scn.with_(n_active=1, noise_power=1e-6)
+        plan = TrialPlan(n_trials=64, root_seed=0, scenario=one)
+        est = estimate_conditional_cp(plan, 1, PolarPoint(0.0, 100.0), [1e3],
+                                      use_sinr=True)[0]
+        assert est.value == conditional_cp_sinr(1e3, 0.0, 100.0, 1, one, "mlap") == 0.0
+
+    def test_single_user_anchor_checked(self, scn):
+        plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn.with_(n_active=1))
+        with pytest.raises(InvalidArgumentError):
+            estimate_conditional_cp(plan, 1, PolarPoint(3.0, 500.0), [1.0])
 
     def test_kappa_validated(self, scn):
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn)
