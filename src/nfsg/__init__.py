@@ -10,10 +10,10 @@ from .analysis import (LevelProbabilities, conditional_cp, conditional_cp_sinr,
 from .errors import (ConfigError, DegenerateSupportError, DomainError,
                      InvalidArgumentError, NumericFailureError)
 from .fresnel import fresnel_integrals
-from .geometry import (OrderedUserSet, PolarPoint, SectorGeometry,
-                       conditional_distance_dist, ordered_distance_dist,
-                       sample_conditional_user_set, sample_user_set,
-                       spatial_angle_dist, unordered_distance_dist)
+from .geometry import (PolarPoint, SectorGeometry, conditional_distance_dist,
+                       ordered_distance_dist, sample_conditional_arrays,
+                       sample_user_arrays, spatial_angle_dist,
+                       unordered_distance_dist)
 from .montecarlo import (EstimateWithError, TrialPlan, estimate_ase,
                          estimate_conditional_cp, estimate_network,
                          estimate_overall_cp, realize_sinr, realize_sir)

@@ -91,8 +91,8 @@ class LevelProbabilities:
         return np.asarray(self.p_in), np.asarray(self.p_out)
 
 
-def _check_orders(kappas, scenario: ScenarioConfig, mode: str):
-    if not all(1 <= k <= scenario.n_active for k in kappas):
+def _check_orders(kappas, n_active: int, mode: str):
+    if not all(1 <= k <= n_active for k in kappas):
         raise InvalidArgumentError("kappa must be in [1, n_active]")
     if mode not in ("exact", "mlap", "upper"):
         raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
@@ -104,7 +104,7 @@ def _pinned_sides(theta_k: float, r_k: float, kappas, scenario: ScenarioConfig,
     mode, sector, supports. Returns whether the inner and the outer side hold
     an interferer at some order; r_k = 0 leaves the inner support empty and
     r_k = cell_radius the outer one."""
-    _check_orders(kappas, scenario, mode)
+    _check_orders(kappas, scenario.n_active, mode)
     sec = scenario.sector
     if abs(theta_k) > sec.half_width or not 0 <= r_k <= sec.cell_radius:
         raise DomainError("focal point outside the sector")
@@ -203,9 +203,11 @@ def tau_star(levels: MlapLevels) -> float:
 
 def laplace_mlap(s: complex, probs: LevelProbabilities, levels: MlapLevels,
                  kappa: int, n_active: int) -> complex:
-    """Closed-form interference Laplace transform under the quantized pattern."""
-    if n_active <= 1:
-        return 1.0 + 0.0j
+    """Closed-form interference Laplace transform under the quantized pattern.
+    probs and levels must belong to the same focal point."""
+    _check_orders([kappa], n_active, "mlap")
+    if probs.focal != levels.focal:
+        raise InvalidArgumentError("probs and levels belong to different focal points")
     g = np.asarray(levels.gains)
     p_in, p_out = probs.as_arrays()
     e = np.exp(-s * g)
@@ -627,7 +629,7 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
     if not tau > 0:
         raise DomainError("tau must be positive")
     kap = np.asarray(list(kappas), int)
-    _check_orders(kap, scenario, mode)
+    _check_orders(kap, scenario.n_active, mode)
     n_active = scenario.n_active
     if n_active == 1:
         return np.ones(kap.size)

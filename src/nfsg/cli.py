@@ -26,8 +26,8 @@ import numpy as np
 from . import analysis, montecarlo
 from .config import SWEEP_PARAMS, ExperimentSpec, _scenario_for_sweep, parse_config
 from .errors import ConfigError
-from .pattern import (angular_gain, distance_gain, exact_gain_many, m_star,
-                      mlap_gain_many, mlap_levels, three_level_distance_gain)
+from .pattern import (angular_gain, distance_gain, exact_gain, m_star, mlap_gain,
+                      mlap_levels, three_level_distance_gain)
 
 COLUMNS = ("experiment", "mode", "sweep_param", "sweep_value", "kappa",
            "tau_db", "metric", "value", "std_error")
@@ -122,12 +122,12 @@ def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:
         rows.append(Row(spec.name, "grid", "point", float(i), None, None,
                         "r_m", float(r)))
     if "exact" in spec.modes:
-        g = exact_gain_many(scn.array, tt, rr, f)
+        g = exact_gain(scn.array, tt, rr, f)
         rows += [Row(spec.name, "exact", "point", float(i), None, None, "gain",
                      float(v)) for i, v in enumerate(g)]
     if "mlap" in spec.modes:
         levels = mlap_levels(scn.array, scn.mlap, f)
-        g = mlap_gain_many(scn.array, levels, tt, rr)
+        g = mlap_gain(scn.array, levels, tt, rr)
         rows += [Row(spec.name, "mlap", "point", float(i), None, None, "gain",
                      float(v)) for i, v in enumerate(g)]
     return rows

@@ -5,6 +5,12 @@ The sector spans angles [-pi/n_sectors, pi/n_sectors] with the base station at
 the origin. A fixed number of active users is dropped i.i.d. uniformly over the
 sector area, so radial distances have CDF (r/R_c)^2, and users are indexed by
 increasing distance.
+
+Draws come as (theta, r) arrays of shape (n_sets, n_active), one row per
+realization: sample_user_arrays for free user sets, sample_conditional_arrays
+for sets with one user pinned. The spatial-angle and conditional distance
+CDFs are written once, in their *_cdf_extended form; spatial_angle_dist and
+conditional_distance_dist check the support and add the PDF.
 """
 
 from __future__ import annotations
@@ -53,31 +59,6 @@ class PolarPoint:
     r: float
 
 
-@dataclass(frozen=True)
-class OrderedUserSet:
-    """Active-user locations for one realization, sorted by distance."""
-
-    users: tuple[PolarPoint, ...]
-
-    def __post_init__(self):
-        radii = [u.r for u in self.users]
-        if any(a > b for a, b in zip(radii, radii[1:])):
-            raise InvalidArgumentError("users must be sorted by nondecreasing distance")
-
-    @property
-    def n_active(self) -> int:
-        return len(self.users)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.array([u.theta for u in self.users])
-        r = np.array([u.r for u in self.users])
-        return theta, r
-
-    @classmethod
-    def from_arrays(cls, theta, r) -> "OrderedUserSet":
-        return cls(tuple(PolarPoint(float(t), float(d)) for t, d in zip(theta, r)))
-
-
 def _sorted_by_distance(theta: np.ndarray, r: np.ndarray):
     # ties broken by angle, then by draw index, for reproducible ordering
     idx = np.broadcast_to(np.arange(r.shape[-1]), r.shape)
@@ -94,13 +75,6 @@ def sample_user_arrays(sector: SectorGeometry, n_active: int, n_sets: int,
     theta = rng.uniform(-sector.half_width, sector.half_width, (n_sets, n_active))
     r = sector.cell_radius * np.sqrt(rng.random((n_sets, n_active)))
     return _sorted_by_distance(theta, r)
-
-
-def sample_user_set(sector: SectorGeometry, n_active: int,
-                    rng: np.random.Generator) -> OrderedUserSet:
-    """One BPP realization: i.i.d. uniform-over-sector users sorted by distance."""
-    theta, r = sample_user_arrays(sector, n_active, 1, rng)
-    return OrderedUserSet.from_arrays(theta[0], r[0])
 
 
 def unordered_distance_dist(r, sector: SectorGeometry):
@@ -174,21 +148,17 @@ def conditional_distance_dist(side: str, r, r_kappa: float, sector: SectorGeomet
     if side == "outer" and r_kappa == rc:
         raise DegenerateSupportError("outer side empty: r_kappa = cell_radius")
     r = np.asarray(r, float)
-    scalar = r.ndim == 0
     if side == "inner":
         if np.any(r < 0) or np.any(r >= r_kappa):
             raise DomainError("inner side requires 0 <= r < r_kappa")
-        cdf = (r / r_kappa) ** 2
-        pdf = 2.0 * r / r_kappa**2
+        span = r_kappa**2
     else:
         if np.any(r < r_kappa) or np.any(r > rc):
             raise DomainError("outer side requires r_kappa <= r <= cell_radius")
-        denom = rc**2 - r_kappa**2
-        cdf = (r * r - r_kappa**2) / denom
-        pdf = 2.0 * r / denom
-    if scalar:
-        return float(cdf), float(pdf)
-    return cdf, pdf
+        span = rc**2 - r_kappa**2
+    pdf = 2.0 * r / span
+    return (conditional_cdf_extended(side, r, r_kappa, sector),
+            float(pdf) if pdf.ndim == 0 else pdf)
 
 
 def conditional_cdf_extended(side: str, r, r_kappa: float, sector: SectorGeometry):
@@ -212,12 +182,10 @@ def spatial_angle_dist(vartheta, sector: SectorGeometry):
     if np.any(np.abs(v) > bound):
         raise DomainError("spatial angle outside the sector support")
     ns = sector.n_sectors
-    cdf = (ns / (2.0 * math.pi)) * (np.arcsin(2.0 * v) + math.pi / ns)
     with np.errstate(divide="ignore"):
         pdf = ns / (math.pi * np.sqrt(np.maximum(1.0 - 4.0 * v * v, 0.0)))
-    if cdf.ndim == 0:
-        return float(cdf), float(pdf)
-    return cdf, pdf
+    return (spatial_angle_cdf_extended(v, sector),
+            float(pdf) if pdf.ndim == 0 else pdf)
 
 
 def spatial_angle_cdf_extended(vartheta, sector: SectorGeometry):
@@ -267,11 +235,3 @@ def sample_conditional_arrays(kappa: int, anchor: PolarPoint, n_active: int,
         theta[:, kappa:] = to_s
         r[:, kappa:] = ro_s
     return theta, r
-
-
-def sample_conditional_user_set(kappa: int, anchor: PolarPoint, n_active: int,
-                                sector: SectorGeometry,
-                                rng: np.random.Generator) -> OrderedUserSet:
-    """One conditioned realization with the anchor at ordered position kappa."""
-    theta, r = sample_conditional_arrays(kappa, anchor, n_active, sector, 1, rng)
-    return OrderedUserSet.from_arrays(theta[0], r[0])

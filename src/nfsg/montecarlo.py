@@ -22,8 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, InvalidArgumentError
-from .geometry import (OrderedUserSet, PolarPoint, sample_conditional_arrays,
-                       sample_user_arrays)
+from .geometry import PolarPoint, sample_conditional_arrays, sample_user_arrays
 from .pattern import array_response
 from .scenario import ScenarioConfig
 
@@ -88,15 +87,16 @@ def _map_blocks(plan: TrialPlan, fn):
         return [f.result() for f in futures]
 
 
-def realize_sir(users: OrderedUserSet, scenario: ScenarioConfig,
+def realize_sir(theta, r, scenario: ScenarioConfig,
                 exact_distances: bool = False) -> np.ndarray:
-    """Per-user SIR for one realization: 1 / sum of cross gains.
+    """Per-user SIR for one realization, the users at (theta, r): 1 / sum of
+    cross gains.
 
     A single user has no interference and reports an infinite SIR. The
     opt-in exact-distance mode rebuilds the gains from raw response-vector
     inner products instead of the Fresnel-phase sum, for cross-validation.
     """
-    theta, r = users.as_arrays()
+    theta, r = np.asarray(theta, float), np.asarray(r, float)
     if exact_distances:
         vecs = np.stack([array_response(scenario.array, PolarPoint(t, d))
                          for t, d in zip(theta, r)])
@@ -110,16 +110,15 @@ def realize_sir(users: OrderedUserSet, scenario: ScenarioConfig,
         return 1.0 / interference
 
 
-def realize_sinr(users: OrderedUserSet, scenario: ScenarioConfig) -> np.ndarray:
-    """Per-user SINR: the interference sum plus the location-dependent noise
-    term n_active * sigma^2 / (P_t N zeta r^-alpha)."""
-    theta, r = users.as_arrays()
+def realize_sinr(theta, r, scenario: ScenarioConfig) -> np.ndarray:
+    """Per-user SINR for one realization: the interference sum plus the
+    location-dependent noise term n_active * sigma^2 / (P_t N zeta r^-alpha)."""
+    theta, r = np.asarray(theta, float), np.asarray(r, float)
     interference = kernels.interference_sums(theta[None, :], r[None, :],
                                              scenario.array.n_antennas,
                                              scenario.array.wavelength)[0]
-    noise = np.array([scenario.noise_term(float(d)) for d in r])
     with np.errstate(divide="ignore"):
-        return 1.0 / (interference + noise)
+        return 1.0 / (interference + scenario.noise_term(r))
 
 
 def _coverage_counts(sir_kappa: np.ndarray, tau_grid: np.ndarray) -> np.ndarray:

@@ -14,6 +14,11 @@ point (theta, r), the normalized gain
 which peaks at 1 on the focal point, collapses to the angle-only squared
 Dirichlet kernel in the far field, and along the focal angle reduces to a
 Fresnel-integral profile whose -gamma-dB extent is the beam depth.
+
+The two point-pair laws, exact_gain (this gain) and mlap_gain (the
+multi-level pattern, with mlap_level_index), each have one implementation.
+It takes the observation points as arrays (theta_obs, r_obs) that broadcast
+together, and returns a float for scalar input.
 """
 
 from __future__ import annotations
@@ -157,19 +162,16 @@ def array_response(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     return np.exp(1j * phase) / math.sqrt(cfg.n_antennas)
 
 
-def exact_gain(cfg: ArrayConfig, obs: PolarPoint, focal: PolarPoint) -> float:
-    """Fresnel-phase pattern gain of a beam focused on `focal`, seen at `obs`."""
-    if not (obs.r > 0 and focal.r > 0):
-        raise DomainError("exact_gain requires r > 0 for both points")
-    g = kernels.gain_pairs(obs.theta, obs.r, focal.theta, focal.r,
+def exact_gain(cfg: ArrayConfig, theta_obs, r_obs, focal: PolarPoint):
+    """Fresnel-phase pattern gain of a beam focused on `focal`, seen at the
+    observation points (theta_obs, r_obs). The arguments broadcast together;
+    scalar input gives a float."""
+    r_obs = np.asarray(r_obs, float)
+    if not (focal.r > 0 and np.all(r_obs > 0)):
+        raise DomainError("exact_gain requires r > 0 for every point")
+    g = kernels.gain_pairs(theta_obs, r_obs, focal.theta, focal.r,
                            cfg.n_antennas, cfg.wavelength)
-    return float(g)
-
-
-def exact_gain_many(cfg: ArrayConfig, theta_obs, r_obs, focal: PolarPoint):
-    """Vectorized exact_gain over arrays of observation points."""
-    return kernels.gain_pairs(theta_obs, r_obs, focal.theta, focal.r,
-                              cfg.n_antennas, cfg.wavelength)
+    return float(g) if g.ndim == 0 else g
 
 
 def angular_gain(n_antennas: int, phi):
@@ -307,57 +309,33 @@ def mlap_levels(cfg: ArrayConfig, mlap: MlapConfig, focal: PolarPoint) -> MlapLe
     return MlapLevels(gains=gains, focal=focal, depth=depth, distance_floor=floor)
 
 
-def mlap_level_index(cfg: ArrayConfig, levels: MlapLevels, obs: PolarPoint) -> int:
-    """Index into levels.gains selected by the piecewise pattern."""
+def mlap_level_index(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
+    """Index into levels.gains that the piecewise pattern selects at the
+    observation points (theta_obs, r_obs). The arguments broadcast together;
+    scalar input gives an int.
+
+    The mainlobe |phi| <= 1/N maps to 0 beyond the beam-depth interval, 1
+    inside it and M+1 below it; lobe m >= 2 covers (m-1)/N < |phi| <= m/N
+    and maps to m, or to M+1 past the last kept lobe."""
+    theta, r = np.broadcast_arrays(np.asarray(theta_obs, float),
+                                   np.asarray(r_obs, float))
     n = cfg.n_antennas
     m_max = levels.n_levels
-    phi = abs(0.5 * (math.sin(obs.theta) - math.sin(levels.focal.theta)))
-    if phi <= 1.0 / n:
-        depth = levels.depth
-        if not depth.unbounded and obs.r >= depth.d_right:
-            return 0
-        if depth.d_left < obs.r < depth.right_or_inf:
-            return 1
-        return m_max + 1
-    m = max(2, int(math.ceil(phi * n)))
-    return m if m <= m_max else m_max + 1
-
-
-def mlap_gain(cfg: ArrayConfig, levels: MlapLevels, mlap: MlapConfig,
-              obs: PolarPoint) -> float:
-    """Multi-level pattern gain at an observation point."""
-    if levels.n_levels != mlap.n_levels:
-        raise InvalidArgumentError("levels were built for a different n_levels")
-    return levels.gains[mlap_level_index(cfg, levels, obs)]
-
-
-def mlap_level_index_many(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
-    """Vectorized level selection over arrays of observation points."""
-    n = cfg.n_antennas
-    m_max = levels.n_levels
-    phi = np.abs(0.5 * (np.sin(np.asarray(theta_obs, float))
-                        - math.sin(levels.focal.theta)))
-    r = np.asarray(r_obs, float)
-    idx = np.ceil(phi * n).astype(int)
-    np.clip(idx, 2, m_max + 1, out=idx)
-    main = phi <= 1.0 / n
+    phi = np.abs(0.5 * (np.sin(theta) - math.sin(levels.focal.theta)))
+    lobe = np.clip(np.ceil(phi * n).astype(int), 2, m_max + 1)
     depth = levels.depth
-    inside = main & (r > depth.d_left) & (r < depth.right_or_inf)
-    if depth.unbounded:
-        beyond = np.zeros_like(main)
-    else:
-        beyond = main & (r >= depth.d_right)
-    below = main & ~inside & ~beyond
-    idx[inside] = 1
-    idx[beyond] = 0
-    idx[below] = m_max + 1
-    return idx
+    inside = (r > depth.d_left) & (r < depth.right_or_inf)
+    beyond = False if depth.unbounded else r >= depth.d_right
+    main = np.where(beyond, 0, np.where(inside, 1, m_max + 1))
+    idx = np.where(phi <= 1.0 / n, main, lobe)
+    return int(idx) if idx.ndim == 0 else idx
 
 
-def mlap_gain_many(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
-    """Vectorized multi-level gain over arrays of observation points."""
-    gains = np.asarray(levels.gains)
-    return gains[mlap_level_index_many(cfg, levels, theta_obs, r_obs)]
+def mlap_gain(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
+    """Multi-level pattern gain at the observation points (theta_obs, r_obs);
+    scalar input gives a float."""
+    g = np.asarray(levels.gains)[mlap_level_index(cfg, levels, theta_obs, r_obs)]
+    return float(g) if g.ndim == 0 else g
 
 
 def m_star(cfg: ArrayConfig, mlap: MlapConfig, tau: float) -> MStar:

@@ -24,8 +24,7 @@ from nfsg.geometry import (conditional_distance_dist, sample_conditional_arrays,
                            sample_user_arrays)
 from nfsg.kernels import gain_pairs
 from nfsg.montecarlo import conditional_interference_samples
-from nfsg.pattern import (angular_gain, beam_depth, distance_gain, exact_gain_many,
-                          mlap_level_index_many)
+from nfsg.pattern import angular_gain, beam_depth, distance_gain, mlap_level_index
 
 
 def _report(num, ok, detail, t0):
@@ -108,8 +107,8 @@ def test_05_level_probabilities(scn, rng):
     worst = 0.0
     for cols, p in ((slice(0, kappa - 1), probs.p_in),
                     (slice(kappa, None), probs.p_out)):
-        idx = mlap_level_index_many(scn.array, levels,
-                                    theta[:, cols].ravel(), r[:, cols].ravel())
+        idx = mlap_level_index(scn.array, levels,
+                               theta[:, cols].ravel(), r[:, cols].ravel())
         freq = np.bincount(idx, minlength=len(p)) / idx.size
         worst = max(worst, float(np.max(np.abs(freq - np.asarray(p)))))
     ok = sums_ok and worst < 0.003

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cluster_reference, mlap_cross_gains, mlap_interference_on_anchor
-from nfsg import (DegenerateSupportError, DomainError, MlapConfig, PolarPoint,
-                  TrialPlan, kernels, laplace_exact, laplace_mlap, level_probabilities,
-                  mlap_levels, tau_star)
+from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError,
+                  MlapConfig, PolarPoint, TrialPlan, kernels, laplace_exact,
+                  laplace_mlap, level_probabilities, mlap_levels, tau_star)
 from nfsg.analysis import (_CLUSTER_ABS, _CLUSTER_REL, _GRID_T_RESOLVE, _angular_nodes,
                            _cluster, _radial_nodes)
 from nfsg.geometry import sample_conditional_arrays
 from nfsg.montecarlo import conditional_interference_samples
-from nfsg.pattern import mlap_level_index_many
+from nfsg.pattern import mlap_level_index
 
 ANCHOR = PolarPoint(0.0, 30.0)
 
@@ -52,8 +52,8 @@ class TestLevelProbabilities:
                                              scn.sector, n, rng)
         for cols, p in ((slice(0, kappa - 1), probs.p_in),
                         (slice(kappa, None), probs.p_out)):
-            idx = mlap_level_index_many(scn.array, levels,
-                                        theta[:, cols].ravel(), r[:, cols].ravel())
+            idx = mlap_level_index(scn.array, levels,
+                                   theta[:, cols].ravel(), r[:, cols].ravel())
             freq = np.bincount(idx, minlength=len(p)) / idx.size
             assert np.max(np.abs(freq - np.asarray(p))) < 0.006
 
@@ -105,6 +105,22 @@ class TestLaplaceMlap:
         probs = LevelProbabilities(p_in=parked, p_out=parked, focal=ANCHOR)
         for s in (0.5, 3.0, 10.0 + 2.0j):
             assert laplace_mlap(s, probs, levels, 4, scn.n_active) == pytest.approx(1.0)
+
+    def test_lone_user_has_no_interference(self, scn):
+        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
+        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
+        assert laplace_mlap(2.0, probs, levels, 1, 1) == 1.0
+
+    def test_rejects_bad_inputs(self, scn):
+        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
+        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
+        for kappa in (0, 20):
+            with pytest.raises(InvalidArgumentError):
+                laplace_mlap(0.5, probs, levels, kappa, 15)
+        # laws of one focal point, levels of another
+        other = mlap_levels(scn.array, scn.mlap, PolarPoint(0.5, 100.0))
+        with pytest.raises(InvalidArgumentError):
+            laplace_mlap(0.5, probs, other, 3, 15)
 
     def test_real_transform_shape(self, scn):
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
@@ -196,7 +212,7 @@ class TestCluster:
 def test_oracle_matches_library_pattern(scn, rng):
     # the test helper must agree exactly with the library's quantizer before
     # it is trusted as an oracle elsewhere
-    from nfsg.pattern import mlap_gain_many
+    from nfsg.pattern import mlap_gain
     tf = rng.uniform(-1.0, 1.0, 2000)
     rf = rng.uniform(1.0, 150.0, 2000)
     to = rng.uniform(-1.0, 1.0, 2000)
@@ -205,6 +221,5 @@ def test_oracle_matches_library_pattern(scn, rng):
     ref = np.empty_like(vec)
     for i in range(tf.size):
         lv = mlap_levels(scn.array, scn.mlap, PolarPoint(tf[i], rf[i]))
-        ref[i] = mlap_gain_many(scn.array, lv, np.array([to[i]]),
-                                np.array([ro[i]]))[0]
+        ref[i] = mlap_gain(scn.array, lv, to[i], ro[i])
     assert np.array_equal(vec, ref)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import fresnel_phase_gain
 from nfsg.cli import COLUMNS, Row, emit_results, main, run_experiment
 from nfsg.config import parse_config
+from nfsg.pattern import mlap_gain, mlap_levels
 
 SMALL_SCENARIO = {
     "n_antennas": 32, "n_active": 5, "cell_radius_m": 60.0,
@@ -71,6 +73,21 @@ class TestExperiments:
         gains = [r for r in rows if r.mode == "mlap"]
         assert len(coords) == 2 * len(gains)
         assert all(0.0 <= r.value <= 1.0 for r in gains)
+
+    def test_polar_heatmap_gain_rows(self):
+        spec = _spec(experiment="polar-heatmap", modes=["exact", "mlap"])
+        rows = run_experiment(spec)
+        theta, r = (np.array([row.value for row in rows
+                              if row.mode == "grid" and row.metric == m])
+                    for m in ("theta_rad", "r_m"))
+        exact, mlap = (np.array([row.value for row in rows if row.mode == m])
+                       for m in ("exact", "mlap"))
+        assert theta.size == r.size == exact.size == mlap.size == 41 * 41
+        scn, f = spec.scenario, spec.anchor
+        ref = fresnel_phase_gain(scn.array, theta, r, f.theta, f.r)
+        assert np.max(np.abs(exact - ref)) < 1e-10
+        levels = mlap_levels(scn.array, scn.mlap, f)
+        assert np.array_equal(mlap, mlap_gain(scn.array, levels, theta, r))
 
     def test_cond_cp_modes(self):
         spec = _spec(experiment="cond-cp", modes=["mlap", "upper", "montecarlo"],

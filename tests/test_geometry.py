@@ -8,10 +8,9 @@ from scipy import integrate
 
 from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError,
                   PolarPoint, SectorGeometry, conditional_distance_dist,
-                  ordered_distance_dist, sample_conditional_user_set,
-                  sample_user_set, spatial_angle_dist, unordered_distance_dist)
-from nfsg.geometry import (conditional_cdf_extended, sample_conditional_arrays,
-                           sample_user_arrays, spatial_angle_cdf_extended)
+                  ordered_distance_dist, sample_conditional_arrays,
+                  sample_user_arrays, spatial_angle_dist, unordered_distance_dist)
+from nfsg.geometry import conditional_cdf_extended, spatial_angle_cdf_extended
 
 SECTOR = SectorGeometry(n_sectors=3, cell_radius=150.0, los_radius=150.0)
 
@@ -180,18 +179,18 @@ class TestSpatialAngle:
 
 class TestSampling:
     def test_sorted_output(self, rng):
-        users = sample_user_set(SECTOR, 15, rng)
-        radii = [u.r for u in users.users]
+        _, r = sample_user_arrays(SECTOR, 15, 1, rng)
+        radii = list(r[0])
         assert radii == sorted(radii)
 
     def test_deterministic(self):
-        a = sample_user_set(SECTOR, 8, np.random.default_rng(7))
-        b = sample_user_set(SECTOR, 8, np.random.default_rng(7))
-        assert a == b
+        a = sample_user_arrays(SECTOR, 8, 1, np.random.default_rng(7))
+        b = sample_user_arrays(SECTOR, 8, 1, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
     def test_invalid_count(self, rng):
         with pytest.raises(InvalidArgumentError):
-            sample_user_set(SECTOR, 0, rng)
+            sample_user_arrays(SECTOR, 0, 1, rng)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -220,8 +219,8 @@ class TestSampling:
 class TestConditionalSampling:
     def test_single_user(self, rng):
         anchor = PolarPoint(0.1, 42.0)
-        out = sample_conditional_user_set(1, anchor, 1, SECTOR, rng)
-        assert out.users == (anchor,)
+        theta, r = sample_conditional_arrays(1, anchor, 1, SECTOR, 1, rng)
+        assert (theta.tolist(), r.tolist()) == ([[anchor.theta]], [[anchor.r]])
 
     def test_partition_counts(self, rng):
         anchor = PolarPoint(0.0, 60.0)
@@ -232,7 +231,7 @@ class TestConditionalSampling:
 
     def test_degenerate_anchor(self, rng):
         with pytest.raises(DegenerateSupportError):
-            sample_conditional_user_set(2, PolarPoint(0.0, 0.0), 3, SECTOR, rng)
+            sample_conditional_arrays(2, PolarPoint(0.0, 0.0), 3, SECTOR, 1, rng)
 
     def test_inner_law(self, rng):
         anchor = PolarPoint(0.0, 100.0)

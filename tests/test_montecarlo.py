@@ -7,8 +7,7 @@ import pytest
 from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan,
                   conditional_cp_sinr, estimate_ase, estimate_conditional_cp,
                   estimate_network, estimate_overall_cp, realize_sinr, realize_sir,
-                  sample_user_set)
-from nfsg.geometry import OrderedUserSet
+                  sample_user_arrays)
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
@@ -16,36 +15,33 @@ ANCHOR = PolarPoint(0.0, 30.0)
 
 class TestRealize:
     def test_single_user_infinite(self, scn):
-        users = OrderedUserSet((PolarPoint(0.1, 20.0),))
-        assert realize_sir(users, scn)[0] == math.inf
+        assert realize_sir([0.1], [20.0], scn)[0] == math.inf
 
     def test_coincident_users(self, scn):
-        users = OrderedUserSet((PolarPoint(0.1, 20.0), PolarPoint(0.1, 20.0)))
-        sir = realize_sir(users, scn)
+        sir = realize_sir([0.1, 0.1], [20.0, 20.0], scn)
         assert np.allclose(sir, 1.0, atol=1e-9)
 
     def test_exact_distance_cross_validation(self, scn, rng):
-        users = sample_user_set(scn.sector, 15, rng)
-        i_fresnel = 1.0 / realize_sir(users, scn)
-        i_raw = 1.0 / realize_sir(users, scn, exact_distances=True)
+        (theta,), (r,) = sample_user_arrays(scn.sector, 15, 1, rng)
+        i_fresnel = 1.0 / realize_sir(theta, r, scn)
+        i_raw = 1.0 / realize_sir(theta, r, scn, exact_distances=True)
         assert np.max(np.abs(i_fresnel - i_raw)) < 2e-2
 
     def test_sinr_reduces_to_sir(self, scn, rng):
-        users = sample_user_set(scn.sector, 8, rng)
-        assert np.array_equal(realize_sir(users, scn), realize_sinr(users, scn))
+        (theta,), (r,) = sample_user_arrays(scn.sector, 8, 1, rng)
+        assert np.array_equal(realize_sir(theta, r, scn), realize_sinr(theta, r, scn))
 
     def test_sinr_noise_only(self, scn):
         noisy = scn.with_(noise_power=1e-11)
-        users = OrderedUserSet((PolarPoint(0.0, 50.0),))
-        sinr = realize_sinr(users, noisy)[0]
+        sinr = realize_sinr([0.0], [50.0], noisy)[0]
         expected = (noisy.tx_power * noisy.array.n_antennas * noisy.ref_pathloss
                     * 50.0 ** -2.0) / (noisy.n_active * noisy.noise_power)
         assert sinr == pytest.approx(expected)
 
     def test_sinr_below_sir(self, scn, rng):
         noisy = scn.with_(noise_power=1e-12)
-        users = sample_user_set(scn.sector, 10, rng)
-        assert np.all(realize_sinr(users, noisy) <= realize_sir(users, noisy))
+        (theta,), (r,) = sample_user_arrays(scn.sector, 10, 1, rng)
+        assert np.all(realize_sinr(theta, r, noisy) <= realize_sir(theta, r, noisy))
 
 
 class TestDeterminism:

@@ -9,8 +9,7 @@ from nfsg import (ArrayConfig, DomainError, InvalidArgumentError, MlapConfig,
                   PolarPoint, angular_gain, array_response, asymptotic_gain,
                   beam_depth, distance_gain, exact_gain, ff_gain, m_star,
                   mlap_gain, mlap_levels, solve_beta_gamma)
-from nfsg.pattern import (exact_gain_many, mlap_gain_many, mlap_level_index,
-                          mlap_level_index_many, three_level_distance_gain)
+from nfsg.pattern import three_level_distance_gain
 
 CFG = ArrayConfig(n_antennas=256, carrier_freq=28e9)
 CFG_ODD = ArrayConfig(n_antennas=13, carrier_freq=28e9)
@@ -67,7 +66,7 @@ class TestArrayResponse:
 class TestExactGain:
     def test_peak(self):
         p = PolarPoint(0.21, 30.0)
-        assert abs(exact_gain(CFG, p, p) - 1.0) < 1e-12
+        assert abs(exact_gain(CFG, p.theta, p.r, p) - 1.0) < 1e-12
 
     def test_symmetry(self, rng):
         ta, ra = _rand_points(rng, 100)
@@ -75,7 +74,8 @@ class TestExactGain:
         for i in range(100):
             a = PolarPoint(ta[i], ra[i])
             b = PolarPoint(tb[i], rb[i])
-            assert abs(exact_gain(CFG, a, b) - exact_gain(CFG, b, a)) < 1e-12
+            assert abs(exact_gain(CFG, a.theta, a.r, b)
+                       - exact_gain(CFG, b.theta, b.r, a)) < 1e-12
 
     def test_matches_raw_inner_product(self, rng):
         # oracle: |a^H(obs) a(focal)|^2 from exact element distances
@@ -85,14 +85,14 @@ class TestExactGain:
             foc = PolarPoint(rng.uniform(-1, 1), rng.uniform(lo, 40 * lo))
             raw = abs(np.vdot(array_response(CFG_ODD, obs),
                               array_response(CFG_ODD, foc))) ** 2
-            assert abs(exact_gain(CFG_ODD, obs, foc) - raw) < 2e-2
+            assert abs(exact_gain(CFG_ODD, obs.theta, obs.r, foc) - raw) < 2e-2
 
     def test_far_field_degeneration(self, rng):
         r_lo = 100.0 * CFG.rayleigh_distance
         for _ in range(50):
             obs = PolarPoint(rng.uniform(-1, 1), rng.uniform(r_lo, 10 * r_lo))
             foc = PolarPoint(rng.uniform(-1, 1), rng.uniform(r_lo, 10 * r_lo))
-            assert abs(exact_gain(CFG, obs, foc)
+            assert abs(exact_gain(CFG, obs.theta, obs.r, foc)
                        - ff_gain(CFG, obs.theta, foc.theta)) < 1e-3
 
     def test_focal_angle_cut_matches_distance_profile(self, rng):
@@ -103,7 +103,7 @@ class TestExactGain:
             theta = rng.uniform(-1.0, 1.0)
             r_f = rng.uniform(lo, hi)
             r_o = rng.uniform(lo, hi)
-            g_sum = exact_gain(CFG, PolarPoint(theta, r_o), PolarPoint(theta, r_f))
+            g_sum = exact_gain(CFG, theta, r_o, PolarPoint(theta, r_f))
             g_int = distance_gain(CFG, theta, r_f, r_o)
             assert abs(g_sum - g_int) < 5e-2
 
@@ -111,12 +111,29 @@ class TestExactGain:
     @given(ta=st.floats(-1.0, 1.0), ra=st.floats(0.5, 1e5),
            tb=st.floats(-1.0, 1.0), rb=st.floats(0.5, 1e5))
     def test_range(self, ta, ra, tb, rb):
-        g = exact_gain(CFG, PolarPoint(ta, ra), PolarPoint(tb, rb))
+        g = exact_gain(CFG, ta, ra, PolarPoint(tb, rb))
         assert 0.0 <= g <= 1.0 + 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            exact_gain(CFG, PolarPoint(0.0, -1.0), PolarPoint(0.0, 10.0))
+            exact_gain(CFG, 0.0, -1.0, PolarPoint(0.0, 10.0))
+
+    @pytest.mark.parametrize("bad_r", [0.0, -5.0])
+    def test_domain_in_array(self, bad_r):
+        # one bad distance anywhere in an array argument rejects the call
+        r = np.array([10.0, bad_r, 20.0])
+        with pytest.raises(DomainError):
+            exact_gain(CFG, np.zeros(3), r, PolarPoint(0.0, 10.0))
+        with pytest.raises(DomainError):
+            exact_gain(CFG, np.zeros(3), np.full(3, 10.0), PolarPoint(0.0, bad_r))
+
+    def test_array_and_scalar_forms(self, rng):
+        theta, r = _rand_points(rng, 8)
+        f = PolarPoint(0.3, 20.0)
+        g = exact_gain(CFG, theta, r, f)
+        assert g.shape == (8,)
+        assert isinstance(exact_gain(CFG, theta[0], r[0], f), float)
+        assert exact_gain(CFG, theta[0], r[0], f) == g[0]
 
 
 class TestFFGain:
@@ -293,49 +310,39 @@ class TestMlapGain:
     def test_focal_point_in_depth(self):
         f = PolarPoint(0.0, 30.0)
         lv = mlap_levels(CFG, MLAP, f)
-        assert mlap_gain(CFG, lv, MLAP, f) == lv.gains[1]
+        assert mlap_gain(CFG, lv, f.theta, f.r) == lv.gains[1]
 
     def test_outside_band_zero(self):
         f = PolarPoint(0.0, 30.0)
         lv = mlap_levels(CFG, MLAP, f)
         theta = math.asin(2.0 * (MLAP.n_levels + 1) / 256.0)
-        assert mlap_gain(CFG, lv, MLAP, PolarPoint(theta, 30.0)) == 0.0
+        assert mlap_gain(CFG, lv, theta, 30.0) == 0.0
 
     def test_beyond_depth_floor(self):
         f = PolarPoint(0.0, 30.0)
         lv = mlap_levels(CFG, MLAP, f)
         r = lv.depth.d_right * 2
-        assert mlap_gain(CFG, lv, MLAP, PolarPoint(0.0, r)) == lv.gains[0]
+        assert mlap_gain(CFG, lv, 0.0, r) == lv.gains[0]
 
     def test_below_depth_is_zero(self):
         f = PolarPoint(0.0, 30.0)
         lv = mlap_levels(CFG, MLAP, f)
-        assert mlap_gain(CFG, lv, MLAP, PolarPoint(0.0, lv.depth.d_left / 2)) == 0.0
+        assert mlap_gain(CFG, lv, 0.0, lv.depth.d_left / 2) == 0.0
 
     def test_unbounded_depth_constant_in_r(self):
         f = PolarPoint(0.0, 140.0)
         lv = mlap_levels(CFG, MLAP, f)
         assert lv.depth.unbounded
         r = np.linspace(lv.depth.d_left * 1.01, 150.0, 64)
-        g = mlap_gain_many(CFG, lv, np.zeros(64), r)
+        g = mlap_gain(CFG, lv, np.zeros(64), r)
         assert np.all(g == g[0])
-
-    def test_vector_matches_scalar(self, rng):
-        f = PolarPoint(-0.2, 45.0)
-        lv = mlap_levels(CFG, MLAP, f)
-        theta = rng.uniform(-1.0, 1.0, 500)
-        r = rng.uniform(0.5, 150.0, 500)
-        vec = mlap_level_index_many(CFG, lv, theta, r)
-        ref = [mlap_level_index(CFG, lv, PolarPoint(t, d))
-               for t, d in zip(theta, r)]
-        assert np.array_equal(vec, ref)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(-1.0, 1.0), r=st.floats(0.1, 150.0))
     def test_total(self, t, r):
         f = PolarPoint(0.05, 30.0)
         lv = mlap_levels(CFG, MLAP, f)
-        assert mlap_gain(CFG, lv, MLAP, PolarPoint(t, r)) in lv.gains
+        assert mlap_gain(CFG, lv, t, r) in lv.gains
 
 
 class TestMStar:
@@ -360,11 +367,3 @@ class TestMStar:
         assert out.saturated
         assert out.m == 4  # floor(9/2)
 
-
-def test_exact_gain_many_matches_scalar(rng):
-    f = PolarPoint(0.3, 20.0)
-    theta = rng.uniform(-1, 1, 64)
-    r = rng.uniform(1, 150, 64)
-    vec = exact_gain_many(CFG, theta, r, f)
-    ref = [exact_gain(CFG, PolarPoint(t, d), f) for t, d in zip(theta, r)]
-    assert np.allclose(vec, ref, atol=1e-14)
