@@ -7,6 +7,7 @@ from .analysis import (LevelProbabilities, conditional_cp, conditional_cp_sinr,
                        laplace_exact, laplace_mlap, level_probabilities,
                        overall_cp, se_and_ase, sinr_equivalent_threshold,
                        tau_star)
+from .config import default_scenario, thermal_noise_power
 from .errors import (ConfigError, DegenerateSupportError, DomainError,
                      InvalidArgumentError, NumericFailureError)
 from .fresnel import fresnel_integrals
@@ -21,7 +22,7 @@ from .pattern import (ArrayConfig, BeamDepthInterval, MlapConfig, MlapLevels,
                       angular_gain, array_response, asymptotic_gain, beam_depth,
                       distance_gain, exact_gain, ff_gain, m_star, mlap_gain,
                       mlap_levels, solve_beta_gamma)
-from .scenario import ScenarioConfig, default_scenario, thermal_noise_power
+from .scenario import ScenarioConfig
 
 __version__ = "0.1.0"
 

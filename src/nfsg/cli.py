@@ -4,11 +4,15 @@
              --out results.csv [--format csv|jsonl]
     nfsg validate --config cfg.json
 
+Runs the ExperimentSpec that `config.parse_config` returns as it is: the
+spec carries every default, the threshold grid and, for a sweep, the scenario
+at each value. The command-line flags only override document keys.
+
 Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
 std_error). All thresholds cross the CLI boundary in dB and are converted to
-linear exactly once, here. NFSG_THREADS sets the sweep worker count; a value
-that is not a positive integer is a config error.
+linear here, with `config.db_to_linear`. NFSG_THREADS sets the sweep worker
+count; a value that is not a positive integer is a config error.
 """
 
 from __future__ import annotations
@@ -24,22 +28,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analysis, montecarlo
-from .config import SWEEP_PARAMS, ExperimentSpec, _scenario_for_sweep, parse_config
+from .config import ExperimentSpec, db_to_linear, parse_config
 from .errors import ConfigError
-from .pattern import (angular_gain, distance_gain, exact_gain, m_star, mlap_gain,
-                      mlap_levels, three_level_distance_gain)
+from .pattern import (_level_index, angular_gain, distance_gain, exact_gain, m_star,
+                      mlap_gain, mlap_levels, three_level_distance_gain)
 
 COLUMNS = ("experiment", "mode", "sweep_param", "sweep_value", "kappa",
            "tau_db", "metric", "value", "std_error")
-
-_DEFAULT_TAU = {
-    "cond-cp": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
-    "m-sweep": (5.0, 20.0, 30.0, 35.0),
-    "overall": (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
-    "ase-vs-n": (10.0, 20.0),
-    "ase-vs-na": (10.0, 20.0),
-    "ratio-sweep": (20.0,),
-}
 
 
 @dataclass
@@ -55,22 +50,6 @@ class Row:
     std_error: float | None = None
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def _tau_grid(spec: ExperimentSpec):
-    if spec.tau_grid_db is not None:
-        return spec.tau_grid_db
-    return _DEFAULT_TAU.get(spec.name, (20.0,))
-
-
-def _sweep(spec: ExperimentSpec):
-    if spec.sweep is not None:
-        return spec.sweep.param, spec.sweep.values
-    return SWEEP_PARAMS[spec.name]
-
-
 def _plan(spec: ExperimentSpec, scenario) -> montecarlo.TrialPlan:
     return montecarlo.TrialPlan(n_trials=spec.trials, root_seed=spec.seed,
                                 scenario=scenario)
@@ -81,7 +60,6 @@ def _rows_pattern_cut(spec: ExperimentSpec) -> list[Row]:
     arr = scn.array
     f = spec.anchor
     n = arr.n_antennas
-    m = scn.mlap.n_levels
     rows = []
     r_grid = np.unique(np.concatenate([
         np.linspace(max(0.02 * f.r, 0.25), scn.sector.cell_radius, 281), [f.r]]))
@@ -94,14 +72,15 @@ def _rows_pattern_cut(spec: ExperimentSpec) -> list[Row]:
             rows.append(Row(spec.name, "mlap", "r_m", float(r), None, None, "gain",
                             three_level_distance_gain(arr, f.theta, f.r, float(r),
                                                       scn.mlap.beta_gamma)))
-    span = (m + 2) / n
-    for phi in np.linspace(-span, span, 481):
+    span = (scn.mlap.n_levels + 2) / n
+    phis = np.linspace(-span, span, 481)
+    # the quantized pattern at the focal distance, one level per |phi|
+    mlap = np.asarray(levels.gains)[_level_index(n, levels, np.abs(phis), f.r)]
+    for phi, g in zip(phis, mlap):
         if "exact" in spec.modes:
             rows.append(Row(spec.name, "exact", "phi", float(phi), None, None,
                             "gain", float(angular_gain(n, phi))))
         if "mlap" in spec.modes:
-            lobe = max(1, int(math.ceil(abs(phi) * n)))
-            g = levels.gains[lobe] if lobe <= m else 0.0
             rows.append(Row(spec.name, "mlap", "phi", float(phi), None, None,
                             "gain", float(g)))
     return rows
@@ -136,25 +115,23 @@ def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:
 def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     f = spec.anchor
-    taus_db = _tau_grid(spec)
+    taus_db = spec.tau_grid_db
+    taus = [db_to_linear(d) for d in taus_db]
     rows = []
     with_noise = scn.noise_power > 0
     for mode in spec.modes:
         if mode == "montecarlo":
             plan = _plan(spec, scn)
-            est = montecarlo.estimate_conditional_cp(
-                plan, spec.kappa, f, [_db_to_linear(d) for d in taus_db])
+            est = montecarlo.estimate_conditional_cp(plan, spec.kappa, f, taus)
             rows += [Row(spec.name, mode, None, None, spec.kappa, d, "cp",
                          e.value, e.std_error) for d, e in zip(taus_db, est)]
             if with_noise:
-                est = montecarlo.estimate_conditional_cp(
-                    plan, spec.kappa, f, [_db_to_linear(d) for d in taus_db],
-                    use_sinr=True)
+                est = montecarlo.estimate_conditional_cp(plan, spec.kappa, f, taus,
+                                                         use_sinr=True)
                 rows += [Row(spec.name, mode, None, None, spec.kappa, d, "cp_sinr",
                              e.value, e.std_error) for d, e in zip(taus_db, est)]
             continue
-        for d in taus_db:
-            tau = _db_to_linear(d)
+        for d, tau in zip(taus_db, taus):
             val = analysis.conditional_cp(tau, f.theta, f.r, spec.kappa, scn, mode)
             rows.append(Row(spec.name, mode, None, None, spec.kappa, d, "cp", val))
             if with_noise:
@@ -168,18 +145,16 @@ def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
 def _rows_m_sweep(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     f = spec.anchor
-    param, values = _sweep(spec)
-    taus_db = _tau_grid(spec)
+    sweep = spec.sweep
     rows = []
-    for v in values:
-        scn_m = _scenario_for_sweep(scn, param, v)
-        for d in taus_db:
-            val = analysis.conditional_cp(_db_to_linear(d), f.theta, f.r,
+    for v, scn_m in zip(sweep.values, sweep.scenarios):
+        for d in spec.tau_grid_db:
+            val = analysis.conditional_cp(db_to_linear(d), f.theta, f.r,
                                           spec.kappa, scn_m, "mlap")
-            rows.append(Row(spec.name, "mlap", param, float(v), spec.kappa, d,
+            rows.append(Row(spec.name, "mlap", sweep.param, v, spec.kappa, d,
                             "cp", val))
-    for d in taus_db:
-        ms = m_star(scn.array, scn.mlap, _db_to_linear(d))
+    for d in spec.tau_grid_db:
+        ms = m_star(scn.array, scn.mlap, db_to_linear(d))
         rows.append(Row(spec.name, "mlap", None, None, None, d, "m_star",
                         float(ms.m)))
     return rows
@@ -189,8 +164,8 @@ def _network_rows(spec: ExperimentSpec, scn, mode: str) -> list[Row]:
     """Per threshold, the cp and se rows of every user and the ase row of one
     route on one scenario."""
     rows = []
-    taus_db = _tau_grid(spec)
-    taus = [_db_to_linear(d) for d in taus_db]
+    taus_db = spec.tau_grid_db
+    taus = [db_to_linear(d) for d in taus_db]
     if mode == "montecarlo":
         cp, ase = montecarlo.estimate_network(_plan(spec, scn), taus)
     for i, (d, tau) in enumerate(zip(taus_db, taus)):
@@ -216,20 +191,19 @@ def _rows_overall(spec: ExperimentSpec) -> list[Row]:
 
 
 def _rows_ase_sweep(spec: ExperimentSpec) -> list[Row]:
-    param, values = _sweep(spec)
+    sweep = spec.sweep
 
-    def point(value):
-        scn_v = _scenario_for_sweep(spec.scenario, param, value)
-        return [replace(row, sweep_param=param, sweep_value=float(value))
+    def point(value, scn_v):
+        return [replace(row, sweep_param=sweep.param, sweep_value=value)
                 for mode in spec.modes for row in _network_rows(spec, scn_v, mode)
                 if row.metric == "ase"]
 
     workers = montecarlo._workers()
-    if workers > 1 and len(values) > 1:
+    if workers > 1 and len(sweep.values) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(point, values))
+            chunks = list(pool.map(point, sweep.values, sweep.scenarios))
     else:
-        chunks = [point(v) for v in values]
+        chunks = [point(v, s) for v, s in zip(sweep.values, sweep.scenarios)]
     return [row for chunk in chunks for row in chunk]
 
 

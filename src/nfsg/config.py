@@ -1,58 +1,66 @@
-"""Experiment configuration: JSON document -> ExperimentSpec.
+"""Experiment configuration: JSON document -> complete ExperimentSpec.
 
-Every field is optional; omitted scenario fields fall back to the baseline
-(N=256 at 28 GHz, 3 sectors of 150 m, 15 active users, alpha=2, 10 W,
-beta_gamma=1.3, M=10). Wavelength and spacing are derived from the carrier
-frequency and are not settable. Unknown keys are rejected with their path.
-A sweep experiment takes only its own parameter (SWEEP_PARAMS), and every
-scenario it would run is built at parse time.
+Every field is optional, and parse_config resolves every default, so the CLI
+runs the spec as it is. An omitted scenario field takes its value from
+_SCENARIO_KEYS, whose defaults are the baseline scenario (default_scenario).
+Wavelength and spacing are derived from the carrier frequency and are not
+settable. An omitted threshold grid or sweep takes the experiment's default
+from EXPERIMENTS. Only the four sweep experiments take a `sweep` block, and
+only on their own parameter; every scenario a sweep runs is built here.
+Unknown keys and inputs outside the model are rejected with their path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, InvalidArgumentError
 from .geometry import PolarPoint, SectorGeometry
 from .pattern import ArrayConfig, MlapConfig
-from .scenario import ScenarioConfig, thermal_noise_power
+from .scenario import ScenarioConfig
 
-EXPERIMENTS = ("pattern-cut", "polar-heatmap", "cond-cp", "m-sweep", "overall",
-               "ase-vs-n", "ase-vs-na", "ratio-sweep")
 MODES = ("exact", "mlap", "upper", "montecarlo")
-# The parameter each sweep experiment varies and its default values.
-SWEEP_PARAMS = {
-    "m-sweep": ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)),
-    "ase-vs-n": ("n_antennas", (64, 128, 192, 256)),
-    "ase-vs-na": ("n_active", (4, 8, 16, 24, 32)),
-    "ratio-sweep": ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
+
+_FULL_TAU_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+# Per experiment: the default threshold grid in dB, and for a sweep the
+# parameter it varies with its default values.
+EXPERIMENTS = {
+    "pattern-cut": ((20.0,), None),
+    "polar-heatmap": ((20.0,), None),
+    "cond-cp": (_FULL_TAU_DB, None),
+    "m-sweep": ((5.0, 20.0, 30.0, 35.0),
+                ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12))),
+    "overall": (_FULL_TAU_DB, None),
+    "ase-vs-n": ((10.0, 20.0), ("n_antennas", (64, 128, 192, 256))),
+    "ase-vs-na": ((10.0, 20.0), ("n_active", (4, 8, 16, 24, 32))),
+    "ratio-sweep": ((20.0,), ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32))),
 }
 
-_SCENARIO_DEFAULTS = {
-    "n_antennas": 256,
-    "carrier_freq_hz": 28e9,
-    "n_sectors": 3,
-    "cell_radius_m": 150.0,
-    "los_radius_m": 150.0,
-    "n_active": 15,
-    "pathloss_exponent": 2.0,
-    "tx_power_w": 10.0,
-    "noise_power_w": 0.0,
-    "noise_bandwidth_hz": None,
-    "noise_figure_db": None,
-    "beta_gamma": 1.3,
-    "n_levels": 10,
+# Scenario key: (baseline value, minimum, integer). The noise pair has no
+# baseline; the baseline is noiseless.
+_SCENARIO_KEYS = {
+    "n_antennas": (256, 3, True),
+    "carrier_freq_hz": (28e9, 1.0, False),
+    "n_sectors": (3, 2, True),
+    "cell_radius_m": (150.0, 1e-9, False),
+    "los_radius_m": (150.0, 1e-9, False),
+    "n_active": (15, 1, True),
+    "pathloss_exponent": (2.0, 2.0, False),
+    "tx_power_w": (10.0, 1e-12, False),
+    "noise_power_w": (0.0, 0.0, False),
+    "noise_bandwidth_hz": (None, 1.0, False),
+    "noise_figure_db": (None, None, False),
+    "beta_gamma": (1.3, 1e-9, False),
+    "n_levels": (10, 1, True),
 }
 
 _TOP_DEFAULTS = {
     "experiment": "overall",
     "modes": ["mlap", "montecarlo"],
-    "tau_grid_db": None,  # experiment-specific default
     "kappa": 3,
     "anchor": {"theta_deg": 0.0, "r_m": 30.0},
-    "sweep": None,
     "trials": 10000,
     "seed": 1,
     "output": "results.csv",
@@ -62,8 +70,11 @@ _TOP_DEFAULTS = {
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep's parameter, its values, and the scenario run at each value."""
+
     param: str
     values: tuple[float, ...]
+    scenarios: tuple[ScenarioConfig, ...]
 
 
 @dataclass(frozen=True)
@@ -71,14 +82,24 @@ class ExperimentSpec:
     name: str
     scenario: ScenarioConfig
     modes: tuple[str, ...]
-    tau_grid_db: tuple[float, ...] | None
+    tau_grid_db: tuple[float, ...]
     kappa: int
     anchor: PolarPoint
-    sweep: SweepSpec | None
+    sweep: SweepSpec | None  # None exactly for the experiments that do not sweep
     trials: int
     seed: int
     output_path: str
     fmt: str
+
+
+def db_to_linear(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def thermal_noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
+    """Receiver noise power in watts: -174 dBm/Hz + 10 log10(B) + F."""
+    dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+    return db_to_linear(dbm - 30.0)
 
 
 def _reject_unknown(doc: dict, allowed, prefix: str):
@@ -102,12 +123,23 @@ def _number(value, key: str, minimum=None, integer=False):
     return int(value) if integer else float(value)
 
 
+def _increasing(doc, key: str) -> tuple[float, ...]:
+    if not isinstance(doc, (list, tuple)) or not doc:
+        raise ConfigError(key, "must be a nonempty list")
+    values = tuple(_number(v, key) for v in doc)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(key, "must be strictly increasing")
+    return values
+
+
 def _build_scenario(doc: dict) -> ScenarioConfig:
-    _reject_unknown(doc, _SCENARIO_DEFAULTS, "scenario.")
-    get = lambda k: _take(doc, k, _SCENARIO_DEFAULTS)
-    noise = _number(get("noise_power_w"), "scenario.noise_power_w", minimum=0.0)
-    bw = get("noise_bandwidth_hz")
-    nf = get("noise_figure_db")
+    _reject_unknown(doc, _SCENARIO_KEYS, "scenario.")
+    v = {}
+    for key, (default, minimum, integer) in _SCENARIO_KEYS.items():
+        raw = doc.get(key, default)
+        v[key] = None if raw is None else _number(raw, f"scenario.{key}",
+                                                   minimum, integer)
+    noise, bw, nf = v["noise_power_w"], v["noise_bandwidth_hz"], v["noise_figure_db"]
     if (bw is None) != (nf is None):
         raise ConfigError("scenario.noise_bandwidth_hz",
                           "noise_bandwidth_hz and noise_figure_db come together")
@@ -115,61 +147,27 @@ def _build_scenario(doc: dict) -> ScenarioConfig:
         if noise:
             raise ConfigError("scenario.noise_power_w",
                               "give either noise_power_w or the bandwidth/figure pair")
-        noise = thermal_noise_power(
-            _number(bw, "scenario.noise_bandwidth_hz", minimum=1.0),
-            _number(nf, "scenario.noise_figure_db"))
+        noise = thermal_noise_power(bw, nf)
     try:
-        array = ArrayConfig(
-            n_antennas=_number(get("n_antennas"), "scenario.n_antennas",
-                               minimum=3, integer=True),
-            carrier_freq=_number(get("carrier_freq_hz"), "scenario.carrier_freq_hz",
-                                 minimum=1.0),
-        )
-        sector = SectorGeometry(
-            n_sectors=_number(get("n_sectors"), "scenario.n_sectors",
-                              minimum=2, integer=True),
-            cell_radius=_number(get("cell_radius_m"), "scenario.cell_radius_m",
-                                minimum=1e-9),
-            los_radius=_number(get("los_radius_m"), "scenario.los_radius_m",
-                               minimum=1e-9),
-        )
-        mlap = MlapConfig(
-            n_levels=_number(get("n_levels"), "scenario.n_levels",
-                             minimum=1, integer=True),
-            beta_gamma=_number(get("beta_gamma"), "scenario.beta_gamma", minimum=1e-9),
-        )
         return ScenarioConfig(
-            array=array,
-            sector=sector,
-            n_active=_number(get("n_active"), "scenario.n_active",
-                             minimum=1, integer=True),
-            pathloss_exponent=_number(get("pathloss_exponent"),
-                                      "scenario.pathloss_exponent", minimum=2.0),
-            tx_power=_number(get("tx_power_w"), "scenario.tx_power_w", minimum=1e-12),
+            array=ArrayConfig(n_antennas=v["n_antennas"],
+                              carrier_freq=v["carrier_freq_hz"]),
+            sector=SectorGeometry(n_sectors=v["n_sectors"],
+                                  cell_radius=v["cell_radius_m"],
+                                  los_radius=v["los_radius_m"]),
+            n_active=v["n_active"],
+            pathloss_exponent=v["pathloss_exponent"],
+            tx_power=v["tx_power_w"],
             noise_power=noise,
-            mlap=mlap,
+            mlap=MlapConfig(n_levels=v["n_levels"], beta_gamma=v["beta_gamma"]),
         )
     except InvalidArgumentError as exc:
         raise ConfigError("scenario", str(exc)) from None
 
 
-def _build_sweep(doc) -> SweepSpec | None:
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise ConfigError("sweep", "must be an object")
-    _reject_unknown(doc, ("param", "values"), "sweep.")
-    param = doc.get("param")
-    params = tuple(p for p, _ in SWEEP_PARAMS.values())
-    if param not in params:
-        raise ConfigError("sweep.param", f"must be one of {params}")
-    values = doc.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values", "must be a nonempty list")
-    vals = tuple(_number(v, "sweep.values") for v in values)
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("sweep.values", "must be strictly increasing")
-    return SweepSpec(param=param, values=vals)
+def default_scenario() -> ScenarioConfig:
+    """The baseline scenario: the one an empty config document selects."""
+    return _build_scenario({})
 
 
 def _scenario_for_sweep(scn: ScenarioConfig, param: str,
@@ -182,42 +180,65 @@ def _scenario_for_sweep(scn: ScenarioConfig, param: str,
         return scn.with_(n_active=max(1, round(value * scn.array.n_antennas)))
     n = int(value) if param == "n_antennas" else scn.array.n_antennas
     m = int(value) if param == "n_levels" else scn.mlap.n_levels
-    mlap = MlapConfig(n_levels=min(m, n // 2), beta_gamma=scn.mlap.beta_gamma,
-                      delta=scn.mlap.delta)
-    if param == "n_levels":
-        return scn.with_(mlap=mlap)
-    return scn.with_(array=ArrayConfig(n_antennas=n,
-                                       carrier_freq=scn.array.carrier_freq),
-                     mlap=mlap)
+    return scn.with_(array=replace(scn.array, n_antennas=n),
+                     mlap=replace(scn.mlap, n_levels=min(m, n // 2)))
 
 
-def _check_sweep(name: str, sweep: SweepSpec | None, scenario: ScenarioConfig):
-    """A sweep experiment runs on its own parameter, and every swept
-    scenario must be valid."""
-    param, values = SWEEP_PARAMS[name]
-    if sweep is not None:
-        if sweep.param != param:
+def _build_sweep(doc, name: str, scenario: ScenarioConfig) -> SweepSpec | None:
+    """The experiment's sweep, given or default, with the scenario at each
+    value; None for an experiment that does not sweep."""
+    default = EXPERIMENTS[name][1]
+    if default is None:
+        if doc is not None:
+            raise ConfigError("sweep.param", f"{name} does not sweep")
+        return None
+    param, values = default
+    if doc is not None:
+        if not isinstance(doc, dict):
+            raise ConfigError("sweep", "must be an object")
+        _reject_unknown(doc, ("param", "values"), "sweep.")
+        if doc.get("param") != param:
             raise ConfigError("sweep.param", f"{name} sweeps {param}")
-        values = sweep.values
+        values = doc.get("values")
+    values = _increasing(values, "sweep.values")
+    # every parameter but the ratio counts antennas, users or lobes
+    if param != "na_over_n" and not all(v.is_integer() for v in values):
+        raise ConfigError("sweep.values", f"{param} takes integers")
+    scenarios = []
     for v in values:
-        # every parameter but the ratio counts antennas, users or lobes
-        if param != "na_over_n" and not float(v).is_integer():
-            raise ConfigError("sweep.values", f"{param} takes integers")
         try:
-            _scenario_for_sweep(scenario, param, v)
+            scenarios.append(_scenario_for_sweep(scenario, param, v))
         except InvalidArgumentError as exc:
             raise ConfigError("sweep.values", f"{param}={v:g}: {exc}") from None
+    return SweepSpec(param=param, values=values, scenarios=tuple(scenarios))
+
+
+def _build_tau_grid(doc, name: str) -> tuple[float, ...]:
+    """The threshold grid in dB; each one must convert to a finite, positive
+    linear threshold."""
+    if doc is None:
+        return EXPERIMENTS[name][0]
+    grid = _increasing(doc, "tau_grid_db")
+    for d in grid:
+        try:
+            linear = db_to_linear(d)
+        except OverflowError:
+            linear = math.inf
+        if not 0.0 < linear < math.inf:
+            raise ConfigError("tau_grid_db",
+                              f"{d:g} dB is not a finite positive linear threshold")
+    return grid
 
 
 def parse_config(text: str) -> ExperimentSpec:
-    """Parse a JSON configuration document into an ExperimentSpec."""
+    """Parse a JSON configuration document into a complete ExperimentSpec."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
-    _reject_unknown(doc, set(_TOP_DEFAULTS) | {"scenario"}, "")
+    _reject_unknown(doc, {*_TOP_DEFAULTS, "scenario", "tau_grid_db", "sweep"}, "")
 
     scenario_doc = doc.get("scenario", {})
     if not isinstance(scenario_doc, dict):
@@ -227,7 +248,7 @@ def parse_config(text: str) -> ExperimentSpec:
     get = lambda k: _take(doc, k, _TOP_DEFAULTS)
     name = get("experiment")
     if name not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
+        raise ConfigError("experiment", f"must be one of {tuple(EXPERIMENTS)}")
     modes = get("modes")
     if not isinstance(modes, list) or not modes:
         raise ConfigError("modes", "must be a nonempty list")
@@ -235,23 +256,16 @@ def parse_config(text: str) -> ExperimentSpec:
         if mode not in MODES:
             raise ConfigError("modes", f"unknown mode {mode!r}")
 
-    tau_raw = get("tau_grid_db")
-    tau_grid = None
-    if tau_raw is not None:
-        if not isinstance(tau_raw, list) or not tau_raw:
-            raise ConfigError("tau_grid_db", "must be a nonempty list")
-        tau_grid = tuple(_number(v, "tau_grid_db") for v in tau_raw)
-        if any(b <= a for a, b in zip(tau_grid, tau_grid[1:])):
-            raise ConfigError("tau_grid_db", "must be strictly increasing")
+    tau_grid = _build_tau_grid(doc.get("tau_grid_db"), name)
 
     anchor_doc = get("anchor")
     if not isinstance(anchor_doc, dict):
         raise ConfigError("anchor", "must be an object")
-    _reject_unknown(anchor_doc, ("theta_deg", "r_m"), "anchor.")
+    _reject_unknown(anchor_doc, _TOP_DEFAULTS["anchor"], "anchor.")
+    anchor_get = lambda k: _take(anchor_doc, k, _TOP_DEFAULTS["anchor"])
     anchor = PolarPoint(
-        theta=math.radians(_number(anchor_doc.get("theta_deg", 0.0),
-                                   "anchor.theta_deg")),
-        r=_number(anchor_doc.get("r_m", 30.0), "anchor.r_m", minimum=0.0),
+        theta=math.radians(_number(anchor_get("theta_deg"), "anchor.theta_deg")),
+        r=_number(anchor_get("r_m"), "anchor.r_m", minimum=0.0),
     )
     if abs(anchor.theta) > scenario.sector.half_width \
             or anchor.r > scenario.sector.cell_radius:
@@ -267,9 +281,7 @@ def parse_config(text: str) -> ExperimentSpec:
             and kappa < scenario.n_active:
         raise ConfigError("anchor", "on the cell edge only kappa = n_active fits")
 
-    sweep = _build_sweep(get("sweep"))
-    if name in SWEEP_PARAMS:
-        _check_sweep(name, sweep, scenario)
+    sweep = _build_sweep(doc.get("sweep"), name, scenario)
 
     fmt = get("format")
     if fmt not in ("csv", "jsonl"):
@@ -288,35 +300,3 @@ def parse_config(text: str) -> ExperimentSpec:
         output_path=str(get("output")),
         fmt=fmt,
     )
-
-
-def emit_config(spec: ExperimentSpec) -> str:
-    """Render a spec back to its JSON document (parse_config round-trips it)."""
-    scn = spec.scenario
-    doc = {
-        "scenario": {
-            "n_antennas": scn.array.n_antennas,
-            "carrier_freq_hz": scn.array.carrier_freq,
-            "n_sectors": scn.sector.n_sectors,
-            "cell_radius_m": scn.sector.cell_radius,
-            "los_radius_m": scn.sector.los_radius,
-            "n_active": scn.n_active,
-            "pathloss_exponent": scn.pathloss_exponent,
-            "tx_power_w": scn.tx_power,
-            "noise_power_w": scn.noise_power,
-            "beta_gamma": scn.mlap.beta_gamma,
-            "n_levels": scn.mlap.n_levels,
-        },
-        "experiment": spec.name,
-        "modes": list(spec.modes),
-        "tau_grid_db": None if spec.tau_grid_db is None else list(spec.tau_grid_db),
-        "kappa": spec.kappa,
-        "anchor": {"theta_deg": math.degrees(spec.anchor.theta), "r_m": spec.anchor.r},
-        "sweep": None if spec.sweep is None else
-                 {"param": spec.sweep.param, "values": list(spec.sweep.values)},
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "output": spec.output_path,
-        "format": spec.fmt,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

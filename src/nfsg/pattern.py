@@ -3,7 +3,7 @@ beam-depth geometry, and the multi-level quantized pattern.
 
 A half-wavelength ULA of N elements is centered at the origin, so the element
 offsets n are integers for odd N and half-integers for even N (the baseline
-N=256 is even). A beam focused on (theta_f, r_f) produces, at an observation
+N is even). A beam focused on (theta_f, r_f) produces, at an observation
 point (theta, r), the normalized gain
 
     G = |sum_n exp(j Phi_n)|^2 / N^2,
@@ -319,16 +319,20 @@ def mlap_level_index(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
     and maps to m, or to M+1 past the last kept lobe."""
     theta, r = np.broadcast_arrays(np.asarray(theta_obs, float),
                                    np.asarray(r_obs, float))
-    n = cfg.n_antennas
-    m_max = levels.n_levels
     phi = np.abs(0.5 * (np.sin(theta) - math.sin(levels.focal.theta)))
-    lobe = np.clip(np.ceil(phi * n).astype(int), 2, m_max + 1)
+    idx = _level_index(cfg.n_antennas, levels, phi, r)
+    return int(idx) if idx.ndim == 0 else idx
+
+
+def _level_index(n: int, levels: MlapLevels, phi_abs, r) -> np.ndarray:
+    """mlap_level_index at the spatial-angle offset |phi| and distance r."""
+    m_max = levels.n_levels
+    lobe = np.clip(np.ceil(phi_abs * n).astype(int), 2, m_max + 1)
     depth = levels.depth
     inside = (r > depth.d_left) & (r < depth.right_or_inf)
     beyond = False if depth.unbounded else r >= depth.d_right
     main = np.where(beyond, 0, np.where(inside, 1, m_max + 1))
-    idx = np.where(phi <= 1.0 / n, main, lobe)
-    return int(idx) if idx.ndim == 0 else idx
+    return np.where(phi_abs <= 1.0 / n, main, lobe)
 
 
 def mlap_gain(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):

@@ -1,4 +1,8 @@
-"""Full experiment description: array + sector + load, power and noise."""
+"""Full experiment description: array + sector + load, power and noise.
+
+The baseline values and the config checks live in `config`; the baseline
+scenario is `config.default_scenario()`.
+"""
 
 from __future__ import annotations
 
@@ -48,22 +52,3 @@ class ScenarioConfig:
     def with_(self, **changes) -> "ScenarioConfig":
         return replace(self, **changes)
 
-
-def thermal_noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Receiver noise power in watts: -174 dBm/Hz + 10 log10(B) + F."""
-    dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def default_scenario() -> ScenarioConfig:
-    """Baseline configuration: N=256 at 28 GHz, 3 sectors of 150 m, 15 active
-    users, alpha=2, 10 W, noiseless, 10-level pattern with beta_gamma=1.3."""
-    return ScenarioConfig(
-        array=ArrayConfig(n_antennas=256, carrier_freq=28e9),
-        sector=SectorGeometry(n_sectors=3, cell_radius=150.0, los_radius=150.0),
-        n_active=15,
-        pathloss_exponent=2.0,
-        tx_power=10.0,
-        noise_power=0.0,
-        mlap=MlapConfig(n_levels=10, beta_gamma=1.3),
-    )

@@ -66,6 +66,23 @@ class TestExperiments:
                 and r.sweep_value == 20.0]
         assert peak and peak[0].value == pytest.approx(1.0)
 
+    def test_pattern_cut_mlap_phi_rows(self):
+        # five lobes keep every phi of the cut away from a lobe edge k/N
+        scenario = {**SMALL_SCENARIO, "n_levels": 5}
+        spec = _spec(experiment="pattern-cut", modes=["mlap"], scenario=scenario,
+                     anchor={"theta_deg": 50.0, "r_m": 20.0})
+        rows = [r for r in run_experiment(spec) if r.sweep_param == "phi"]
+        phi = np.array([r.sweep_value for r in rows])
+        gain = np.array([r.value for r in rows])
+        scn, f = spec.scenario, spec.anchor
+        # an offset phi is an observation angle only where |2 phi + sin theta_f| <= 1
+        s = 2.0 * phi + math.sin(f.theta)
+        real = np.abs(s) <= 1.0
+        assert 0 < real.sum() < phi.size
+        levels = mlap_levels(scn.array, scn.mlap, f)
+        want = mlap_gain(scn.array, levels, np.arcsin(s[real]), f.r)
+        assert np.array_equal(gain[real], want)
+
     def test_polar_heatmap_structure(self):
         spec = _spec(experiment="polar-heatmap", modes=["mlap"])
         rows = run_experiment(spec)
@@ -139,6 +156,20 @@ class TestExperiments:
         rows = run_experiment(spec)
         assert [r.sweep_value for r in rows] == [2.0, 4.0]
         assert all(np.isfinite(r.value) for r in rows)
+
+    def test_ase_vs_n_sweep(self):
+        # at N = 8 the sweep clamps the 6 lobes to 4
+        spec = _spec(experiment="ase-vs-n", modes=["upper", "mlap", "montecarlo"],
+                     trials=300, sweep={"param": "n_antennas", "values": [8, 32]})
+        assert spec.sweep.scenarios[0].mlap.n_levels == 4
+        rows = run_experiment(spec)
+        assert sorted({r.sweep_value for r in rows}) == [8.0, 32.0]
+        assert all(np.isfinite(r.value) for r in rows)
+        ase = {(r.mode, r.sweep_value, r.tau_db): r.value for r in rows}
+        assert len(ase) == len(rows) == 3 * 2 * 2
+        for n in (8.0, 32.0):
+            for d in spec.tau_grid_db:
+                assert ase[("upper", n, d)] >= ase[("mlap", n, d)]
 
     def test_ratio_sweep_scales_users(self):
         spec = _spec(experiment="ratio-sweep", modes=["upper"],

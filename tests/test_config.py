@@ -1,10 +1,15 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from nfsg.config import ExperimentSpec, emit_config, parse_config
+from nfsg import default_scenario
+from nfsg.config import ExperimentSpec, parse_config
 from nfsg.errors import ConfigError
+
+FULL_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 
 
 def test_empty_config_gives_baseline():
@@ -56,13 +61,22 @@ def test_malformed_document():
 
 def test_sweep_must_be_sorted():
     with pytest.raises(ConfigError, match="sweep.values"):
-        parse_config(json.dumps(
-            {"sweep": {"param": "n_active", "values": [8, 4]}}))
+        parse_config(json.dumps({"experiment": "ase-vs-na",
+                                 "sweep": {"param": "n_active", "values": [8, 4]}}))
 
 
-def test_tau_grid_validation():
+def test_threshold_grid_validation():
     with pytest.raises(ConfigError, match="tau_grid_db"):
         parse_config(json.dumps({"tau_grid_db": []}))
+
+
+@pytest.mark.parametrize("grid", [[10.0, 4000.0], [-4000.0, 10.0]])
+def test_thresholds_must_convert(grid):
+    # 10^400 overflows a float and 10^-400 is 0.0; both used to pass
+    # validation and stop the run
+    with pytest.raises(ConfigError, match="tau_grid_db"):
+        parse_config(json.dumps({"experiment": "cond-cp", "modes": ["upper"],
+                                 "tau_grid_db": grid}))
 
 
 def test_kappa_bounds():
@@ -83,7 +97,7 @@ def test_thermal_noise_pair():
         parse_config(json.dumps({"scenario": {"noise_bandwidth_hz": 200e6}}))
 
 
-def test_round_trip():
+def test_parse_document():
     doc = json.dumps({
         "experiment": "cond-cp",
         "modes": ["mlap", "upper"],
@@ -95,10 +109,12 @@ def test_round_trip():
         "seed": 11,
     })
     spec = parse_config(doc)
-    again = parse_config(emit_config(spec))
-    assert again == spec
     assert isinstance(spec, ExperimentSpec)
     assert spec.anchor.theta == pytest.approx(math.radians(10.0))
+    assert spec.scenario.array.n_antennas == 128 and spec.scenario.n_active == 9
+    assert spec.tau_grid_db == (0.0, 10.0, 20.0)
+    assert (spec.modes, spec.kappa, spec.trials, spec.seed) == (("mlap", "upper"),
+                                                                4, 500, 11)
 
 
 def test_sweep_param_belongs_to_experiment():
@@ -138,13 +154,66 @@ def test_numbers_must_be_finite():
             parse_config(doc)
 
 
+DEFAULT_SWEEPS = {
+    "m-sweep": ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)),
+    "ase-vs-n": ("n_antennas", (64, 128, 192, 256)),
+    "ase-vs-na": ("n_active", (4, 8, 16, 24, 32)),
+    "ratio-sweep": ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
+}
+
+
 def test_sweep_defaults_and_other_experiments():
-    for experiment in ("m-sweep", "ase-vs-n", "ase-vs-na", "ratio-sweep"):
+    for experiment, (param, values) in DEFAULT_SWEEPS.items():
+        sweep = parse_config(json.dumps({"experiment": experiment})).sweep
+        assert (sweep.param, sweep.values) == (param, values)
+    for experiment in ("pattern-cut", "polar-heatmap", "cond-cp", "overall"):
         assert parse_config(json.dumps({"experiment": experiment})).sweep is None
-    # an experiment that does not sweep ignores the parameter it is given
-    spec = parse_config(json.dumps({"experiment": "overall",
-                                    "sweep": {"param": "n_levels", "values": [500]}}))
-    assert spec.sweep.param == "n_levels"
+    # an experiment that does not sweep rejects a sweep instead of ignoring it
+    with pytest.raises(ConfigError, match="sweep.param"):
+        parse_config(json.dumps({"experiment": "overall",
+                                 "sweep": {"param": "n_levels", "values": [500]}}))
+
+
+def test_default_thresholds():
+    grids = {"pattern-cut": (20.0,), "polar-heatmap": (20.0,), "cond-cp": FULL_GRID,
+             "m-sweep": (5.0, 20.0, 30.0, 35.0), "overall": FULL_GRID,
+             "ase-vs-n": (10.0, 20.0), "ase-vs-na": (10.0, 20.0),
+             "ratio-sweep": (20.0,)}
+    for experiment, grid in grids.items():
+        assert parse_config(json.dumps({"experiment": experiment})).tau_grid_db == grid
+
+
+def test_default_sweep_scenarios():
+    base = default_scenario()
+    for experiment, (param, values) in DEFAULT_SWEEPS.items():
+        sweep = parse_config(json.dumps({"experiment": experiment})).sweep
+        assert len(sweep.scenarios) == len(values)
+        for v, scn in zip(values, sweep.scenarios):
+            n = v if param == "n_antennas" else 256
+            if param == "n_active":
+                users = v
+            elif param == "na_over_n":
+                users = max(1, round(v * 256))
+            else:
+                users = 15
+            lobes = min(v if param == "n_levels" else 10, n // 2)
+            assert scn.array.n_antennas == n
+            assert scn.n_active == users
+            assert scn.mlap.n_levels == lobes
+            assert scn.with_(array=base.array, n_active=15, mlap=base.mlap) == base
+
+
+def test_default_scenario_is_empty_document():
+    assert default_scenario() == parse_config("{}").scenario
+    assert default_scenario() == parse_config("").scenario
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 def test_anchor_radius_positive():
