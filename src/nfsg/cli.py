@@ -253,6 +253,9 @@ def emit_results(table: list[Row], path: str, fmt: str = "csv") -> str:
     return path
 
 
+_OVERRIDES = ("experiment", "seed", "trials", "output", "format")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nfsg",
                                      description="near-field network experiments")
@@ -262,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--experiment", default=None, help="experiment name override")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--out", default=None, help="output file path")
+    run.add_argument("--out", dest="output", default=None, help="output file path")
     run.add_argument("--format", choices=("csv", "jsonl"), default=None)
     val = sub.add_parser("validate", help="validate a config document")
     val.add_argument("--config", required=True)
@@ -270,24 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    text = "{}"
+    text = ""
     if args.config is not None:
         with open(args.config) as fh:
             text = fh.read()
-    doc = json.loads(text) if text.strip() else {}
-    if not isinstance(doc, dict):
-        raise ConfigError("<document>", "top level must be an object")
-    if getattr(args, "experiment", None):
-        doc["experiment"] = args.experiment
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        doc["trials"] = args.trials
-    if getattr(args, "out", None):
-        doc["output"] = args.out
-    if getattr(args, "format", None):
-        doc["format"] = args.format
-    return parse_config(json.dumps(doc))
+    # each flag's dest is the document key it overrides; `validate` has none
+    overrides = {key: getattr(args, key) for key in _OVERRIDES
+                 if getattr(args, key, None) is not None}
+    return parse_config(text, overrides)
 
 
 def main(argv=None) -> int:
@@ -295,7 +288,7 @@ def main(argv=None) -> int:
     try:
         spec = _load_spec(args)
         montecarlo._workers()  # NFSG_THREADS is checked before anything runs
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

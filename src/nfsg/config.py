@@ -230,14 +230,18 @@ def _build_tau_grid(doc, name: str) -> tuple[float, ...]:
     return grid
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse a JSON configuration document into a complete ExperimentSpec."""
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
+    """Parse a JSON configuration document into a complete ExperimentSpec.
+
+    overrides (the command-line flags) replace top-level keys of the decoded
+    document before any key is checked."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<document>", "top level must be an object")
+    doc.update(overrides or {})
     _reject_unknown(doc, {*_TOP_DEFAULTS, "scenario", "tau_grid_db", "sweep"}, "")
 
     scenario_doc = doc.get("scenario", {})

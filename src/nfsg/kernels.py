@@ -1,4 +1,5 @@
-"""Hot kernels: Fresnel-phase pattern gains for point pairs.
+"""Hot kernels: Fresnel-phase pattern gains for point pairs and for every
+pair of a user set.
 
 Every gain is the Fresnel-phase array sum
 
@@ -23,6 +24,21 @@ against the direct unfolded sum (20k random pairs, |theta| <= 1.5 rad,
 0.3-300 m) the largest error is 8.4e-13 for N <= 257, 3.4e-12 at N = 512 and
 1.2e-11 at N = 1024. Each pair is computed elementwise, so its gain is
 bitwise the same alone or in any batch.
+
+`interference_sums` needs every pair of a user set, and there the same law
+is a Gram matrix. A user at (theta, r) has the response
+b_n = exp(j(alpha n + beta n^2)), alpha = -pi sin(theta),
+beta = (pi lambda/4) cos^2(theta) / r, and
+
+    G_ab = |b_a^H b_b|^2 / N^2.
+
+Each response is built once by a two-level recurrence, about N/16 + 16
+numpy steps instead of N, and one real matrix product per trial gives all
+its pairs. Against the direct unfolded sum (1000 random sets of 15 users,
+|theta| <= 1.5 rad, 0.3-300 m) the largest error of an interference sum is
+7.2e-14 for N <= 257, 1.5e-13 at N = 512 and 2.0e-13 at N = 1024. The
+product runs in BLAS, whose last bits can differ between CPUs; on one CPU a
+trial's sums are bitwise the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -31,6 +47,11 @@ import numpy as np
 
 # pairs per pass: the dozen work vectors of one pass stay in cache
 _CHUNK = 1 << 14
+# offsets per block of the response recurrence: about N/_BLOCK + _BLOCK steps
+_BLOCK = 16
+# trials per Gram batch: at N = 256 and K = 15 a batch's responses and their
+# transposed copy take about 1 MB each
+_TRIALS = 16
 
 
 def _fold_gain(sa, ra, sb, rb, n_antennas: int, lam: float) -> np.ndarray:
@@ -102,30 +123,81 @@ def gain_pairs(theta_a, r_a, theta_b, r_b, n_antennas, wavelength):
     return out.reshape(shape)
 
 
+def _responses(theta, r, n_antennas: int, lam: float) -> np.ndarray:
+    """Fresnel responses b[t, i, k] = exp(j(alpha n_i + beta n_i^2)) of the
+    users (theta, r)[t, k] over the element offsets n_i, with
+    alpha = -pi sin(theta) and beta = (pi lam/4) cos^2(theta) / r.
+
+    The offsets are cut into blocks of _BLOCK that start at s_m. A recurrence
+    over the blocks gives each block's first value b(s_m) and first ratio
+    b(s_m + 1) / b(s_m) = exp(j(alpha + beta(2 s_m + 1))); a second one walks
+    all blocks at once through their offsets, each ratio turning by
+    exp(2j beta) per offset. Row q * n_blocks + m holds offset s_m + q, and
+    the rows past the last offset are zero.
+    """
+    s = np.sin(theta)
+    alpha = -np.pi * s
+    beta = (0.25 * np.pi * lam) * (1.0 - s * s) / r
+    trials, k = theta.shape
+    n_blocks = -(-n_antennas // _BLOCK)
+    s0 = -(n_antennas - 1) / 2.0
+    # every starting value is exp(j(u alpha + v beta)) for one row (u, v)
+    u, v = np.array([
+        (s0, s0 * s0),                              # b(s_0)
+        (1.0, 2.0 * s0 + 1.0),                      # the ratio at s_0
+        (_BLOCK, 2.0 * _BLOCK * s0 + _BLOCK**2),    # hop b(s_1) / b(s_0)
+        (0.0, 2.0 * _BLOCK**2),                     # the hop's turn per block
+        (0.0, 2.0 * _BLOCK),                        # a ratio's turn per block
+        (0.0, 2.0),                                 # a ratio's turn per offset
+    ]).T
+    first, ratio0, hop, hop_turn, block_turn, turn = np.exp(
+        1j * (u[:, None, None] * alpha + v[:, None, None] * beta))
+    out = np.empty((trials, _BLOCK, n_blocks, k), complex)
+    ratio = np.empty((trials, n_blocks, k), complex)
+    out[:, 0, 0] = first
+    ratio[:, 0] = ratio0
+    for m in range(n_blocks - 1):
+        np.multiply(out[:, 0, m], hop, out=out[:, 0, m + 1])
+        hop *= hop_turn
+        np.multiply(ratio[:, m], block_turn, out=ratio[:, m + 1])
+    turn = np.repeat(turn[:, None], n_blocks, axis=1)
+    for q in range(_BLOCK - 1):
+        np.multiply(out[:, q], ratio, out=out[:, q + 1])
+        ratio *= turn
+    out[:, n_antennas - _BLOCK * (n_blocks - 1):, -1] = 0.0
+    return out.reshape(trials, _BLOCK * n_blocks, k)
+
+
 def interference_sums(theta, r, n_antennas, wavelength):
     """Per-user interference sums for batched user sets.
 
     theta, r: (trials, K) arrays. Returns (trials, K) where entry [t, k] is
-    the sum of pattern cross-gains from the other K-1 users of trial t.
-    The pair arrays are gathered for about one chunk of pairs at a time.
-    Each user's gains are added by a running sum in ascending pair order, so
-    the sums do not depend on how the trials are split.
+    the sum of pattern cross-gains from the other K-1 users of trial t: row
+    k of the trial's Gram matrix |b^H b|^2 / N^2 over the responses of
+    `_responses`, without its diagonal. Every step treats each trial on its
+    own, so the sums do not depend on how the trials are split.
     """
     theta = np.asarray(theta, float)
     r = np.asarray(r, float)
     trials, k = theta.shape
-    iu, ju = np.triu_indices(k, 1)
-    if iu.size == 0:
-        return np.zeros((trials, k))
-    # own[i]: the pairs that hold user i, in ascending order
-    own = np.array([np.flatnonzero((iu == i) | (ju == i)) for i in range(k)])
-    step = max(1, _CHUNK // iu.size)
-    out = np.empty((trials, k))
-    for lo in range(0, trials, step):
-        th, rr = theta[lo:lo + step], r[lo:lo + step]
-        gains = gain_pairs(th[:, iu], rr[:, iu], th[:, ju], rr[:, ju],
-                           n_antennas, wavelength)
-        out[lo:lo + step] = np.cumsum(gains[:, own], axis=2)[:, :, -1]
+    n = int(n_antennas)
+    out = np.zeros((trials, k))
+    if k < 2:
+        return out
+    diag = np.arange(k)
+    for lo in range(0, trials, _TRIALS):
+        b = _responses(theta[lo:lo + _TRIALS], r[lo:lo + _TRIALS], n,
+                       float(wavelength))
+        # columns (cos, sin) of each user; one real product gives all four
+        # blocks of b^H b. The transposed copy is a second buffer, so numpy
+        # calls gemm: on one buffer it calls syrk, about twice as slow here.
+        cs = b.view(float)
+        prod = np.ascontiguousarray(cs.transpose(0, 2, 1)) @ cs
+        re = prod[:, 0::2, 0::2] + prod[:, 1::2, 1::2]
+        im = prod[:, 0::2, 1::2] - prod[:, 1::2, 0::2]
+        gains = re * re + im * im
+        gains[:, diag, diag] = 0.0
+        out[lo:lo + _TRIALS] = gains.sum(axis=2) / float(n) ** 2
     return out
 
 

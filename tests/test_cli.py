@@ -192,6 +192,15 @@ class TestMain:
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "scenario.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, reason", [("{not json", "invalid JSON: "),
+                                              ("[1, 2]", "top level must be an object")])
+    def test_validate_malformed_document(self, tmp_path, capsys, text, reason):
+        # the document is decoded once, by parse_config, which names it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert f"config error: <document>: {reason}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("NFSG_THREADS", value)

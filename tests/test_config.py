@@ -59,6 +59,14 @@ def test_malformed_document():
         parse_config("[1, 2]")
 
 
+def test_overrides_replace_keys_before_checks():
+    spec = parse_config(json.dumps({"experiment": "bogus", "trials": 5}),
+                        {"experiment": "cond-cp", "seed": 4})
+    assert (spec.name, spec.trials, spec.seed) == ("cond-cp", 5, 4)
+    with pytest.raises(ConfigError, match="trials"):
+        parse_config("{}", {"trials": 0})
+
+
 def test_sweep_must_be_sorted():
     with pytest.raises(ConfigError, match="sweep.values"):
         parse_config(json.dumps({"experiment": "ase-vs-na",

@@ -50,15 +50,21 @@ def test_gain_pairs_bitwise_independent_of_batch(rng):
         assert alone == batch[i], i
 
 
-def test_interference_sums_matches_pair_loop(rng):
-    cfg = ArrayConfig(64, FREQ)
-    theta = rng.uniform(-1, 1, (40, 9))
-    r = rng.uniform(1, 150, (40, 9))
-    got = kernels.interference_sums(theta, r, 64, cfg.wavelength)
+# Beyond (64, 9): 82 users is the top of the default ratio sweep at N = 256,
+# two users make one pair, 13 and 257 antennas are odd and fill the last
+# block of the response recurrence only partly, and 1024 takes the longest
+# recurrence.
+@pytest.mark.parametrize("n_ant, k, trials", [(64, 9, 40), (256, 82, 2), (256, 2, 40),
+                                              (13, 9, 40), (257, 9, 10), (1024, 9, 10)])
+def test_interference_sums_matches_pair_loop(n_ant, k, trials, rng):
+    cfg = ArrayConfig(n_ant, FREQ)
+    theta = rng.uniform(-1, 1, (trials, k))
+    r = rng.uniform(1, 150, (trials, k))
+    got = kernels.interference_sums(theta, r, n_ant, cfg.wavelength)
     want = np.zeros_like(got)
-    for t in range(theta.shape[0]):
-        for i in range(9):
-            for j in range(9):
+    for t in range(trials):
+        for i in range(k):
+            for j in range(k):
                 if i != j:
                     want[t, i] += fresnel_phase_gain(cfg, theta[t, j], r[t, j],
                                                      theta[t, i], r[t, i])
@@ -66,27 +72,20 @@ def test_interference_sums_matches_pair_loop(rng):
 
 
 def test_interference_sums_bitwise_independent_of_split(rng):
-    # The simulation splits trials into blocks; wherever a block boundary
-    # falls, every sum must add its pair gains in ascending pair order, as
-    # the reference pair loop below does.
+    # The simulation splits trials into blocks and threads; wherever a block
+    # boundary falls, and for a trial computed on its own, every sum must
+    # come out in the same bits.
     wavelength = ArrayConfig(16, FREQ).wavelength
-    k = 9
-    iu, ju = np.triu_indices(k, 1)
-    per_chunk = kernels._CHUNK // iu.size
-    theta = rng.uniform(-1, 1, (3 * per_chunk + 17, k))
+    theta = rng.uniform(-1, 1, (3 * kernels._TRIALS + 7, 9))
     r = rng.uniform(1, 150, theta.shape)
-    gains = kernels.gain_pairs(theta[:, iu], r[:, iu], theta[:, ju], r[:, ju],
-                               16, wavelength)
-    want = np.zeros_like(theta)
-    for p in range(iu.size):
-        want[:, iu[p]] += gains[:, p]
-        want[:, ju[p]] += gains[:, p]
-    split = per_chunk + 100
+    split = kernels._TRIALS + 5
     whole = kernels.interference_sums(theta, r, 16, wavelength)
     parts = [kernels.interference_sums(theta[s], r[s], 16, wavelength)
              for s in (slice(None, split), slice(split, None))]
-    assert np.array_equal(whole, want)
-    assert np.array_equal(np.concatenate(parts), want)
+    assert np.array_equal(np.concatenate(parts), whole)
+    for t in (0, split - 1, split, theta.shape[0] - 1):
+        alone = kernels.interference_sums(theta[t:t + 1], r[t:t + 1], 16, wavelength)
+        assert np.array_equal(alone[0], whole[t]), t
     lone = kernels.interference_sums(theta[:, :1], r[:, :1], 16, wavelength)
     assert np.array_equal(lone, np.zeros((theta.shape[0], 1)))
 
