@@ -3,10 +3,9 @@ beamfocusing networks: exact, quantized-pattern, and closed-form-bound
 coverage/efficiency metrics, validated by Monte Carlo simulation of the
 physical model."""
 
-from .analysis import (LevelProbabilities, conditional_cp, conditional_cp_sinr,
-                       laplace_exact, laplace_mlap, level_probabilities,
-                       overall_cp, se_and_ase, sinr_equivalent_threshold,
-                       tau_star)
+from .analysis import (conditional_cp, conditional_cp_sinr, laplace,
+                       level_probabilities, overall_cp, se_and_ase,
+                       sinr_equivalent_threshold, tau_star)
 from .config import default_scenario, thermal_noise_power
 from .errors import (ConfigError, DegenerateSupportError, DomainError,
                      InvalidArgumentError, NumericFailureError)

@@ -54,8 +54,9 @@ one builder with one set of checks: orders, mode, sector, then supports (a
 side that holds an interferer needs room for it, so r_k = 0 is rejected with
 inner interferers and the cell edge with outer ones).
 
-laplace_exact and laplace_mlap give the interference Laplace transforms of
-the two routes; the CP evaluator does not need them.
+laplace gives the interference Laplace transform of the exact and the
+quantized route from the same pinned-user laws; the CP evaluator does not
+need it.
 
 The closed-form upper bound replaces each Laplace factor with the
 probability that a single interferer's quantized gain stays below 1/tau. It
@@ -78,18 +79,6 @@ from .geometry import (PolarPoint, conditional_cdf_extended, ordered_distance_di
                        spatial_angle_cdf_extended)
 from .pattern import MlapLevels, angular_gain, beam_depth, mlap_levels
 from .scenario import ScenarioConfig
-
-@dataclass(frozen=True)
-class LevelProbabilities:
-    """Per-level hit probabilities for inner and outer interferers."""
-
-    p_in: tuple[float, ...]
-    p_out: tuple[float, ...]
-    focal: PolarPoint
-
-    def as_arrays(self):
-        return np.asarray(self.p_in), np.asarray(self.p_out)
-
 
 def _check_orders(kappas, n_active: int, mode: str):
     if not all(1 <= k <= n_active for k in kappas):
@@ -187,12 +176,12 @@ def _pinned_laws(theta_k: float, r_k: float, kappas, scenario: ScenarioConfig,
 
 
 def level_probabilities(theta_k: float, r_k: float, kappa: int,
-                        scenario: ScenarioConfig) -> LevelProbabilities:
-    """Probability that one inner/outer interferer lands on each quantized
-    gain level of the beam focused on (theta_k, r_k)."""
+                        scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(p_in, p_out): the probability that one inner / outer interferer lands
+    on each quantized gain level g_0..g_{M+1} of the beam focused on
+    (theta_k, r_k)."""
     (_, p_in), (_, p_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, "mlap")
-    return LevelProbabilities(p_in=tuple(p_in[0]), p_out=tuple(p_out[0]),
-                              focal=PolarPoint(theta_k, r_k))
+    return p_in[0], p_out[0]
 
 
 def tau_star(levels: MlapLevels) -> float:
@@ -201,17 +190,24 @@ def tau_star(levels: MlapLevels) -> float:
     return 1.0 / min(levels.gains[:-1])
 
 
-def laplace_mlap(s: complex, probs: LevelProbabilities, levels: MlapLevels,
-                 kappa: int, n_active: int) -> complex:
-    """Closed-form interference Laplace transform under the quantized pattern.
-    probs and levels must belong to the same focal point."""
-    _check_orders([kappa], n_active, "mlap")
-    if probs.focal != levels.focal:
-        raise InvalidArgumentError("probs and levels belong to different focal points")
-    g = np.asarray(levels.gains)
-    p_in, p_out = probs.as_arrays()
-    e = np.exp(-s * g)
-    return complex((p_in @ e) ** (kappa - 1) * (p_out @ e) ** (n_active - kappa))
+def laplace(s: complex, theta_k: float, r_k: float, kappa: int,
+            scenario: ScenarioConfig, mode: str = "mlap") -> complex:
+    """Interference Laplace transform E[exp(-s I)] for user kappa fixed at
+    (theta_k, r_k): the inner factor to the (kappa-1) power times the outer
+    factor to the (n_active-kappa) power, each the average of exp(-s G) over
+    one interferer's gain law, the side grid ('exact') or the quantized
+    levels ('mlap'). 'upper' is a CP bound and has no transform."""
+    (g_in, p_in), (g_out, p_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, mode)
+    if mode == "upper":
+        raise InvalidArgumentError("mode 'upper' is a CP bound with no Laplace transform")
+    if s == 0:
+        return 1.0 + 0.0j
+    if mode == "exact" and abs(complex(s).imag) > 100.0 * _GRID_T_RESOLVE:
+        raise NumericFailureError(
+            "|Im s| far beyond the gain grid's validated range",
+            complex("nan"), math.inf)
+    return (complex(np.exp(-s * g_in[0]) @ p_in[0]) ** (kappa - 1)
+            * complex(np.exp(-s * g_out[0]) @ p_out[0]) ** (scenario.n_active - kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +375,6 @@ def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
         w = np.concatenate([[trunc], w])
     w = w / w.sum()
     return _SideGrid(g=g, w=w)
-
-
-def laplace_exact(s: complex, theta_k: float, r_k: float, kappa: int,
-                  scenario: ScenarioConfig) -> complex:
-    """Interference Laplace transform under the exact pattern: the inner
-    factor to the (kappa-1) power times the outer factor to the
-    (n_active-kappa) power, each a gain-histogram average of exp(-s G)."""
-    _pinned_sides(theta_k, r_k, [kappa], scenario, "exact")
-    if scenario.n_active == 1 or s == 0:
-        return 1.0 + 0.0j
-    if abs(complex(s).imag) > 100.0 * _GRID_T_RESOLVE:
-        raise NumericFailureError(
-            "|Im s| far beyond the gain grid's validated range",
-            complex("nan"), math.inf)
-    (g_in, w_in), (g_out, w_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, "exact")
-    return (complex(np.exp(-s * g_in[0]) @ w_in[0]) ** (kappa - 1)
-            * complex(np.exp(-s * g_out[0]) @ w_out[0]) ** (scenario.n_active - kappa))
 
 
 # ---------------------------------------------------------------------------

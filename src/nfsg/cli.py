@@ -121,15 +121,18 @@ def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
     with_noise = scn.noise_power > 0
     for mode in spec.modes:
         if mode == "montecarlo":
-            plan = _plan(spec, scn)
-            est = montecarlo.estimate_conditional_cp(plan, spec.kappa, f, taus)
-            rows += [Row(spec.name, mode, None, None, spec.kappa, d, "cp",
-                         e.value, e.std_error) for d, e in zip(taus_db, est)]
+            # one draw serves both metrics: the pinned user's noise term is a
+            # constant, so cp_sinr is the SIR coverage at the equivalent
+            # threshold, and a threshold the noise alone exhausts is never met
+            metrics = ("cp", "cp_sinr") if with_noise else ("cp",)
+            grid = list(taus)
             if with_noise:
-                est = montecarlo.estimate_conditional_cp(plan, spec.kappa, f, taus,
-                                                         use_sinr=True)
-                rows += [Row(spec.name, mode, None, None, spec.kappa, d, "cp_sinr",
-                             e.value, e.std_error) for d, e in zip(taus_db, est)]
+                eq = (analysis.sinr_equivalent_threshold(t, f.r, scn) for t in taus)
+                grid += [math.inf if t is None else t for t in eq]
+            est = montecarlo.estimate_conditional_cp(_plan(spec, scn), spec.kappa, f, grid)
+            keys = [(m, d) for m in metrics for d in taus_db]
+            rows += [Row(spec.name, mode, None, None, spec.kappa, d, m, e.value,
+                         e.std_error) for (m, d), e in zip(keys, est)]
             continue
         for d, tau in zip(taus_db, taus):
             val = analysis.conditional_cp(tau, f.theta, f.r, spec.kappa, scn, mode)

@@ -6,7 +6,9 @@ _SCENARIO_KEYS, whose defaults are the baseline scenario (default_scenario).
 Wavelength and spacing are derived from the carrier frequency and are not
 settable. An omitted threshold grid or sweep takes the experiment's default
 from EXPERIMENTS. Only the four sweep experiments take a `sweep` block, and
-only on their own parameter; every scenario a sweep runs is built here.
+only on their own parameter; every scenario a sweep runs is built here. Each
+experiment takes only the modes it runs, and its default modes are those of
+the default list that it runs.
 Unknown keys and inputs outside the model are rejected with their path.
 """
 
@@ -24,18 +26,20 @@ from .scenario import ScenarioConfig
 MODES = ("exact", "mlap", "upper", "montecarlo")
 
 _FULL_TAU_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-# Per experiment: the default threshold grid in dB, and for a sweep the
-# parameter it varies with its default values.
+_PATTERN_MODES = ("exact", "mlap")
+# Per experiment: the default threshold grid in dB, for a sweep the parameter
+# it varies with its default values, and the modes it runs.
 EXPERIMENTS = {
-    "pattern-cut": ((20.0,), None),
-    "polar-heatmap": ((20.0,), None),
-    "cond-cp": (_FULL_TAU_DB, None),
+    "pattern-cut": ((20.0,), None, _PATTERN_MODES),
+    "polar-heatmap": ((20.0,), None, _PATTERN_MODES),
+    "cond-cp": (_FULL_TAU_DB, None, MODES),
     "m-sweep": ((5.0, 20.0, 30.0, 35.0),
-                ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12))),
-    "overall": (_FULL_TAU_DB, None),
-    "ase-vs-n": ((10.0, 20.0), ("n_antennas", (64, 128, 192, 256))),
-    "ase-vs-na": ((10.0, 20.0), ("n_active", (4, 8, 16, 24, 32))),
-    "ratio-sweep": ((20.0,), ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32))),
+                ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)), ("mlap",)),
+    "overall": (_FULL_TAU_DB, None, MODES),
+    "ase-vs-n": ((10.0, 20.0), ("n_antennas", (64, 128, 192, 256)), MODES),
+    "ase-vs-na": ((10.0, 20.0), ("n_active", (4, 8, 16, 24, 32)), MODES),
+    "ratio-sweep": ((20.0,), ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
+                    MODES),
 }
 
 # Scenario key: (baseline value, minimum, integer). The noise pair has no
@@ -253,12 +257,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
     name = get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {tuple(EXPERIMENTS)}")
-    modes = get("modes")
+    runs = EXPERIMENTS[name][2]
+    # the default modes are the ones of _TOP_DEFAULTS that the experiment runs
+    modes = doc.get("modes", [m for m in _TOP_DEFAULTS["modes"] if m in runs])
     if not isinstance(modes, list) or not modes:
         raise ConfigError("modes", "must be a nonempty list")
     for mode in modes:
         if mode not in MODES:
             raise ConfigError("modes", f"unknown mode {mode!r}")
+        if mode not in runs:
+            raise ConfigError("modes", f"{name} runs only {', '.join(runs)}")
 
     tau_grid = _build_tau_grid(doc.get("tau_grid_db"), name)
 

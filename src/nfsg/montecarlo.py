@@ -161,14 +161,13 @@ def conditional_interference_samples(plan: TrialPlan, kappa: int,
 
 
 def estimate_conditional_cp(plan: TrialPlan, kappa: int, anchor: PolarPoint,
-                            tau_grid, use_sinr: bool = False
-                            ) -> list[EstimateWithError]:
-    """Empirical conditional coverage for a user pinned at `anchor`."""
-    scn = plan.scenario
+                            tau_grid) -> list[EstimateWithError]:
+    """Empirical conditional SIR coverage for a user pinned at `anchor`, one
+    estimate per threshold from one draw. The pinned user's noise term is a
+    constant, so its SINR coverage is the SIR coverage at
+    analysis.sinr_equivalent_threshold; an infinite threshold gives 0."""
     taus = np.asarray(tau_grid, float)
     interference = conditional_interference_samples(plan, kappa, anchor)
-    if use_sinr:
-        interference = interference + scn.noise_term(anchor.r)
     with np.errstate(divide="ignore"):
         sir = 1.0 / interference
     counts = _coverage_counts(sir, taus)

@@ -97,20 +97,18 @@ def test_05_level_probabilities(scn, rng):
     t0 = time.time()
     kappa = 3
     anchor = PolarPoint(0.0, 30.0)
-    probs = level_probabilities(anchor.theta, anchor.r, kappa, scn)
-    sums_ok = (abs(sum(probs.p_in) - 1.0) < 1e-9
-               and abs(sum(probs.p_out) - 1.0) < 1e-9)
+    p_in, p_out = level_probabilities(anchor.theta, anchor.r, kappa, scn)
+    sums_ok = abs(p_in.sum() - 1.0) < 1e-9 and abs(p_out.sum() - 1.0) < 1e-9
     levels = mlap_levels(scn.array, scn.mlap, anchor)
     n = 1_000_000
     theta, r = sample_conditional_arrays(kappa, anchor, scn.n_active,
                                          scn.sector, n, rng)
     worst = 0.0
-    for cols, p in ((slice(0, kappa - 1), probs.p_in),
-                    (slice(kappa, None), probs.p_out)):
+    for cols, p in ((slice(0, kappa - 1), p_in), (slice(kappa, None), p_out)):
         idx = mlap_level_index(scn.array, levels,
                                theta[:, cols].ravel(), r[:, cols].ravel())
-        freq = np.bincount(idx, minlength=len(p)) / idx.size
-        worst = max(worst, float(np.max(np.abs(freq - np.asarray(p)))))
+        freq = np.bincount(idx, minlength=p.size) / idx.size
+        worst = max(worst, float(np.max(np.abs(freq - p))))
     ok = sums_ok and worst < 0.003
     assert _report(5, ok, f"sum-to-1 {sums_ok}, max|freq-p|={worst:.5f}", t0)
 

@@ -1,6 +1,7 @@
 """Level probabilities and Laplace transforms against sampling oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import cluster_reference, mlap_cross_gains, mlap_interference_on_anchor
 from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError,
-                  MlapConfig, PolarPoint, TrialPlan, kernels, laplace_exact,
-                  laplace_mlap, level_probabilities, mlap_levels, tau_star)
+                  MlapConfig, NumericFailureError, PolarPoint, TrialPlan, kernels,
+                  laplace, level_probabilities, mlap_levels, tau_star)
 from nfsg.analysis import (_CLUSTER_ABS, _CLUSTER_REL, _GRID_T_RESOLVE, _angular_nodes,
                            _cluster, _radial_nodes)
 from nfsg.geometry import sample_conditional_arrays
@@ -27,43 +28,41 @@ class TestLevelProbabilities:
             theta = rng.uniform(-scn.sector.half_width, scn.sector.half_width)
             r = rng.uniform(0.5, 149.5)
             kappa = int(rng.integers(1, scn.n_active + 1))
-            probs = level_probabilities(theta, r, kappa, scn)
-            assert abs(sum(probs.p_in) - 1.0) < 1e-9
-            assert abs(sum(probs.p_out) - 1.0) < 1e-9
-            assert all(0.0 <= p <= 1.0 for p in probs.p_in + probs.p_out)
+            for p in level_probabilities(theta, r, kappa, scn):
+                assert abs(p.sum() - 1.0) < 1e-9
+                assert np.all((0.0 <= p) & (p <= 1.0))
 
     def test_sidelobe_bands_side_independent(self, scn, rng):
         for _ in range(20):
             theta = rng.uniform(-1.0, 1.0)
             r = rng.uniform(5.0, 145.0)
-            probs = level_probabilities(theta, r, 5, scn)
+            p_in, p_out = level_probabilities(theta, r, 5, scn)
             for m in range(2, scn.mlap.n_levels + 1):
-                assert probs.p_in[m] == probs.p_out[m]
+                assert p_in[m] == p_out[m]
 
     # M=1 has no sidelobe band and M=128 = N/2 has every one
     @pytest.mark.parametrize("n_levels", [1, 10, 128])
     def test_bucketed_frequencies(self, scn, rng, n_levels):
         scn = scn.with_(mlap=MlapConfig(n_levels, scn.mlap.beta_gamma, scn.mlap.delta))
         kappa = 3
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, kappa, scn)
+        p_in, p_out = level_probabilities(ANCHOR.theta, ANCHOR.r, kappa, scn)
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
         n = 200_000
         theta, r = sample_conditional_arrays(kappa, ANCHOR, scn.n_active,
                                              scn.sector, n, rng)
-        for cols, p in ((slice(0, kappa - 1), probs.p_in),
-                        (slice(kappa, None), probs.p_out)):
+        for cols, p in ((slice(0, kappa - 1), p_in), (slice(kappa, None), p_out)):
             idx = mlap_level_index(scn.array, levels,
                                    theta[:, cols].ravel(), r[:, cols].ravel())
-            freq = np.bincount(idx, minlength=len(p)) / idx.size
-            assert np.max(np.abs(freq - np.asarray(p))) < 0.006
+            freq = np.bincount(idx, minlength=p.size) / idx.size
+            assert np.max(np.abs(freq - p)) < 0.006
 
     def test_cell_edge_parks_outer_side(self, scn):
         # the last user on the cell edge has no outer law and needs none
         m = scn.mlap.n_levels
-        probs = level_probabilities(0.0, scn.sector.cell_radius, scn.n_active, scn)
-        assert probs.p_out == tuple([0.0] * (m + 1) + [1.0])
-        assert abs(sum(probs.p_in) - 1.0) < 1e-9
-        assert all(0.0 <= p <= 1.0 for p in probs.p_in)
+        p_in, p_out = level_probabilities(0.0, scn.sector.cell_radius, scn.n_active, scn)
+        assert p_out.tolist() == [0.0] * (m + 1) + [1.0]
+        assert abs(p_in.sum() - 1.0) < 1e-9
+        assert np.all((0.0 <= p_in) & (p_in <= 1.0))
 
     def test_degenerate_errors(self, scn):
         with pytest.raises(DegenerateSupportError):
@@ -91,49 +90,52 @@ class TestTauStar:
             prev = ts
 
 
+def _small(scn):
+    """13 antennas and 6 lobes: exact side grids in well under a second."""
+    return scn.with_(array=replace(scn.array, n_antennas=13),
+                     mlap=replace(scn.mlap, n_levels=6))
+
+
+def _check_cell_edge_user(scn, mode):
+    # the last user on the cell edge has no outer interferer; its outer law
+    # sits on gain 0, so the transform is the inner factor alone, which the
+    # same point gives with two users
+    theta, rc, n = 0.2, scn.sector.cell_radius, scn.n_active
+    pair = scn.with_(n_active=2)
+    for s in (0.5, 3.0, 10.0 + 2.0j, -40.0j):
+        val = laplace(s, theta, rc, n, scn, mode)
+        inner = laplace(s, theta, rc, 2, pair, mode)
+        assert np.isfinite(val) and abs(val) <= 1.0 + 1e-12
+        assert val == pytest.approx(inner ** (n - 1), rel=1e-12, abs=1e-300)
+
+
 class TestLaplaceMlap:
     def test_at_origin(self, scn):
-        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
-        assert laplace_mlap(0.0, probs, levels, 3, scn.n_active) == 1.0
+        assert laplace(0.0, ANCHOR.theta, ANCHOR.r, 3, scn) == 1.0
 
     def test_all_mass_on_zero_level(self, scn):
-        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        m = scn.mlap.n_levels
-        parked = tuple([0.0] * (m + 1) + [1.0])
-        from nfsg import LevelProbabilities
-        probs = LevelProbabilities(p_in=parked, p_out=parked, focal=ANCHOR)
-        for s in (0.5, 3.0, 10.0 + 2.0j):
-            assert laplace_mlap(s, probs, levels, 4, scn.n_active) == pytest.approx(1.0)
+        _check_cell_edge_user(scn, "mlap")
 
     def test_lone_user_has_no_interference(self, scn):
-        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
-        assert laplace_mlap(2.0, probs, levels, 1, 1) == 1.0
+        assert laplace(2.0, ANCHOR.theta, ANCHOR.r, 1, scn.with_(n_active=1)) == 1.0
 
     def test_rejects_bad_inputs(self, scn):
-        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
         for kappa in (0, 20):
             with pytest.raises(InvalidArgumentError):
-                laplace_mlap(0.5, probs, levels, kappa, 15)
-        # laws of one focal point, levels of another
-        other = mlap_levels(scn.array, scn.mlap, PolarPoint(0.5, 100.0))
-        with pytest.raises(InvalidArgumentError):
-            laplace_mlap(0.5, probs, other, 3, 15)
+                laplace(0.5, ANCHOR.theta, ANCHOR.r, kappa, scn)
+        # a CP bound, not a law, and an unknown route
+        for mode in ("upper", "bogus"):
+            with pytest.raises(InvalidArgumentError):
+                laplace(0.5, ANCHOR.theta, ANCHOR.r, 3, scn, mode)
 
     def test_real_transform_shape(self, scn):
-        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
-        vals = [laplace_mlap(s, probs, levels, 3, scn.n_active).real
+        vals = [laplace(s, ANCHOR.theta, ANCHOR.r, 3, scn).real
                 for s in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0)]
         assert all(0.0 < v <= 1.0 for v in vals)
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_against_model_sampling(self, scn, rng):
         kappa = 3
-        levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, kappa, scn)
         n = 300_000
         theta, r = sample_conditional_arrays(kappa, ANCHOR, scn.n_active,
                                              scn.sector, n, rng)
@@ -141,18 +143,31 @@ class TestLaplaceMlap:
         for s in (0.7, 2.0):
             x = np.exp(-s * interference)
             mc, se = x.mean(), x.std(ddof=1) / math.sqrt(n)
-            val = laplace_mlap(s, probs, levels, kappa, scn.n_active).real
+            val = laplace(s, ANCHOR.theta, ANCHOR.r, kappa, scn).real
             assert abs(val - mc) < 3 * se
 
 
 class TestLaplaceExact:
     def test_at_origin(self, scn):
-        assert laplace_exact(0.0, ANCHOR.theta, ANCHOR.r, 3, scn) == 1.0
+        assert laplace(0.0, ANCHOR.theta, ANCHOR.r, 3, scn, "exact") == 1.0
+
+    def test_all_mass_on_zero_level(self, scn):
+        _check_cell_edge_user(_small(scn), "exact")
 
     def test_single_user(self, scn):
         single = scn.with_(n_active=1)
         for s in (0.0, 1.0, 2.0 - 1.0j):
-            assert laplace_exact(s, ANCHOR.theta, ANCHOR.r, 1, single) == 1.0
+            assert laplace(s, ANCHOR.theta, ANCHOR.r, 1, single, "exact") == 1.0
+
+    def test_checks_before_grid_range(self, scn):
+        small = _small(scn)
+        far = -1j * 200.0 * _GRID_T_RESOLVE
+        with pytest.raises(NumericFailureError):
+            laplace(far, ANCHOR.theta, 20.0, 2, small, "exact")
+        # a bad order is an argument error whatever s is
+        for kappa in (0, small.n_active + 1):
+            with pytest.raises(InvalidArgumentError):
+                laplace(far, ANCHOR.theta, 20.0, kappa, small, "exact")
 
     def test_real_value_against_sampling(self, scn):
         # oracle: E[exp(-I)] over 1e6 conditioned draws of the exact model
@@ -160,7 +175,7 @@ class TestLaplaceExact:
         interference = conditional_interference_samples(plan, 3, ANCHOR)
         x = np.exp(-interference)
         mc, se = float(x.mean()), float(x.std(ddof=1)) / math.sqrt(x.size)
-        val = laplace_exact(1.0, ANCHOR.theta, ANCHOR.r, 3, scn).real
+        val = laplace(1.0, ANCHOR.theta, ANCHOR.r, 3, scn, "exact").real
         assert abs(val - mc) < 3 * se
 
     def test_cf_at_large_t_matches_sampling(self, scn):
@@ -169,12 +184,12 @@ class TestLaplaceExact:
         n = interference.size
         for t in (300.0, 3000.0):
             mc = np.exp(1j * t * interference).mean()
-            val = laplace_exact(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn)
+            val = laplace(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
             assert abs(val - mc) < 4.0 / math.sqrt(n)
 
     def test_transform_magnitude(self, scn):
         for t in (1.0, 50.0, 400.0):
-            val = laplace_exact(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn)
+            val = laplace(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
             assert abs(val) <= 1.0 + 1e-9
 
 

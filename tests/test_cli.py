@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import fresnel_phase_gain
+from nfsg import TrialPlan
 from nfsg.cli import COLUMNS, Row, emit_results, main, run_experiment
-from nfsg.config import parse_config
+from nfsg.config import db_to_linear, parse_config
+from nfsg.montecarlo import conditional_interference_samples
 from nfsg.pattern import mlap_gain, mlap_levels
 
 SMALL_SCENARIO = {
@@ -129,6 +131,26 @@ class TestExperiments:
         for mode in modes:
             for d in (0.0, 10.0):
                 assert value[(mode, d, "cp_sinr")] <= value[(mode, d, "cp")]
+
+    def test_cond_cp_sinr_from_one_draw(self):
+        # Monte Carlo cp_sinr rows count 1/(I + noise) > tau on the draw of
+        # the cp rows; 20 dB is beyond the noise budget and never met
+        noisy = {**SMALL_SCENARIO, "noise_power_w": 1e-8}
+        spec = _spec(experiment="cond-cp", scenario=noisy, modes=["montecarlo"],
+                     tau_grid_db=[0.0, 10.0, 20.0])
+        scn, f = spec.scenario, spec.anchor
+        assert 1.0 / db_to_linear(20.0) < scn.noise_term(f.r) < 1.0 / db_to_linear(10.0)
+        plan = TrialPlan(n_trials=spec.trials, root_seed=spec.seed, scenario=scn)
+        interference = conditional_interference_samples(plan, spec.kappa, f)
+        value = {(r.tau_db, r.metric): (r.value, r.std_error)
+                 for r in run_experiment(spec)}
+        for d in spec.tau_grid_db:
+            tau = db_to_linear(d)
+            for metric, noise in (("cp", 0.0), ("cp_sinr", scn.noise_term(f.r))):
+                with np.errstate(divide="ignore"):
+                    covered = (1.0 / (interference + noise) > tau).mean()
+                assert value[(d, metric)][0] == covered
+        assert value[(20.0, "cp_sinr")] == (0.0, 0.0)
 
     def test_m_sweep(self):
         spec = _spec(experiment="m-sweep", tau_grid_db=[10.0],

@@ -125,6 +125,23 @@ def test_parse_document():
                                                                 4, 500, 11)
 
 
+def test_modes_belong_to_experiment():
+    # each of these used to validate, then wrote no rows of that mode
+    for experiment, mode in (("pattern-cut", "upper"), ("polar-heatmap", "montecarlo"),
+                             ("m-sweep", "montecarlo"), ("m-sweep", "exact")):
+        with pytest.raises(ConfigError, match="modes"):
+            parse_config(json.dumps({"experiment": experiment, "modes": [mode]}))
+    with pytest.raises(ConfigError, match="unknown mode"):
+        parse_config(json.dumps({"experiment": "overall", "modes": ["bogus"]}))
+    # the default modes are mlap and montecarlo where the experiment runs them
+    defaults = {"pattern-cut": ("mlap",), "polar-heatmap": ("mlap",),
+                "m-sweep": ("mlap",)}
+    for experiment in ("pattern-cut", "polar-heatmap", "cond-cp", "m-sweep",
+                       "overall", "ase-vs-n", "ase-vs-na", "ratio-sweep"):
+        spec = parse_config(json.dumps({"experiment": experiment}))
+        assert spec.modes == defaults.get(experiment, ("mlap", "montecarlo"))
+
+
 def test_sweep_param_belongs_to_experiment():
     # each of these used to validate, then ran mislabelled or crashed
     for experiment, param in (("m-sweep", "n_active"), ("ase-vs-n", "n_levels"),
@@ -222,6 +239,16 @@ def test_readme_example_parses():
     assert blocks
     for block in blocks:
         parse_config(block)
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.DOTALL)
+    assert block
+    env = {}
+    exec(compile(block.group(1), "README.md", "exec"), env)
+    assert 0.0 <= env["cp"] <= 1.0 and 0.0 < env["lt"].real <= 1.0
+    assert env["ase"] > 0.0 and env["mc"].value > 0.0
 
 
 def test_anchor_radius_positive():

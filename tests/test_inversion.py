@@ -11,7 +11,7 @@ from helpers import (mlap_interference_on_anchor, mlap_network_interference,
                      two_level_sum_cdf)
 from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError, PolarPoint,
                   TrialPlan, conditional_cp, conditional_cp_sinr, estimate_overall_cp,
-                  laplace_exact, level_probabilities, mlap_levels, overall_cp,
+                  laplace, level_probabilities, mlap_levels, overall_cp,
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws,
                            _conditional_cp_bounds, _lattice_cp, _node_cp,
@@ -144,7 +144,7 @@ class TestConditionalCp:
             with pytest.raises(DegenerateSupportError):
                 conditional_cp(10.0, 0.0, 0.0, kappa, four, mode)
         with pytest.raises(DegenerateSupportError):
-            laplace_exact(0.1, 0.0, rc, 2, four)
+            laplace(0.1, 0.0, rc, 2, four, mode)
 
     def test_monotone_in_tau(self, scn):
         taus = [10 ** (d / 10) for d in (0, 5, 10, 15, 20, 25, 30)]
@@ -156,9 +156,9 @@ class TestConditionalCp:
         # above tau* only the all-zero-interference event survives
         from nfsg import level_probabilities
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
+        p_in, p_out = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
         ts = tau_star(levels)
-        plateau = probs.p_in[-1] ** 2 * probs.p_out[-1] ** 12
+        plateau = p_in[-1] ** 2 * p_out[-1] ** 12
         for factor in (1.5, 3.0, 10.0):
             cp = conditional_cp(ts * factor, ANCHOR.theta, ANCHOR.r, 3, scn, "mlap")
             assert abs(cp - plateau) < 1e-5
@@ -193,7 +193,7 @@ class TestConditionalCp:
         # at kappa = 1, an interior kappa and on the cell edge
         assert scn.sector.cell_radius == 150.0 and scn.n_active == 15
         g = np.asarray(mlap_levels(scn.array, scn.mlap, PolarPoint(theta, r)).gains)
-        p_in, p_out = level_probabilities(theta, r, kappa, scn).as_arrays()
+        p_in, p_out = level_probabilities(theta, r, kappa, scn)
         for db_val in (0.0, 12.0, 25.0, 40.0):
             tau = 10 ** (db_val / 10)
             below = g < 1.0 / tau

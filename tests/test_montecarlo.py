@@ -7,7 +7,7 @@ import pytest
 from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan,
                   conditional_cp_sinr, estimate_ase, estimate_conditional_cp,
                   estimate_network, estimate_overall_cp, realize_sinr, realize_sir,
-                  sample_user_arrays)
+                  sample_user_arrays, sinr_equivalent_threshold)
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
@@ -92,12 +92,18 @@ class TestEstimators:
             assert est.value == 1.0 and est.std_error == 0.0
 
     def test_single_user_pays_noise(self, scn):
-        # the noise term alone exceeds the 30 dB budget at 100 m
+        # SINR coverage is the SIR coverage at the equivalent threshold. The
+        # noise term alone exceeds the 30 dB budget at 100 m, which leaves
+        # no threshold to meet; at -10 dB a lone user is covered for sure
         one = scn.with_(n_active=1, noise_power=1e-6)
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=one)
-        est = estimate_conditional_cp(plan, 1, PolarPoint(0.0, 100.0), [1e3],
-                                      use_sinr=True)[0]
-        assert est.value == conditional_cp_sinr(1e3, 0.0, 100.0, 1, one, "mlap") == 0.0
+        assert sinr_equivalent_threshold(1e3, 100.0, one) is None
+        tau_eq = sinr_equivalent_threshold(0.1, 100.0, one)
+        est = estimate_conditional_cp(plan, 1, PolarPoint(0.0, 100.0),
+                                      [tau_eq, math.inf])
+        assert [(e.value, e.std_error) for e in est] == [(1.0, 0.0), (0.0, 0.0)]
+        assert conditional_cp_sinr(1e3, 0.0, 100.0, 1, one, "mlap") == 0.0
+        assert conditional_cp_sinr(0.1, 0.0, 100.0, 1, one, "mlap") == 1.0
 
     def test_single_user_anchor_checked(self, scn):
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn.with_(n_active=1))
@@ -138,8 +144,8 @@ class TestEstimators:
         # threshold for the reference user).
         from nfsg import level_probabilities, mlap_levels, tau_star
         levels = mlap_levels(scn.array, scn.mlap, ANCHOR)
-        probs = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
-        plateau = probs.p_in[-1] ** 2 * probs.p_out[-1] ** 12
+        p_in, p_out = level_probabilities(ANCHOR.theta, ANCHOR.r, 3, scn)
+        plateau = p_in[-1] ** 2 * p_out[-1] ** 12
         plan = TrialPlan(n_trials=30_000, root_seed=12, scenario=scn)
         est = estimate_conditional_cp(plan, 3, ANCHOR, [tau_star(levels) * 2.0])[0]
         assert est.value <= plateau + 3.0 * est.std_error
