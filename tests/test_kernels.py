@@ -15,12 +15,14 @@ def _pairs(rng, size):
             rng.uniform(-1.2, 1.2, size), rng.uniform(0.3, 300.0, size))
 
 
-@pytest.mark.parametrize("n_ant", [13, 100, 256, 257, 1024])
+# 3 antennas, the fewest ArrayConfig accepts, fill less than one block of the
+# response recurrence.
+@pytest.mark.parametrize("n_ant", [3, 13, 100, 256, 257, 1024])
 def test_gain_pairs_matches_direct_sum(n_ant, rng):
     cfg = ArrayConfig(n_ant, FREQ)
     ta, ra, tb, rb = _pairs(rng, 512)
     got = kernels.gain_pairs(ta, ra, tb, rb, n_ant, cfg.wavelength)
-    assert np.max(np.abs(got - fresnel_phase_gain(cfg, ta, ra, tb, rb))) < 1e-10
+    assert np.max(np.abs(got - fresnel_phase_gain(cfg, ta, ra, tb, rb))) < 1e-12
 
 
 def test_gain_pairs_broadcasting(rng):
@@ -34,19 +36,22 @@ def test_gain_pairs_broadcasting(rng):
     assert kernels.gain_pairs(0.1, 20.0, 0.2, 30.0, 64, cfg.wavelength).shape == ()
 
 
-def test_gain_pairs_bitwise_independent_of_batch(rng):
+# 13 antennas make one block of the response recurrence, so a lone pair's
+# per-offset ratio is a one-element array.
+@pytest.mark.parametrize("n_ant", [13, 256])
+def test_gain_pairs_bitwise_independent_of_batch(n_ant, rng):
     # A pair's gain must not depend on the batch around it, or reruns and
     # thread counts that split the work differently would change results.
-    wavelength = ArrayConfig(256, FREQ).wavelength
+    wavelength = ArrayConfig(n_ant, FREQ).wavelength
     size = 2 * kernels._CHUNK + 123
     ta, ra, tb, rb = _pairs(rng, size)
-    batch = kernels.gain_pairs(ta, ra, tb, rb, 256, wavelength)
-    shifted = kernels.gain_pairs(ta[7:], ra[7:], tb[7:], rb[7:], 256, wavelength)
+    batch = kernels.gain_pairs(ta, ra, tb, rb, n_ant, wavelength)
+    shifted = kernels.gain_pairs(ta[7:], ra[7:], tb[7:], rb[7:], n_ant, wavelength)
     assert np.array_equal(batch[7:], shifted)
     picks = [0, 1, kernels._CHUNK - 1, kernels._CHUNK, kernels._CHUNK + 5,
              2 * kernels._CHUNK, size - 1]
     for i in picks:
-        alone = kernels.gain_pairs(ta[i], ra[i], tb[i], rb[i], 256, wavelength)
+        alone = kernels.gain_pairs(ta[i], ra[i], tb[i], rb[i], n_ant, wavelength)
         assert alone == batch[i], i
 
 
