@@ -11,8 +11,12 @@ at each value. The command-line flags only override document keys.
 Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
 std_error). All thresholds cross the CLI boundary in dB and are converted to
-linear here, with `config.db_to_linear`. NFSG_THREADS sets the sweep worker
-count; a value that is not a positive integer is a config error.
+linear here, with `config.db_to_linear`. NFSG_THREADS sets the worker count
+of two thread pools: the sweep pool, which runs the points of an ASE sweep,
+and the Monte Carlo block pool (`montecarlo._map_blocks`), which runs the
+trial blocks of each Monte Carlo estimate. A sweep of Monte Carlo points
+nests the two, up to NFSG_THREADS² threads. The output does not depend on
+the count; a value that is not a positive integer is a config error.
 """
 
 from __future__ import annotations

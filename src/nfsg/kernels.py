@@ -27,12 +27,14 @@ beta = (pi lambda/4) cos^2(theta) / r, and
 
     G_ab = |b_a^H b_b|^2 / N^2.
 
-Each response is built once, and one real matrix product per trial gives
-all its pairs. Against the direct sum (1000 random sets of 15 users,
-|theta| <= 1.5 rad, 0.3-300 m) the largest error of an interference sum is
-7.2e-14 for N <= 257, 1.5e-13 at N = 512 and 2.0e-13 at N = 1024. The
-product runs in BLAS, whose last bits can differ between CPUs; on one CPU a
-trial's sums are bitwise the same alone or in any batch.
+Each response is built once. Every row of ceil(N/16) offsets that the
+recurrence yields is added into the trial's Gram matrix as it arrives, as a
+real matrix product, so no trial's whole response is held. Against the
+direct sum (1000 random sets of 15 users, |theta| <= 1.5 rad, 0.3-300 m)
+the largest error of an interference sum is 7.2e-14 for N <= 257, 1.5e-13
+at N = 512 and 2.0e-13 at N = 1024. The products run in BLAS, whose last
+bits can differ between CPUs; on one CPU a trial's sums are bitwise the
+same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ import numpy as np
 _CHUNK = 1 << 10
 # offsets per block of the response recurrence: about N/_BLOCK + _BLOCK steps
 _BLOCK = 16
-# trials per Gram batch: at N = 256 and K = 15 a batch's responses and their
-# transposed copy take about 1 MB each
-_TRIALS = 16
+# trials per Gram batch: enough that each numpy call of the recurrence does
+# real work, so the Monte Carlo block pool is not serialized by the
+# interpreter lock. At N = 256 and K = 15 a row of the batch takes 245 KB.
+_TRIALS = 64
 
 
 def _responses(alpha, beta, n_antennas: int):
@@ -132,14 +135,25 @@ def gain_pairs(theta_a, r_a, theta_b, r_b, n_antennas, wavelength):
     return out.reshape(shape)
 
 
+def _gram_row(row):
+    """The part of each trial's real Gram matrix that one row of responses
+    gives: with columns (cos, sin) of each user, one real product holds all
+    four blocks of b^H b. The transposed copy is a second buffer, so numpy
+    calls gemm: on one buffer it calls syrk, about 1.5 times as slow here.
+    """
+    cs = row.view(float)
+    return np.ascontiguousarray(cs.transpose(0, 2, 1)) @ cs
+
+
 def interference_sums(theta, r, n_antennas, wavelength):
     """Per-user interference sums for batched user sets.
 
     theta, r: (trials, K) arrays. Returns (trials, K) where entry [t, k] is
     the sum of pattern cross-gains from the other K-1 users of trial t: row
     k of the trial's Gram matrix |b^H b|^2 / N^2 over the responses of
-    `_responses`, without its diagonal. Every step treats each trial on its
-    own, so the sums do not depend on how the trials are split.
+    `_responses`, without its diagonal. The Gram matrix is summed over the
+    recurrence's rows in order. Every step treats each trial on its own, so
+    the sums do not depend on how the trials are split.
     """
     theta = np.asarray(theta, float)
     r = np.asarray(r, float)
@@ -153,14 +167,10 @@ def interference_sums(theta, r, n_antennas, wavelength):
     for lo in range(0, trials, _TRIALS):
         s = np.sin(theta[lo:lo + _TRIALS])
         beta = scale * (1.0 - s * s) / r[lo:lo + _TRIALS]
-        b = np.empty((len(s), _BLOCK, -(-n // _BLOCK), k), complex)
-        for q, row in enumerate(_responses(-np.pi * s, beta, n)):
-            b[:, q] = row
-        # columns (cos, sin) of each user; one real product gives all four
-        # blocks of b^H b. The transposed copy is a second buffer, so numpy
-        # calls gemm: on one buffer it calls syrk, about twice as slow here.
-        cs = b.reshape(len(s), -1, k).view(float)
-        prod = np.ascontiguousarray(cs.transpose(0, 2, 1)) @ cs
+        rows = _responses(-np.pi * s, beta, n)
+        prod = _gram_row(next(rows))
+        for row in rows:
+            prod += _gram_row(row)
         re = prod[:, 0::2, 0::2] + prod[:, 1::2, 1::2]
         im = prod[:, 0::2, 1::2] - prod[:, 1::2, 0::2]
         gains = re * re + im * im

@@ -76,22 +76,26 @@ def test_interference_sums_matches_pair_loop(n_ant, k, trials, rng):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_interference_sums_bitwise_independent_of_split(rng):
+# 256 and 257 antennas walk many blocks of the response recurrence, and 257
+# fills its last block only partly.
+@pytest.mark.parametrize("n_ant", [16, 256, 257])
+def test_interference_sums_bitwise_independent_of_split(n_ant, rng):
     # The simulation splits trials into blocks and threads; wherever a block
     # boundary falls, and for a trial computed on its own, every sum must
-    # come out in the same bits.
-    wavelength = ArrayConfig(16, FREQ).wavelength
+    # come out in the same bits. Neither the trial count nor the split is a
+    # multiple of the kernel's batch.
+    wavelength = ArrayConfig(n_ant, FREQ).wavelength
     theta = rng.uniform(-1, 1, (3 * kernels._TRIALS + 7, 9))
     r = rng.uniform(1, 150, theta.shape)
     split = kernels._TRIALS + 5
-    whole = kernels.interference_sums(theta, r, 16, wavelength)
-    parts = [kernels.interference_sums(theta[s], r[s], 16, wavelength)
+    whole = kernels.interference_sums(theta, r, n_ant, wavelength)
+    parts = [kernels.interference_sums(theta[s], r[s], n_ant, wavelength)
              for s in (slice(None, split), slice(split, None))]
     assert np.array_equal(np.concatenate(parts), whole)
     for t in (0, split - 1, split, theta.shape[0] - 1):
-        alone = kernels.interference_sums(theta[t:t + 1], r[t:t + 1], 16, wavelength)
+        alone = kernels.interference_sums(theta[t:t + 1], r[t:t + 1], n_ant, wavelength)
         assert np.array_equal(alone[0], whole[t]), t
-    lone = kernels.interference_sums(theta[:, :1], r[:, :1], 16, wavelength)
+    lone = kernels.interference_sums(theta[:, :1], r[:, :1], n_ant, wavelength)
     assert np.array_equal(lone, np.zeros((theta.shape[0], 1)))
 
 

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -51,20 +50,20 @@ class TestDeterminism:
         b = estimate_overall_cp(plan, [10.0, 100.0], 3)
         assert a == b
 
-    def test_worker_count_invariance(self, scn):
-        plan = TrialPlan(n_trials=20_000, root_seed=42, scenario=scn)
-        old = os.environ.get("NFSG_THREADS")
-        try:
-            os.environ["NFSG_THREADS"] = "1"
-            serial = estimate_ase(plan, [100.0])
-            os.environ["NFSG_THREADS"] = "4"
-            threaded = estimate_ase(plan, [100.0])
-        finally:
-            if old is None:
-                os.environ.pop("NFSG_THREADS", None)
-            else:
-                os.environ["NFSG_THREADS"] = old
-        assert serial == threaded
+    def test_worker_count_invariance(self, scn, monkeypatch):
+        # the second plan's 1000-trial blocks are not a multiple of the
+        # kernel's batch, and its last block is partly filled
+        plans = [(TrialPlan(n_trials=20_000, root_seed=42, scenario=scn), "4"),
+                 (TrialPlan(n_trials=2500, root_seed=7, scenario=scn,
+                            block_size=1000), "2")]
+        taus = [1.0, 10.0, 100.0]
+        for plan, threads in plans:
+            monkeypatch.setenv("NFSG_THREADS", "1")
+            serial_cp, serial_ase = estimate_network(plan, taus)
+            monkeypatch.setenv("NFSG_THREADS", threads)
+            cp, ase = estimate_network(plan, taus)
+            assert cp == serial_cp
+            assert ase == serial_ase
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_rejected(self, scn, monkeypatch, value):
