@@ -365,11 +365,11 @@ def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
     th, w_th = _angular_nodes(scenario, theta_k, _GRID_T_RESOLVE)
     r, w_r, trunc = _radial_nodes(scenario, side, theta_k, r_k, _GRID_T_RESOLVE)
     gains = kernels.gain_pairs(
-        np.repeat(th, r.size), np.tile(r, th.size), theta_k, r_k,
+        th[:, None], r[None, :], theta_k, r_k,
         scenario.array.n_antennas, scenario.array.wavelength,
     )
     weights = (w_th[:, None] * w_r[None, :]).ravel()
-    g, w = _cluster(gains, weights)
+    g, w = _cluster(gains.ravel(), weights)
     if trunc > 0:
         g = np.concatenate([[0.0], g])
         w = np.concatenate([[trunc], w])

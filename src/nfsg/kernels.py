@@ -10,6 +10,18 @@ half-integers for even N. One recurrence, `_responses`, builds the b_n of
 many phase coefficients (alpha, beta) at once in about N/16 + 16 numpy steps
 instead of N. Both kernels take their gains from it.
 
+The kernel that calls `_responses` owns its work arrays: one flat buffer
+(`_work`), allocated once per kernel call and handed to every batch. The
+recurrence rotates three arrays of it through the rows and ratios, so a
+yielded row stays valid until the row after the next is yielded. The
+per-offset turn is written out to the full row shape, contiguous, so that
+every product of the recurrence runs the same numpy loop whatever the batch:
+with a broadcast (stride-0) turn, a lone pair's loop over its blocks could
+take numpy's scalar-operand loop instead. Rows taken afresh for every
+product (256 KB at N = 256) made glibc trim its heap and fault the pages
+back in: 52k-68k minor page faults for a 512 x 512 side grid, against under
+1k with the buffer reused.
+
 `gain_pairs` gives the gain at (theta_a, r_a) of a beam focused on
 (theta_b, r_b), with
 
@@ -52,7 +64,13 @@ _BLOCK = 16
 _TRIALS = 64
 
 
-def _responses(alpha, beta, n_antennas: int):
+def _work(size: int, n_antennas: int):
+    """Work arrays for `_responses` over `size` phase coefficients: one flat
+    buffer for three rotating arrays and the turn."""
+    return np.empty(4 * size * -(-n_antennas // _BLOCK), complex)
+
+
+def _responses(alpha, beta, n_antennas: int, work):
     """Fresnel responses b(n) = exp(j(alpha n + beta n^2)) over the element
     offsets n, for the phase coefficients (alpha, beta)[t, k], yielded one
     row at a time.
@@ -65,13 +83,21 @@ def _responses(alpha, beta, n_antennas: int):
     s_m + q in column m, and zero past the last offset. A caller that sums
     the rows reads each one while it is still in cache.
 
-    No product is taken in place: numpy takes an in-place product of
-    one-element arrays as a reduction, whose last bits differ from the vector
-    loop's, and a lone value would then differ from the same value in a
-    batch.
+    The rows live in `work`, the caller's buffer from `_work` for at least
+    t k coefficients. Three arrays of it rotate: each product is written
+    into the array that the product before it freed, which is still in
+    cache. A yielded row stays valid until the row after the next is
+    yielded, so a caller may hold two rows at once. The turn is written out
+    to the full row shape, contiguous, and no product is taken in place, so
+    that a lone value cannot differ from the same value in a batch: numpy may
+    multiply by a broadcast (stride-0) operand in its scalar-operand loop, and
+    it takes an in-place product of one-element arrays as a reduction, whose
+    last bits differ from the vector loop's.
     """
     trials, k = alpha.shape
     n_blocks = -(-n_antennas // _BLOCK)
+    shape = (trials, n_blocks, k)
+    row, ratio, free, turn = work[:4 * np.prod(shape)].reshape(4, *shape)
     s0 = -(n_antennas - 1) / 2.0
     # every starting value is exp(j(u alpha + v beta)) for one row (u, v)
     u, v = np.array([
@@ -82,23 +108,21 @@ def _responses(alpha, beta, n_antennas: int):
         (0.0, 2.0 * _BLOCK),                        # a ratio's turn per block
         (0.0, 2.0),                                 # a ratio's turn per offset
     ]).T
-    first, ratio0, hop, hop_turn, block_turn, turn = np.exp(
+    first, ratio0, hop, hop_turn, block_turn, step = np.exp(
         1j * (u[:, None, None] * alpha + v[:, None, None] * beta))
-    row = np.empty((trials, n_blocks, k), complex)
-    ratio = np.empty((trials, n_blocks, k), complex)
     row[:, 0] = first
     ratio[:, 0] = ratio0
     for m in range(n_blocks - 1):
         np.multiply(row[:, m], hop, out=row[:, m + 1])
         hop = hop * hop_turn
         np.multiply(ratio[:, m], block_turn, out=ratio[:, m + 1])
-    turn = np.repeat(turn[:, None], n_blocks, axis=1)
+    turn[:] = step[:, None]
     last = n_antennas - _BLOCK * (n_blocks - 1)  # offsets in the last block
     yield row
     for q in range(1, _BLOCK):
         if q > 1:
-            ratio = ratio * turn
-        row = row * ratio
+            ratio, free = np.multiply(ratio, turn, out=free), ratio
+        row, free = np.multiply(row, ratio, out=free), row
         if q >= last:
             row[:, -1] = 0.0
         yield row
@@ -108,31 +132,35 @@ def gain_pairs(theta_a, r_a, theta_b, r_b, n_antennas, wavelength):
     """Elementwise pattern gain at (theta_a, r_a) of a beam focused on
     (theta_b, r_b); the four arrays broadcast together.
 
-    Each pass adds up the rows of `_responses` in order, then the blocks.
-    np.sum is not used: its pairwise order depends on the batch.
+    Each pass reads its chunk of pairs straight from the broadcast inputs,
+    adds up the rows of `_responses` in order, then the blocks. The work
+    arrays and the block sums are allocated once per call. np.sum is not
+    used: its pairwise order depends on the batch.
     """
     ta, ra, tb, rb = np.broadcast_arrays(
         np.asarray(theta_a, float), np.asarray(r_a, float),
         np.asarray(theta_b, float), np.asarray(r_b, float),
     )
-    shape = ta.shape
-    ta, ra, tb, rb = (x.ravel() for x in (ta, ra, tb, rb))
     n = int(n_antennas)
     scale = 0.25 * np.pi * float(wavelength)
-    out = np.empty(ta.size)
-    for lo in range(0, ta.size, _CHUNK):
-        hi = min(lo + _CHUNK, ta.size)
-        sa, sb = np.sin(ta[lo:hi]), np.sin(tb[lo:hi])
-        c = scale * ((1.0 - sb * sb) / rb[lo:hi] - (1.0 - sa * sa) / ra[lo:hi])
-        rows = _responses(np.pi * (sa - sb)[None], c[None], n)
-        blocks = next(rows) + next(rows)
+    out = np.empty(ta.shape)
+    flat = out.reshape(-1)
+    work = _work(min(_CHUNK, out.size), n)
+    acc = np.empty(work.size // 4, complex)  # block sums: one of work's 4 arrays
+    for lo in range(0, out.size, _CHUNK):
+        hi = min(lo + _CHUNK, out.size)
+        sa, sb = np.sin(ta.flat[lo:hi]), np.sin(tb.flat[lo:hi])
+        c = scale * ((1.0 - sb * sb) / rb.flat[lo:hi] - (1.0 - sa * sa) / ra.flat[lo:hi])
+        rows = _responses(np.pi * (sa - sb)[None], c[None], n, work)
+        row = next(rows)
+        blocks = np.add(row, next(rows), out=acc[:row.size].reshape(row.shape))
         for row in rows:
             blocks += row
         s = blocks[0, 0]
         for m in range(1, blocks.shape[1]):
             s += blocks[0, m]
-        out[lo:hi] = (s.real * s.real + s.imag * s.imag) / float(n) ** 2
-    return out.reshape(shape)
+        flat[lo:hi] = (s.real * s.real + s.imag * s.imag) / float(n) ** 2
+    return out
 
 
 def _gram_row(row):
@@ -164,10 +192,11 @@ def interference_sums(theta, r, n_antennas, wavelength):
         return out
     scale = 0.25 * np.pi * float(wavelength)
     diag = np.arange(k)
+    work = _work(min(_TRIALS, trials) * k, n)
     for lo in range(0, trials, _TRIALS):
         s = np.sin(theta[lo:lo + _TRIALS])
         beta = scale * (1.0 - s * s) / r[lo:lo + _TRIALS]
-        rows = _responses(-np.pi * s, beta, n)
+        rows = _responses(-np.pi * s, beta, n, work)
         prod = _gram_row(next(rows))
         for row in rows:
             prod += _gram_row(row)

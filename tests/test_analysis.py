@@ -219,9 +219,9 @@ class TestCluster:
     def test_matches_loop_on_side_grid(self, scn):
         th, w_th = _angular_nodes(scn, 0.1, _GRID_T_RESOLVE)
         r, w_r, _ = _radial_nodes(scn, "outer", 0.1, 60.0, _GRID_T_RESOLVE)
-        g = kernels.gain_pairs(np.repeat(th, r.size), np.tile(r, th.size), 0.1, 60.0,
+        g = kernels.gain_pairs(th[:, None], r[None, :], 0.1, 60.0,
                                scn.array.n_antennas, scn.array.wavelength)
-        self._check(g, (w_th[:, None] * w_r[None, :]).ravel())
+        self._check(g.ravel(), (w_th[:, None] * w_r[None, :]).ravel())
 
 
 def test_oracle_matches_library_pattern(scn, rng):
