@@ -12,11 +12,10 @@ Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
 std_error). All thresholds cross the CLI boundary in dB and are converted to
 linear here, with `config.db_to_linear`. NFSG_THREADS sets the worker count
-of two thread pools: the sweep pool, which runs the points of an ASE sweep,
-and the Monte Carlo block pool (`montecarlo._map_blocks`), which runs the
-trial blocks of each Monte Carlo estimate. A sweep of Monte Carlo points
-nests the two, up to NFSG_THREADS² threads. The output does not depend on
-the count; a value that is not a positive integer is a config error.
+of the Monte Carlo block pool (`montecarlo._map_blocks`), which runs the
+trial blocks of each Monte Carlo estimate; the points of an ASE sweep run
+one after another. The output does not depend on the count; a value that is
+not a positive integer is a config error.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -199,19 +197,10 @@ def _rows_overall(spec: ExperimentSpec) -> list[Row]:
 
 def _rows_ase_sweep(spec: ExperimentSpec) -> list[Row]:
     sweep = spec.sweep
-
-    def point(value, scn_v):
-        return [replace(row, sweep_param=sweep.param, sweep_value=value)
-                for mode in spec.modes for row in _network_rows(spec, scn_v, mode)
-                if row.metric == "ase"]
-
-    workers = montecarlo._workers()
-    if workers > 1 and len(sweep.values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(point, sweep.values, sweep.scenarios))
-    else:
-        chunks = [point(v, s) for v, s in zip(sweep.values, sweep.scenarios)]
-    return [row for chunk in chunks for row in chunk]
+    return [replace(row, sweep_param=sweep.param, sweep_value=value)
+            for value, scn_v in zip(sweep.values, sweep.scenarios)
+            for mode in spec.modes for row in _network_rows(spec, scn_v, mode)
+            if row.metric == "ase"]
 
 
 _EXPERIMENTS = {

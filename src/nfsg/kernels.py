@@ -19,8 +19,8 @@ every product of the recurrence runs the same numpy loop whatever the batch:
 with a broadcast (stride-0) turn, a lone pair's loop over its blocks could
 take numpy's scalar-operand loop instead. Rows taken afresh for every
 product (256 KB at N = 256) made glibc trim its heap and fault the pages
-back in: 52k-68k minor page faults for a 512 x 512 side grid, against under
-1k with the buffer reused.
+back in: 52k-68k minor page faults for a 512 x 512 grid of pairs at
+N = 256, against under 1k with the buffer reused.
 
 `gain_pairs` gives the gain at (theta_a, r_a) of a beam focused on
 (theta_b, r_b), with
@@ -28,7 +28,10 @@ back in: 52k-68k minor page faults for a 512 x 512 side grid, against under
     alpha = pi (sin(theta_a) - sin(theta_b)),
     beta  = (pi lambda/4) ((1-sin^2(theta_b))/r_b - (1-sin^2(theta_a))/r_a),
 
-and sums each pair's responses. Against the direct sum (20k random pairs per
+and sums each pair's responses. It serves the conditional Monte Carlo
+sampler and `pattern.exact_gain`. The exact analytic route builds its side
+laws by FFT instead (`analysis._side_grid`), so that route and its Monte
+Carlo oracle share no kernel. Against the direct sum (20k random pairs per
 N, |theta| <= 1.5 rad, 0.3-300 m) the largest error is 1.3e-14 for
 N <= 257, 2.2e-14 at N = 512 and 8.5e-14 at N = 1024. Each pair is computed
 elementwise, so its gain is bitwise the same alone or in any batch.

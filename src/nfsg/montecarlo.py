@@ -9,8 +9,8 @@ Reproducibility: trials are grouped into fixed-size blocks; block b of a plan
 draws from a counter-based Philox stream keyed (root_seed, b), and block
 partials are reduced in block order, so estimates are bit-identical for any
 worker count. NFSG_THREADS > 1 runs blocks on a thread pool of that many
-workers. The CLI's sweep pool takes the same count and starts one block pool
-per Monte Carlo point, so a sweep runs up to NFSG_THREADS² threads.
+workers; it is the only pool, so a run never holds more than NFSG_THREADS
+worker threads.
 """
 
 from __future__ import annotations

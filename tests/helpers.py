@@ -121,25 +121,3 @@ def two_level_sum_cdf(values, probs, counts):
     ps = np.array([atoms[x] for x in xs])
     return xs, np.cumsum(ps)
 
-
-def cluster_reference(g, w, rel, abs_tol):
-    """The gain-histogram clustering as one loop step per cluster: sort by
-    gain, then merge each gain with every later one below
-    max(g * (1 + rel), g + abs_tol), keeping the cluster's mass and mean.
-    Returns (starts in sorted order, means, masses)."""
-    order = np.argsort(g)
-    g = g[order]
-    w = w[order]
-    limits = np.searchsorted(g, np.maximum(g * (1.0 + rel), g + abs_tol),
-                             side="right")
-    starts, means, masses = [], [], []
-    i = 0
-    while i < g.size:
-        j = max(int(limits[i]), i + 1)
-        ww = w[i:j]
-        tot = float(ww.sum())
-        starts.append(i)
-        masses.append(tot)
-        means.append(float(g[i:j] @ ww) / tot if tot > 0 else float(g[i]))
-        i = j
-    return np.asarray(starts), np.asarray(means), np.asarray(masses)

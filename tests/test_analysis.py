@@ -6,15 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from helpers import cluster_reference, mlap_cross_gains, mlap_interference_on_anchor
+from helpers import mlap_cross_gains, mlap_interference_on_anchor
 from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError,
-                  MlapConfig, NumericFailureError, PolarPoint, TrialPlan, kernels,
-                  laplace, level_probabilities, mlap_levels, tau_star)
-from nfsg.analysis import (_CLUSTER_ABS, _CLUSTER_REL, _GRID_T_RESOLVE, _angular_nodes,
-                           _cluster, _radial_nodes)
+                  MlapConfig, NumericFailureError, PolarPoint, TrialPlan, analysis,
+                  conditional_cp, laplace, level_probabilities, mlap_levels, tau_star)
+from nfsg.analysis import _GRID_T_RESOLVE
 from nfsg.geometry import sample_conditional_arrays
 from nfsg.montecarlo import conditional_interference_samples
 from nfsg.pattern import mlap_level_index
@@ -193,35 +189,39 @@ class TestLaplaceExact:
             assert abs(val) <= 1.0 + 1e-9
 
 
-class TestCluster:
-    """The greedy chain and reduceat against the per-cluster loop."""
+@pytest.mark.parametrize("n_sectors", [2, 3])
+@pytest.mark.parametrize("n_antennas", [13, 16])
+def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
+    # at n_sectors = 2 the end columns reach v = 1/2, where 1 - 4 v^2 is 0
+    # and every distance maps to one beta. The CP midpoint of the default
+    # 1023-cell lattice moves by up to 1.4e-4 inside its 8e-3 bracket when
+    # the atoms move; 8191 cells keep that rounding out of the comparison.
+    monkeypatch.setattr(analysis, "_LATTICE_CELLS", 8191)
+    monkeypatch.setattr(analysis, "_NFFT", 2 * 8192)
+    small = scn.with_(array=replace(scn.array, n_antennas=n_antennas),
+                      sector=replace(scn.sector, n_sectors=n_sectors),
+                      mlap=replace(scn.mlap, n_levels=6))
+    focals = [(0.3, 20.0), (-0.9, 130.0)]
+    taus = [10.0 ** (d / 10.0) for d in (0.0, 10.0, 20.0)]
 
-    @staticmethod
-    def _check(g, w):
-        starts, means, masses = cluster_reference(g, w, _CLUSTER_REL, _CLUSTER_ABS)
-        mean, mass = _cluster(g, w)
-        assert mass.size == starts.size
-        np.testing.assert_allclose(mass, masses, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(mean, means, rtol=1e-12, atol=0)
-        # with unit weights every mass is its cluster's size, exactly
-        _, size = _cluster(g, np.ones_like(g))
-        assert np.array_equal(size, np.diff(np.append(starts, g.size)))
+    def cps():
+        analysis._side_grid.cache_clear()
+        for theta, r in focals:
+            for side in ("inner", "outer"):
+                grid = analysis._side_grid(small, side, theta, r)
+                assert abs(grid.w.sum() - 1.0) < 1e-12
+                assert np.all(np.isfinite(grid.g)) and np.all(grid.w > 0)
+        return np.array([[conditional_cp(t, theta, r, 3, small, "exact") for t in taus]
+                         for theta, r in focals])
 
-    @settings(max_examples=60, deadline=None)
-    @given(pairs=st.lists(st.tuples(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-8, 0.5]),
-                                    st.floats(0.0, 1.0) | st.just(0.0)),
-                          min_size=1, max_size=300))
-    def test_matches_loop(self, pairs):
-        # ties, gains within _CLUSTER_ABS of 0 and massless clusters included
-        g, w = (np.array(c) for c in zip(*pairs))
-        self._check(g, w)
-
-    def test_matches_loop_on_side_grid(self, scn):
-        th, w_th = _angular_nodes(scn, 0.1, _GRID_T_RESOLVE)
-        r, w_r, _ = _radial_nodes(scn, "outer", 0.1, 60.0, _GRID_T_RESOLVE)
-        g = kernels.gain_pairs(th[:, None], r[None, :], 0.1, 60.0,
-                               scn.array.n_antennas, scn.array.wavelength)
-        self._check(g.ravel(), (w_th[:, None] * w_r[None, :]).ravel())
+    try:
+        coarse = cps()
+        monkeypatch.setattr(analysis, "_FFT_PAD", 2 * analysis._FFT_PAD)
+        monkeypatch.setattr(analysis, "_GRID_T_RESOLVE", 2.0 * analysis._GRID_T_RESOLVE)
+        fine = cps()
+    finally:
+        analysis._side_grid.cache_clear()
+    assert np.max(np.abs(fine - coarse)) < 1e-4
 
 
 def test_oracle_matches_library_pattern(scn, rng):

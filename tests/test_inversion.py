@@ -143,6 +143,10 @@ class TestConditionalCp:
         for kappa in (2, 3, 4):
             with pytest.raises(DegenerateSupportError):
                 conditional_cp(10.0, 0.0, 0.0, kappa, four, mode)
+        # the first user at r_k = 0 has only outer interferers, but a beam
+        # focused on the array has no beam depth
+        with pytest.raises(DomainError):
+            conditional_cp(10.0, 0.0, 0.0, 1, four, mode)
         with pytest.raises(DegenerateSupportError):
             laplace(0.1, 0.0, rc, 2, four, mode)
 
