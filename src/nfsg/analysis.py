@@ -26,9 +26,8 @@ returns 1 where every interferer clears 1/tau, the all-interferers-at-zero
 probability where no gain falls in (0, 1/tau] (the frozen region), the
 closed-form product for the upper bound, and the lattice bounds below for
 the rest. The location average runs that evaluator on the quadrature nodes
-once per threshold for every user order: the quantized laws at those nodes
-are built once per scenario, and the exact route builds each node's side
-grids once per call.
+once per threshold for every user order, in every mode on the node laws of
+_anchor_laws: the quantized laws or the side grids, built once per scenario.
 
 Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
@@ -88,17 +87,17 @@ def _check_orders(kappas, n_active: int, mode: str):
         raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
 
 
-def _pinned_sides(theta_k: float, r_k: float, kappas, scenario: ScenarioConfig,
+def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig,
                   mode: str) -> tuple[bool, bool]:
-    """Check a user fixed at (theta_k, r_k) with any order in kappas: orders,
-    mode, sector, supports. Returns whether the inner and the outer side hold
-    an interferer at some order; r_k = 0 leaves the inner support empty and
-    r_k = cell_radius the outer one."""
-    _check_orders(kappas, scenario.n_active, mode)
+    """Check user kappa fixed at (theta_k, r_k): order, mode, sector,
+    supports. Returns whether the inner and the outer side hold an
+    interferer; r_k = 0 leaves the inner support empty and r_k = cell_radius
+    the outer one."""
+    _check_orders([kappa], scenario.n_active, mode)
     sec = scenario.sector
     if abs(theta_k) > sec.half_width or not 0 <= r_k <= sec.cell_radius:
         raise DomainError("focal point outside the sector")
-    inner, outer = max(kappas) > 1, min(kappas) < scenario.n_active
+    inner, outer = kappa > 1, kappa < scenario.n_active
     if inner and r_k == 0.0:
         raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
     if outer and r_k == sec.cell_radius:
@@ -145,25 +144,41 @@ def _level_laws(scenario: ScenarioConfig, focals) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def _anchor_laws(scenario: ScenarioConfig) -> tuple[np.ndarray, ...]:
-    """Quantized laws at the location-average nodes, angle-major. They do not
-    depend on the threshold, so one build serves every call on a scenario."""
+def _anchor_laws(scenario: ScenarioConfig, exact: bool):
+    """(inner, outer) gain laws (g, p) of one interferer at the location-average
+    nodes, angle-major, each shaped (nodes, m): each node's side grids if
+    exact, its quantized laws otherwise. They do not depend on the
+    threshold, so one build serves every call on a scenario. The side grids
+    differ in length; each row is padded to the widest of its side with
+    zero-mass atoms at gain 0, which change no bound."""
     th, _, r, _ = _anchor_nodes(scenario)
-    laws = _level_laws(scenario, [PolarPoint(float(t), float(d)) for t in th for d in r])
-    for a in laws:
-        a.flags.writeable = False
-    return laws
+    nodes = [(float(t), float(d)) for t in th for d in r]
+    if exact:
+        laws = []
+        for side in ("inner", "outer"):
+            grids = [_side_grid(scenario, side, *node) for node in nodes]
+            g = np.zeros((len(grids), max(grid.g.size for grid in grids)))
+            p = np.zeros_like(g)
+            for row, grid in enumerate(grids):
+                g[row, :grid.g.size], p[row, :grid.g.size] = grid.g, grid.w
+            laws.append((g, p))
+    else:
+        g, p_in, p_out = _level_laws(scenario, [PolarPoint(*node) for node in nodes])
+        laws = [(g, p_in), (g, p_out)]
+    for law in laws:
+        for a in law:
+            a.flags.writeable = False
+    return tuple(laws)
 
 
-def _pinned_laws(theta_k: float, r_k: float, kappas, scenario: ScenarioConfig,
+def _pinned_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig,
                  mode: str):
     """(inner, outer) gain laws (g, p) of one interferer, each shaped (1, m),
-    for the user fixed at (theta_k, r_k) with any order in kappas: side grids
-    for 'exact', quantized laws otherwise. An exact side with no interferer
-    at any order gets the all-zero law and no grid. On the cell edge the
-    quantized outer law is 0/0; that side then holds no interferer, so its
-    mass is parked on the zero level."""
-    inner, outer = _pinned_sides(theta_k, r_k, kappas, scenario, mode)
+    for user kappa fixed at (theta_k, r_k): side grids for 'exact', quantized
+    laws otherwise. An exact side with no interferer gets the all-zero law
+    and no grid. On the cell edge the quantized outer law is 0/0; that side
+    then holds no interferer, so its mass is parked on the zero level."""
+    inner, outer = _pinned_sides(theta_k, r_k, kappa, scenario, mode)
     if mode == "exact":
         sides = [_side_grid(scenario, side, theta_k, r_k) if used else _EMPTY_SIDE
                  for side, used in (("inner", inner), ("outer", outer))]
@@ -181,7 +196,7 @@ def level_probabilities(theta_k: float, r_k: float, kappa: int,
     """(p_in, p_out): the probability that one inner / outer interferer lands
     on each quantized gain level g_0..g_{M+1} of the beam focused on
     (theta_k, r_k)."""
-    (_, p_in), (_, p_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, "mlap")
+    (_, p_in), (_, p_out) = _pinned_laws(theta_k, r_k, kappa, scenario, "mlap")
     return p_in[0], p_out[0]
 
 
@@ -198,7 +213,7 @@ def laplace(s: complex, theta_k: float, r_k: float, kappa: int,
     factor to the (n_active-kappa) power, each the average of exp(-s G) over
     one interferer's gain law, the side grid ('exact') or the quantized
     levels ('mlap'). 'upper' is a CP bound and has no transform."""
-    (g_in, p_in), (g_out, p_out) = _pinned_laws(theta_k, r_k, [kappa], scenario, mode)
+    (g_in, p_in), (g_out, p_out) = _pinned_laws(theta_k, r_k, kappa, scenario, mode)
     if mode == "upper":
         raise InvalidArgumentError("mode 'upper' is a CP bound with no Laplace transform")
     if s == 0:
@@ -508,7 +523,7 @@ def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
     form twice for 'upper'."""
     if not tau > 0:
         raise DomainError("tau must be positive")
-    inner, outer = _pinned_laws(theta_k, r_k, [kappa], scenario, mode)
+    inner, outer = _pinned_laws(theta_k, r_k, kappa, scenario, mode)
     lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa],
                             closed_form=mode == "upper")
     return float(lower[0, 0]), float(upper[0, 0])
@@ -584,11 +599,9 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
                       kappas) -> np.ndarray:
     """Overall CP for each requested kappa at one threshold.
 
-    The side laws do not depend on kappa, so one evaluation per location
-    node serves every user order. The quantized routes read the node laws
-    built once per scenario; the exact route builds each node's side grids
-    once per call, which is practical for moderate N only, as the grids
-    grow with the antenna count.
+    The node laws do not depend on kappa or on the threshold: every route
+    reads them from `_anchor_laws`, built once per scenario, and one
+    `_node_cp` call serves every node and user order.
     """
     if not tau > 0:
         raise DomainError("tau must be positive")
@@ -597,16 +610,9 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
     n_active = scenario.n_active
     if n_active == 1:
         return np.ones(kap.size)
-    thr = 1.0 / tau
     th, w_th, r, w_r = _anchor_nodes(scenario)
-    if mode == "exact":
-        nodes = [_node_cp(thr, *_pinned_laws(float(t), float(d), kap, scenario, mode),
-                          n_active, kap) for t in th for d in r]
-        lower, upper = (np.concatenate(b) for b in zip(*nodes))
-    else:
-        g, p_in, p_out = _anchor_laws(scenario)
-        lower, upper = _node_cp(thr, (g, p_in), (g, p_out), n_active, kap,
-                                closed_form=mode == "upper")
+    lower, upper = _node_cp(1.0 / tau, *_anchor_laws(scenario, mode == "exact"),
+                            n_active, kap, closed_form=mode == "upper")
     cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, kap.size)
 
     out = np.zeros(kap.size)

@@ -13,14 +13,10 @@ instead of N. Both kernels take their gains from it.
 The kernel that calls `_responses` owns its work arrays: one flat buffer
 (`_work`), allocated once per kernel call and handed to every batch. The
 recurrence rotates three arrays of it through the rows and ratios, so a
-yielded row stays valid until the row after the next is yielded. The
-per-offset turn is written out to the full row shape, contiguous, so that
-every product of the recurrence runs the same numpy loop whatever the batch:
-with a broadcast (stride-0) turn, a lone pair's loop over its blocks could
-take numpy's scalar-operand loop instead. Rows taken afresh for every
-product (256 KB at N = 256) made glibc trim its heap and fault the pages
-back in: 52k-68k minor page faults for a 512 x 512 grid of pairs at
-N = 256, against under 1k with the buffer reused.
+yielded row stays valid until the row after the next is yielded. Rows taken
+afresh for every product (256 KB at N = 256) made glibc trim its heap and
+fault the pages back in: 52k-68k minor page faults for a 512 x 512 grid of
+pairs at N = 256, against under 1k with the buffer reused.
 
 `gain_pairs` gives the gain at (theta_a, r_a) of a beam focused on
 (theta_b, r_b), with
@@ -69,8 +65,8 @@ _TRIALS = 64
 
 def _work(size: int, n_antennas: int):
     """Work arrays for `_responses` over `size` phase coefficients: one flat
-    buffer for three rotating arrays and the turn."""
-    return np.empty(4 * size * -(-n_antennas // _BLOCK), complex)
+    buffer for three rotating arrays."""
+    return np.empty(3 * size * -(-n_antennas // _BLOCK), complex)
 
 
 def _responses(alpha, beta, n_antennas: int, work):
@@ -90,17 +86,15 @@ def _responses(alpha, beta, n_antennas: int, work):
     t k coefficients. Three arrays of it rotate: each product is written
     into the array that the product before it freed, which is still in
     cache. A yielded row stays valid until the row after the next is
-    yielded, so a caller may hold two rows at once. The turn is written out
-    to the full row shape, contiguous, and no product is taken in place, so
-    that a lone value cannot differ from the same value in a batch: numpy may
-    multiply by a broadcast (stride-0) operand in its scalar-operand loop, and
-    it takes an in-place product of one-element arrays as a reduction, whose
-    last bits differ from the vector loop's.
+    yielded, so a caller may hold two rows at once. No product is taken in
+    place, so that a lone value cannot differ from the same value in a
+    batch: numpy takes an in-place product of one-element arrays as a
+    reduction, whose last bits differ from the vector loop's.
     """
     trials, k = alpha.shape
     n_blocks = -(-n_antennas // _BLOCK)
     shape = (trials, n_blocks, k)
-    row, ratio, free, turn = work[:4 * np.prod(shape)].reshape(4, *shape)
+    row, ratio, free = work[:3 * np.prod(shape)].reshape(3, *shape)
     s0 = -(n_antennas - 1) / 2.0
     # every starting value is exp(j(u alpha + v beta)) for one row (u, v)
     u, v = np.array([
@@ -119,12 +113,11 @@ def _responses(alpha, beta, n_antennas: int, work):
         np.multiply(row[:, m], hop, out=row[:, m + 1])
         hop = hop * hop_turn
         np.multiply(ratio[:, m], block_turn, out=ratio[:, m + 1])
-    turn[:] = step[:, None]
     last = n_antennas - _BLOCK * (n_blocks - 1)  # offsets in the last block
     yield row
     for q in range(1, _BLOCK):
         if q > 1:
-            ratio, free = np.multiply(ratio, turn, out=free), ratio
+            ratio, free = np.multiply(ratio, step[:, None], out=free), ratio
         row, free = np.multiply(row, ratio, out=free), row
         if q >= last:
             row[:, -1] = 0.0
@@ -149,7 +142,7 @@ def gain_pairs(theta_a, r_a, theta_b, r_b, n_antennas, wavelength):
     out = np.empty(ta.shape)
     flat = out.reshape(-1)
     work = _work(min(_CHUNK, out.size), n)
-    acc = np.empty(work.size // 4, complex)  # block sums: one of work's 4 arrays
+    acc = np.empty(work.size // 3, complex)  # block sums: one of work's 3 arrays
     for lo in range(0, out.size, _CHUNK):
         hi = min(lo + _CHUNK, out.size)
         sa, sb = np.sin(ta.flat[lo:hi]), np.sin(tb.flat[lo:hi])

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from helpers import (mlap_interference_on_anchor, mlap_network_interference,
                      two_level_sum_cdf)
-from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError, PolarPoint,
-                  TrialPlan, conditional_cp, conditional_cp_sinr, estimate_overall_cp,
+from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
+                  MlapConfig, PolarPoint, ScenarioConfig, SectorGeometry, TrialPlan,
+                  conditional_cp, conditional_cp_sinr, estimate_overall_cp,
                   laplace, level_probabilities, mlap_levels, overall_cp,
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
-from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws,
+from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws, _anchor_nodes,
                            _conditional_cp_bounds, _lattice_cp, _node_cp,
-                           _overall_cp_batch)
+                           _overall_cp_batch, _side_grid)
 from nfsg.geometry import sample_conditional_arrays, sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
 
@@ -24,6 +25,12 @@ ANCHOR = PolarPoint(0.0, 30.0)
 ROUNDOFF = 1e-12
 # copies per atom that make any kept atom select the FFT step
 FFT_COPIES = _SHIFT_ADD_ATOMS + 1
+# 13 antennas and 3 users: the exact location average stays tractable
+SMALL = ScenarioConfig(
+    array=ArrayConfig(n_antennas=13, carrier_freq=28e9),
+    sector=SectorGeometry(3, 30.0, 30.0),
+    n_active=3, pathloss_exponent=2.0, tx_power=1.0, noise_power=0.0,
+    mlap=MlapConfig(n_levels=3))
 
 
 def _split(vals, probs, copies):
@@ -307,11 +314,10 @@ class TestOverall:
 
     def test_many_users_bounds_ordered(self, scn):
         many = scn.with_(n_active=64)
-        g, p_in, p_out = _anchor_laws(many)
+        inner, outer = _anchor_laws(many, False)
         kappas = range(1, many.n_active + 1)
         for tau in (3.0, 100.0):
-            lower, upper = _node_cp(1.0 / tau, (g, p_in), (g, p_out), many.n_active,
-                                    kappas)
+            lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, kappas)
             assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
             assert np.all(lower <= upper + ROUNDOFF)
             cps = _overall_cp_batch(tau, many, "mlap", kappas)
@@ -333,13 +339,31 @@ class TestOverall:
     def test_exact_mode_smoke(self):
         # exact overall on a small array stays tractable and agrees with
         # simulation of the same scenario
-        from nfsg import ArrayConfig, MlapConfig, ScenarioConfig, SectorGeometry
-        small = ScenarioConfig(
-            array=ArrayConfig(n_antennas=13, carrier_freq=28e9),
-            sector=SectorGeometry(3, 30.0, 30.0),
-            n_active=3, pathloss_exponent=2.0, tx_power=1.0, noise_power=0.0,
-            mlap=MlapConfig(n_levels=3))
-        cp = overall_cp(3.0, 2, small, "exact")
-        plan = TrialPlan(n_trials=200_000, root_seed=41, scenario=small)
+        cp = overall_cp(3.0, 2, SMALL, "exact")
+        plan = TrialPlan(n_trials=200_000, root_seed=41, scenario=SMALL)
         mc = estimate_overall_cp(plan, [3.0], 2)[0]
         assert abs(cp - mc.value) < 0.01
+
+    def test_exact_grids_built_once(self):
+        # the node grids do not depend on tau, so another threshold builds none
+        overall_cp(3.0, 2, SMALL, "exact")
+        misses = _side_grid.cache_info().misses
+        overall_cp(10.0, 2, SMALL, "exact")
+        assert _side_grid.cache_info().misses == misses
+
+    def test_exact_padding_changes_no_node(self):
+        # each node's row of the stacked laws, padded with zero-mass atoms at
+        # gain 0, gives the bounds of that node's own side grids
+        inner, outer = _anchor_laws(SMALL, True)
+        assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
+        kappas = range(1, SMALL.n_active + 1)
+        thrs = [10.0 ** (-d / 10.0) for d in (0.0, 20.0, 40.0)]
+        stacked = [_node_cp(thr, inner, outer, SMALL.n_active, kappas) for thr in thrs]
+        th, _, r, _ = _anchor_nodes(SMALL)
+        for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
+            own = [(grid.g[None], grid.w[None])
+                   for grid in (_side_grid(SMALL, side, t, d) for side in ("inner", "outer"))]
+            for thr, (lower, upper) in zip(thrs, stacked):
+                lo, up = _node_cp(thr, *own, SMALL.n_active, kappas)
+                assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12
+                assert np.max(np.abs(upper[row] - up[0])) <= 1e-12
