@@ -19,7 +19,9 @@ are implemented:
           mixture of the quantized levels g_i with level-hit probabilities
           p_i from the spatial-angle law and the conditional distance law.
           One builder, vectorised over focal points, gives the levels and
-          both sides' probabilities; they do not depend on tau.
+          both sides' probabilities from array expressions (only the
+          distance floor of g_0 and the beam-depth edges depend on the
+          focal point); they do not depend on tau.
 
 One per-node evaluator turns the side laws into CP for every route: it
 returns 1 where every interferer clears 1/tau, the all-interferers-at-zero
@@ -27,7 +29,8 @@ probability where no gain falls in (0, 1/tau] (the frozen region), the
 closed-form product for the upper bound, and the lattice bounds below for
 the rest. The location average runs that evaluator on the quadrature nodes
 once per threshold for every user order, in every mode on the node laws of
-_anchor_laws: the quantized laws or the side grids, built once per scenario.
+_anchor_laws: the quantized laws or the side grids, built once per array,
+sector and pattern, whatever the user count.
 
 Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
@@ -45,7 +48,13 @@ way. Denser laws, such as the exact route's binned histograms, multiply
 The outer ladder is carried as CDFs: convolution commutes with the
 cumulative sum, and a CDF is 0 below cell 0, so one step serves both
 ladders. CP_kappa is then the dot product of the inner pmf power kappa-1
-with the reversed CDF of the outer power n_active-kappa. The public
+with the reversed CDF of the outer power n_active-kappa, so the outer
+ladder is held reversed from the start and its steps correlate instead of
+convolving: the shift-and-add step reads its windows from the other end,
+and the FFT step multiplies by the conjugate spectrum. The lattice batches
+of one evaluation write their outer ladders into one workspace, which
+keeps the allocator from handing that memory back and faulting it in
+again for every batch. The public
 functions return the midpoint of the two bounds. For the exact route the
 bound covers the lattice rounding only, not the error of the side grid: its
 cells and its gain bins.
@@ -75,9 +84,10 @@ import numpy as np
 
 from .errors import (DegenerateSupportError, DomainError, InvalidArgumentError,
                      NumericFailureError)
-from .geometry import (PolarPoint, conditional_cdf_extended, ordered_distance_dist,
-                       spatial_angle_cdf_extended)
-from .pattern import MlapLevels, beam_depth, mlap_levels
+from .geometry import (PolarPoint, SectorGeometry, conditional_cdf_extended,
+                       ordered_distance_dist, spatial_angle_cdf_extended)
+from .pattern import (ArrayConfig, MlapConfig, MlapLevels, beam_depth, depth_edges,
+                      distance_floor, mlap_levels)
 from .scenario import ScenarioConfig
 
 def _check_orders(kappas, n_active: int, mode: str):
@@ -105,36 +115,38 @@ def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConf
     return inner, outer
 
 
-def _level_laws(scenario: ScenarioConfig, focals) -> tuple[np.ndarray, ...]:
-    """Quantized laws (g, p_in, p_out) of the beams focused on each point of
-    focals, each shaped (rows, M+2): the levels g_0..g_{M+1} and the
-    probability that one inner / outer interferer lands on each of them.
+def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
+                theta_k, r_k) -> tuple[np.ndarray, ...]:
+    """Quantized laws (g, p_in, p_out) of the beams focused on the points
+    (theta_k, r_k), two equal-length arrays, each shaped (rows, M+2): the
+    levels g_0..g_{M+1} and the probability that one inner / outer
+    interferer lands on each of them.
 
-    Mainlobe levels combine the spatial-angle mass of the first-null band
-    with the conditional radial mass beyond / inside the beam-depth interval;
-    sidelobe levels use only the angle bands, so they are side-independent.
-    The zero level takes the rest.
+    Only g_0, through the distance floor, and the beam-depth edges depend on
+    the focal point; the first point's mlap_levels gives the other levels
+    and checks the configuration. Mainlobe levels combine the spatial-angle
+    mass of the first-null band with the conditional radial mass beyond /
+    inside the beam-depth interval; sidelobe levels use only the angle
+    bands, so they are side-independent. The zero level takes the rest.
     """
-    sec = scenario.sector
-    n = scenario.array.n_antennas
-    m = scenario.mlap.n_levels
-    levels = [mlap_levels(scenario.array, scenario.mlap, f) for f in focals]
-    g = np.array([lv.gains for lv in levels])
-    r_k = np.array([f.r for f in focals])
-    d_left = np.array([lv.depth.d_left for lv in levels])
+    n = array.n_antennas
+    m = mlap.n_levels
+    first = mlap_levels(array, mlap, PolarPoint(float(theta_k[0]), float(r_k[0])))
+    g = np.tile(first.gains, (r_k.size, 1))
+    g[:, 0] = first.gains[1] * distance_floor(array, theta_k, r_k)
     # an unbounded interval reaches past the cell, where both radial CDFs are 1
-    d_right = np.array([lv.depth.right_or_inf for lv in levels])
-    vk = 0.5 * np.sin([f.theta for f in focals])
+    d_left, d_right, _ = depth_edges(array, theta_k, r_k, mlap.beta_gamma)
+    vk = 0.5 * np.sin(theta_k)
     # spatial-angle CDF at the band edges vk + k/N, k = -M..M
-    cdf = spatial_angle_cdf_extended(vk[:, None] + np.arange(-m, m + 1) / n, sec)
+    cdf = spatial_angle_cdf_extended(vk[:, None] + np.arange(-m, m + 1) / n, sector)
     band = np.diff(cdf, axis=1)
     a_main = cdf[:, m + 1] - cdf[:, m - 1]
     # lobe i >= 2 covers the band (i-1)/N..i/N on either side of vk
     a_side = band[:, m + 1:] + band[:, :m - 1][:, ::-1]
 
     def law(side):
-        f_left = conditional_cdf_extended(side, d_left, r_k, sec)
-        f_right = conditional_cdf_extended(side, d_right, r_k, sec)
+        f_left = conditional_cdf_extended(side, d_left, r_k, sector)
+        f_right = conditional_cdf_extended(side, d_right, r_k, sector)
         p = np.clip(np.column_stack([a_main * (1.0 - f_right),
                                      a_main * (f_right - f_left), a_side]), 0.0, 1.0)
         rest = np.maximum(0.0, 1.0 - np.cumsum(p, axis=1)[:, -1])
@@ -144,26 +156,29 @@ def _level_laws(scenario: ScenarioConfig, focals) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def _anchor_laws(scenario: ScenarioConfig, exact: bool):
+def _anchor_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
+                 exact: bool):
     """(inner, outer) gain laws (g, p) of one interferer at the location-average
     nodes, angle-major, each shaped (nodes, m): each node's side grids if
-    exact, its quantized laws otherwise. They do not depend on the
-    threshold, so one build serves every call on a scenario. The side grids
-    differ in length; each row is padded to the widest of its side with
-    zero-mass atoms at gain 0, which change no bound."""
-    th, _, r, _ = _anchor_nodes(scenario)
-    nodes = [(float(t), float(d)) for t in th for d in r]
+    exact, its quantized laws otherwise. They depend on neither the threshold
+    nor the user count, so one build serves every call on an array, sector
+    and pattern. The side grids differ in length; each row is padded to the
+    widest of its side with zero-mass atoms at gain 0, which change no
+    bound."""
+    th, _, r, _ = _anchor_nodes(sector)
+    theta_k, r_k = np.repeat(th, r.size), np.tile(r, th.size)
     if exact:
         laws = []
         for side in ("inner", "outer"):
-            grids = [_side_grid(scenario, side, *node) for node in nodes]
+            grids = [_side_grid(array, sector, mlap, side, float(t), float(d))
+                     for t, d in zip(theta_k, r_k)]
             g = np.zeros((len(grids), max(grid.g.size for grid in grids)))
             p = np.zeros_like(g)
             for row, grid in enumerate(grids):
                 g[row, :grid.g.size], p[row, :grid.g.size] = grid.g, grid.w
             laws.append((g, p))
     else:
-        g, p_in, p_out = _level_laws(scenario, [PolarPoint(*node) for node in nodes])
+        g, p_in, p_out = _level_laws(array, sector, mlap, theta_k, r_k)
         laws = [(g, p_in), (g, p_out)]
     for law in laws:
         for a in law:
@@ -179,12 +194,13 @@ def _pinned_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfi
     and no grid. On the cell edge the quantized outer law is 0/0; that side
     then holds no interferer, so its mass is parked on the zero level."""
     inner, outer = _pinned_sides(theta_k, r_k, kappa, scenario, mode)
+    key = scenario.array, scenario.sector, scenario.mlap
     if mode == "exact":
-        sides = [_side_grid(scenario, side, theta_k, r_k) if used else _EMPTY_SIDE
+        sides = [_side_grid(*key, side, theta_k, r_k) if used else _EMPTY_SIDE
                  for side, used in (("inner", inner), ("outer", outer))]
         return tuple((grid.g[None], grid.w[None]) for grid in sides)
     with np.errstate(invalid="ignore"):
-        g, p_in, p_out = _level_laws(scenario, [PolarPoint(theta_k, r_k)])
+        g, p_in, p_out = _level_laws(*key, np.array([theta_k]), np.array([r_k]))
     if r_k == scenario.sector.cell_radius:
         p_out = np.zeros_like(p_out)
         p_out[:, -1] = 1.0
@@ -298,10 +314,10 @@ def _beta_panels(n_antennas: int, kinks) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
-               r_k: float) -> _SideGrid:
+def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: str,
+               theta_k: float, r_k: float) -> _SideGrid:
     """Gain law (g, w) of one interferer on one side of the user at
-    (theta_k, r_k), binned on gain.
+    (theta_k, r_k), binned on gain. It does not depend on the user count.
 
     The grid runs over (v, beta). Its v columns are cells of width 1/(P N)
     centred on the FFT samples v_k + m/(P N), each with its spatial-angle
@@ -318,9 +334,8 @@ def _side_grid(scenario: ScenarioConfig, side: str, theta_k: float,
     every gain up to _CLUSTER_ABS in bin 0; each bin keeps its mass and its
     mean gain. The masses sum to 1 up to rounding.
     """
-    arr, sec = scenario.array, scenario.sector
     # rejects r_k = 0 with a DomainError before anything divides by it
-    depth = beam_depth(arr, theta_k, r_k, scenario.mlap.beta_gamma)
+    depth = beam_depth(arr, theta_k, r_k, mlap.beta_gamma)
     n = arr.n_antennas
     pn = _FFT_PAD * n
     c = math.pi * arr.wavelength / 4.0
@@ -386,9 +401,11 @@ _LATTICE_CELLS = 1023
 _NFFT = 2 * (_LATTICE_CELLS + 1)
 # Focal nodes per lattice pass. One shift-and-add gather holds
 # rows x atoms x (L+1) doubles: 0.8 MB at 8 rows and M = 10, which fits a
-# 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. The location-
-# averaged mlap route at 9 thresholds took 0.98 s at 8 rows, 1.17 s at 16
-# and 1.87 s at 28 (Xeon, 2 MiB L2 per core).
+# 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. With one outer-
+# ladder workspace per _node_cp call, a whole overall-analytic benchmark
+# run (mlap and upper at 9 thresholds, N = 256, 15 users) took 1.44 s at
+# 4 rows, 1.05 s at 8 and 1.20 s at 16 (medians of 6 rotated runs; Xeon,
+# 2 MiB L2 per core).
 _LATTICE_ROWS = 8
 # Most positive-mass atoms per row for which a shift-and-add step beats a
 # 2(L+1)-point FFT round trip, a measured crossover. One _lattice_cp call at
@@ -399,15 +416,19 @@ _LATTICE_ROWS = 8
 _SHIFT_ADD_ATOMS = 30
 
 
-def _lattice_step(thr: float, gains, probs, round_up: bool):
+def _lattice_step(thr: float, gains, probs, round_up: bool, reverse: bool = False):
     """One interferer's gain law put on the lattice k*thr/L, as a function
-    that convolves a (rows, L+1) array with it, truncated to [0, L].
+    that convolves a (rows, L+1) array with it, truncated to [0, L]. With
+    reverse the array is held reversed, a[r, L - s], and so is the result:
+    the step correlates instead of convolving.
 
     gains and probs broadcast to (rows, m), one law per row. Mass above thr
     is dropped; the rest is rounded up (lower CP bound) or down (upper). A
     law with at most _SHIFT_ADD_ATOMS positive-mass atoms in every row sums
     shifted copies of the array, new[r, s] = sum_i p[r, i] a[r, s - c[r, i]],
-    which is exact and never negative. Denser laws multiply spectra."""
+    which is exact and never negative; reversed, the same products are
+    summed in the same order. Denser laws multiply spectra, by the
+    conjugate one when reversed."""
     gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
     rows = gains.shape[0]
     width = _LATTICE_CELLS + 1
@@ -419,21 +440,29 @@ def _lattice_step(thr: float, gains, probs, round_up: bool):
     if m <= _SHIFT_ADD_ATOMS:
         # the kept atoms first in every row; the padding ones carry no mass
         first = np.argsort(~keep, axis=1, kind="stable")[:, :m]
-        shift = width - np.take_along_axis(cell, first, axis=1)
+        shift = np.take_along_axis(cell, first, axis=1)
         p = np.take_along_axis(np.where(keep, probs, 0.0), first, axis=1)[:, None, :]
-        # a[r, s - c] is buf[r, width + s - c], and cells below 0 stay zero
+        # a[r, s - c] is buf[r, width + s - c], and cells below 0 stay zero;
+        # reversed, a[r, t + c] is buf[r, t + c], and cells above L stay zero
         buf = np.zeros((rows, 2 * width))
         windows = np.lib.stride_tricks.sliding_window_view(buf, width, axis=1)
         row = np.arange(rows)[:, None]
+        if reverse:
+            held = buf[:, :width]
+        else:
+            held, shift = buf[:, width:], width - shift
 
         def shift_add(a):
-            buf[:, width:] = a
+            held[...] = a
             return (p @ windows[row, shift])[:, 0]
         return shift_add
 
     flat = np.arange(rows)[:, None] * width + cell
     pmf = np.bincount(flat[keep], weights=probs[keep], minlength=rows * width)
     spectrum = np.fft.rfft(pmf.reshape(rows, width), _NFFT)
+    if reverse:
+        # index t + c stays below 2(L+1), so the correlation never wraps
+        spectrum = spectrum.conj()
 
     def fft(a):
         out = np.fft.irfft(np.fft.rfft(a, _NFFT) * spectrum, _NFFT)
@@ -441,7 +470,7 @@ def _lattice_step(thr: float, gains, probs, round_up: bool):
     return fft
 
 
-def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
+def _lattice_cp(thr: float, inner, outer, n_active: int, kappas, ladder=None):
     """Lower and upper bounds on P{I <= thr} for each user order in kappas.
 
     inner and outer are the (gains, probs) laws of one interferer on each
@@ -449,24 +478,26 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     ladder starts from the CDF of zero interference, which is 1 on every
     cell, and each step convolves it with one more outer law: convolution
     commutes with the cumulative sum, and a CDF is 0 below cell 0. Those
-    CDFs are stored reversed; the inner pmf walks up the kappa ladder, so
-    every order costs one dot product. Returns (lower, upper), each of
-    shape (rows, len(kappas)).
+    CDFs are held reversed, so their steps correlate, and are written into
+    ladder, at least (n_active - min(kappas) + 1, rows, L+1), which one
+    caller can reuse over many calls; it is taken afresh when omitted. The
+    inner pmf walks up the kappa ladder, so every order costs one dot
+    product. Returns (lower, upper), each of shape (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
     width = _LATTICE_CELLS + 1
+    rows = np.atleast_2d(outer[1]).shape[0]
+    n_out = n_active - int(kap.min())
+    if ladder is None:
+        ladder = np.empty((n_out + 1, rows, width))
+    cdf_out = ladder[:n_out + 1, :rows]
     bounds = []
     for round_up in (True, False):
         step_in = _lattice_step(thr, *inner, round_up)
-        step_out = _lattice_step(thr, *outer, round_up)
-        rows = np.atleast_2d(outer[1]).shape[0]
-        n_out = n_active - int(kap.min())
-        cdf_out = np.empty((n_out + 1, rows, width))
-        cdf = np.ones((rows, width))
-        for j in range(n_out + 1):
-            if j:
-                cdf = step_out(cdf)
-            cdf_out[j] = cdf[:, ::-1]
+        step_out = _lattice_step(thr, *outer, round_up, reverse=True)
+        cdf_out[0] = 1.0
+        for j in range(n_out):
+            cdf_out[j + 1] = step_out(cdf_out[j])
         cp = np.empty((rows, kap.size))
         pmf = np.zeros((rows, width))
         pmf[:, 0] = 1.0
@@ -491,7 +522,8 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     covered for sure. Nodes with no gain in (0, thr] (the frozen region)
     are covered only when every interferer sits on gain 0, which is the
     closed-form product. The rest go through the lattice _LATTICE_ROWS rows
-    at a time. Returns (lower, upper), each of shape (rows, len(kappas)).
+    at a time, every batch writing its outer ladder into one workspace.
+    Returns (lower, upper), each of shape (rows, len(kappas)).
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
     kap = np.asarray(kappas, int)
@@ -505,10 +537,15 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     frozen = ~(((g_in > 0) & (g_in <= thr)).any(axis=1)
                | ((g_out > 0) & (g_out <= thr)).any(axis=1))
     todo = np.flatnonzero(~(covered | frozen))
+    # a fresh ladder per batch is large enough for the allocator to hand it
+    # back and fault it in again every time
+    ladder = np.empty((n_active - int(kap.min()) + 1, min(todo.size, _LATTICE_ROWS),
+                       _LATTICE_CELLS + 1))
     for lo in range(0, todo.size, _LATTICE_ROWS):
         rows = todo[lo:lo + _LATTICE_ROWS]
         lower[rows], upper[rows] = _lattice_cp(
-            thr, (g_in[rows], p_in[rows]), (g_out[rows], p_out[rows]), n_active, kap)
+            thr, (g_in[rows], p_in[rows]), (g_out[rows], p_out[rows]), n_active, kap,
+            ladder)
     return lower, upper
 
 
@@ -576,10 +613,9 @@ _N_THETA = 10
 _N_RADIAL = 28
 
 
-def _anchor_nodes(scenario: ScenarioConfig):
+def _anchor_nodes(sec: SectorGeometry):
     """Half-sector angle nodes (the angular integrand is even, so weights are
     doubled) and radial nodes for the location average."""
-    sec = scenario.sector
     xt, wt = _gl_rule(_N_THETA)
     th = 0.5 * sec.half_width * (xt + 1.0)
     w_th = wt * 0.5 * sec.half_width * (sec.n_sectors / (2.0 * math.pi)) * 2.0
@@ -600,8 +636,8 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
     """Overall CP for each requested kappa at one threshold.
 
     The node laws do not depend on kappa or on the threshold: every route
-    reads them from `_anchor_laws`, built once per scenario, and one
-    `_node_cp` call serves every node and user order.
+    reads them from `_anchor_laws`, built once per array, sector and
+    pattern, and one `_node_cp` call serves every node and user order.
     """
     if not tau > 0:
         raise DomainError("tau must be positive")
@@ -610,9 +646,9 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
     n_active = scenario.n_active
     if n_active == 1:
         return np.ones(kap.size)
-    th, w_th, r, w_r = _anchor_nodes(scenario)
-    lower, upper = _node_cp(1.0 / tau, *_anchor_laws(scenario, mode == "exact"),
-                            n_active, kap, closed_form=mode == "upper")
+    th, w_th, r, w_r = _anchor_nodes(scenario.sector)
+    laws = _anchor_laws(scenario.array, scenario.sector, scenario.mlap, mode == "exact")
+    lower, upper = _node_cp(1.0 / tau, *laws, n_active, kap, closed_form=mode == "upper")
     cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, kap.size)
 
     out = np.zeros(kap.size)

@@ -210,12 +210,14 @@ def _beta(cfg: ArrayConfig, theta_focal: float, r_focal: float, r_obs: float) ->
     return math.sqrt(arg)
 
 
-def _fresnel_profile(beta: float) -> float:
-    # (C(b)^2 + S(b)^2)/b^2 with the b -> 0 limit handled by series
-    if beta < 1e-6:
-        return 1.0 - math.pi**2 * beta**4 / 45.0
+def _fresnel_profile(beta):
+    # (C(b)^2 + S(b)^2)/b^2 with the b -> 0 limit handled by series; takes
+    # an array and returns one
+    beta = np.asarray(beta, float)
     c, s = fresnel_integrals(beta)
-    return (c * c + s * s) / (beta * beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(beta < 1e-6, 1.0 - math.pi**2 * beta**4 / 45.0,
+                        (c * c + s * s) / (beta * beta))
 
 
 def distance_gain(cfg: ArrayConfig, theta_focal: float, r_focal: float,
@@ -224,17 +226,37 @@ def distance_gain(cfg: ArrayConfig, theta_focal: float, r_focal: float,
     |(C(beta) + j S(beta))/beta|^2 with beta the distance-mismatch argument."""
     if not (r_focal > 0 and r_obs > 0):
         raise DomainError("distance_gain requires positive distances")
-    return _fresnel_profile(_beta(cfg, theta_focal, r_focal, r_obs))
+    return float(_fresnel_profile(_beta(cfg, theta_focal, r_focal, r_obs)))
+
+
+def _a_over(cfg: ArrayConfig, theta_focal, per):
+    """A / per with A = N^2 d^2 (1-sin^2 theta_focal)/(2 lambda); theta_focal
+    and per broadcast together."""
+    s2 = np.sin(theta_focal) ** 2
+    return cfg.n_antennas**2 * cfg.spacing**2 * (1.0 - s2) / (2.0 * cfg.wavelength * per)
+
+
+def distance_floor(cfg: ArrayConfig, theta_focal, r_focal):
+    """asymptotic_gain at arrays of focal points that broadcast together,
+    without its check: the Fresnel profile at beta = sqrt(A / r_focal)."""
+    return _fresnel_profile(np.sqrt(_a_over(cfg, theta_focal, r_focal)))
+
+
+def depth_edges(cfg: ArrayConfig, theta_focal, r_focal, beta_gamma: float):
+    """(d_left, right_or_inf, focal_limit) of beam_depth at arrays of focal
+    points that broadcast together, without its checks."""
+    limit = _a_over(cfg, theta_focal, beta_gamma**2)
+    left = r_focal * limit / (limit + r_focal)
+    with np.errstate(divide="ignore"):
+        right = np.where(r_focal < limit, r_focal * limit / (limit - r_focal), np.inf)
+    return left, right, limit
 
 
 def asymptotic_gain(cfg: ArrayConfig, theta_focal: float, r_focal: float) -> float:
     """Limit of distance_gain as the observation distance grows without bound."""
     if not r_focal > 0:
         raise DomainError("asymptotic_gain requires r_focal > 0")
-    s2 = math.sin(theta_focal) ** 2
-    beta_inf = math.sqrt(cfg.n_antennas**2 * cfg.spacing**2 * (1.0 - s2)
-                         / (2.0 * cfg.wavelength * r_focal))
-    return _fresnel_profile(beta_inf)
+    return float(distance_floor(cfg, theta_focal, r_focal))
 
 
 def beam_depth(cfg: ArrayConfig, theta_focal: float, r_focal: float,
@@ -250,15 +272,10 @@ def beam_depth(cfg: ArrayConfig, theta_focal: float, r_focal: float,
         raise DomainError("beam_depth requires r_focal > 0")
     if not beta_gamma > 0:
         raise DomainError("beam_depth requires beta_gamma > 0")
-    s2 = math.sin(theta_focal) ** 2
-    limit = (cfg.n_antennas**2 * cfg.spacing**2 * (1.0 - s2)
-             / (2.0 * cfg.wavelength * beta_gamma**2))
-    left = r_focal * limit / (limit + r_focal)
-    if r_focal < limit:
-        right = r_focal * limit / (limit - r_focal)
-    else:
-        right = None
-    return BeamDepthInterval(d_left=left, d_right=right, focal_limit=limit)
+    left, right, limit = depth_edges(cfg, theta_focal, r_focal, beta_gamma)
+    return BeamDepthInterval(d_left=float(left),
+                             d_right=float(right) if r_focal < limit else None,
+                             focal_limit=float(limit))
 
 
 def solve_beta_gamma(gamma_db: float) -> float:

@@ -208,7 +208,7 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
         analysis._side_grid.cache_clear()
         for theta, r in focals:
             for side in ("inner", "outer"):
-                grid = analysis._side_grid(small, side, theta, r)
+                grid = analysis._side_grid(small.array, small.sector, small.mlap, side, theta, r)
                 assert abs(grid.w.sum() - 1.0) < 1e-12
                 assert np.all(np.isfinite(grid.g)) and np.all(grid.w > 0)
         return np.array([[conditional_cp(t, theta, r, 3, small, "exact") for t in taus]

@@ -1,6 +1,9 @@
 """Lattice CP evaluator, coverage probabilities, bounds, SINR mapping."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgum
                   conditional_cp, conditional_cp_sinr, estimate_overall_cp,
                   laplace, level_probabilities, mlap_levels, overall_cp,
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
+from nfsg.pattern import beam_depth, depth_edges
+from nfsg import analysis
 from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws, _anchor_nodes,
-                           _conditional_cp_bounds, _lattice_cp, _node_cp,
-                           _overall_cp_batch, _side_grid)
+                           _conditional_cp_bounds, _lattice_cp, _lattice_step, _level_laws,
+                           _node_cp, _overall_cp_batch, _side_grid)
 from nfsg.geometry import sample_conditional_arrays, sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
 
@@ -118,6 +123,51 @@ class TestSyntheticInversion:
         for a, b in zip(_lattice_cp(thr, *few, n_active, kappas),
                         _lattice_cp(thr, *many, n_active, kappas)):
             assert np.all(np.abs(a - b) <= ROUNDOFF)
+
+
+    @pytest.mark.parametrize("copies", [1, FFT_COPIES])
+    def test_reversed_step_is_forward_step_reversed(self, copies, rng):
+        # the outer ladder is held reversed: its step must give the forward
+        # step's values, bit for bit when it shifts and adds
+        gains = np.repeat(rng.uniform(0.0, 1.2, (3, 9)), copies, axis=1)
+        probs = np.repeat(rng.uniform(0.0, 1.0, (3, 9)), copies, axis=1) / copies
+        a = rng.uniform(0.0, 1.0, (3, _LATTICE_CELLS + 1))
+        for round_up in (True, False):
+            forward = _lattice_step(0.9, gains, probs, round_up)(a)
+            reverse = _lattice_step(0.9, gains, probs, round_up, reverse=True)(a[:, ::-1])
+            if copies == 1:
+                assert np.array_equal(reverse[:, ::-1], forward)
+            else:
+                assert np.max(np.abs(reverse[:, ::-1] - forward)) <= ROUNDOFF
+
+
+_FAULTS_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from nfsg import analysis, default_scenario
+scn = default_scenario()
+laws = analysis._anchor_laws(scn.array, scn.sector, scn.mlap, False)
+args = (10.0 ** -1.5, *laws, scn.n_active, range(1, scn.n_active + 1))
+analysis._node_cp(*args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+analysis._node_cp(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_location_average_reuses_its_memory():
+    # The mlap location average of the baseline scenario at 15 dB, every
+    # user order. An outer ladder of about 1 MB taken afresh for every
+    # batch and bound made the allocator hand it back and fault it in
+    # again: 16,592 minor faults for this call, against about 250 with one
+    # ladder per call. A fresh interpreter keeps other tests' allocations
+    # out of the count.
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, src],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(proc.stdout) < 2000
 
 
 class TestConditionalCp:
@@ -314,7 +364,7 @@ class TestOverall:
 
     def test_many_users_bounds_ordered(self, scn):
         many = scn.with_(n_active=64)
-        inner, outer = _anchor_laws(many, False)
+        inner, outer = _anchor_laws(many.array, many.sector, many.mlap, False)
         kappas = range(1, many.n_active + 1)
         for tau in (3.0, 100.0):
             lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, kappas)
@@ -345,24 +395,44 @@ class TestOverall:
         assert abs(cp - mc.value) < 0.01
 
     def test_exact_grids_built_once(self):
-        # the node grids do not depend on tau, so another threshold builds none
+        # the node grids depend on neither tau nor the user count, so another
+        # threshold or n_active builds none
         overall_cp(3.0, 2, SMALL, "exact")
         misses = _side_grid.cache_info().misses
         overall_cp(10.0, 2, SMALL, "exact")
+        overall_cp(3.0, 2, SMALL.with_(n_active=4), "exact")
         assert _side_grid.cache_info().misses == misses
+
+    def test_level_laws_match_mlap_levels(self, scn):
+        # the location average builds every node's levels from arrays; they
+        # must be mlap_levels' own, bit for bit. The last node sits on the
+        # focal limit, where the beam depth becomes unbounded.
+        th, _, r, _ = _anchor_nodes(scn.sector)
+        limit = beam_depth(scn.array, 0.3, 1.0, scn.mlap.beta_gamma).focal_limit
+        theta = np.append(np.repeat(th, r.size), 0.3)
+        dist = np.append(np.tile(r, th.size), limit)
+        g, _, _ = _level_laws(scn.array, scn.sector, scn.mlap, theta, dist)
+        d_left, d_right, _ = depth_edges(scn.array, theta, dist, scn.mlap.beta_gamma)
+        levels = [mlap_levels(scn.array, scn.mlap, PolarPoint(t, d))
+                  for t, d in zip(theta, dist)]
+        assert np.array_equal(g, [lv.gains for lv in levels])
+        assert np.array_equal(d_left, [lv.depth.d_left for lv in levels])
+        assert np.array_equal(d_right, [lv.depth.right_or_inf for lv in levels])
+        assert levels[-1].depth.unbounded and np.isinf(d_right).sum() > 1
 
     def test_exact_padding_changes_no_node(self):
         # each node's row of the stacked laws, padded with zero-mass atoms at
         # gain 0, gives the bounds of that node's own side grids
-        inner, outer = _anchor_laws(SMALL, True)
+        inner, outer = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
         assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
         kappas = range(1, SMALL.n_active + 1)
         thrs = [10.0 ** (-d / 10.0) for d in (0.0, 20.0, 40.0)]
         stacked = [_node_cp(thr, inner, outer, SMALL.n_active, kappas) for thr in thrs]
-        th, _, r, _ = _anchor_nodes(SMALL)
+        th, _, r, _ = _anchor_nodes(SMALL.sector)
         for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
             own = [(grid.g[None], grid.w[None])
-                   for grid in (_side_grid(SMALL, side, t, d) for side in ("inner", "outer"))]
+                   for grid in (_side_grid(SMALL.array, SMALL.sector, SMALL.mlap, side, t, d)
+                                for side in ("inner", "outer"))]
             for thr, (lower, upper) in zip(thrs, stacked):
                 lo, up = _node_cp(thr, *own, SMALL.n_active, kappas)
                 assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12
