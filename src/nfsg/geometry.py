@@ -161,17 +161,23 @@ def conditional_distance_dist(side: str, r, r_kappa: float, sector: SectorGeomet
             float(pdf) if pdf.ndim == 0 else pdf)
 
 
-def conditional_cdf_extended(side: str, r, r_kappa: float, sector: SectorGeometry):
+def conditional_cdf_extended(side: str, r, r_kappa: float, sector: SectorGeometry,
+                             out=None):
     """Conditional distance CDF extended to the whole line (0 below the support,
-    1 above). Used for interval probabilities with clamped limits."""
+    1 above). Used for interval probabilities with clamped limits. The CDF
+    is written into out if given, an array shaped like r that may be r."""
     rc = sector.cell_radius
     r = np.asarray(r, float)
+    out = np.empty_like(r) if out is None else out
     if side == "inner":
-        rr = np.clip(r, 0.0, r_kappa)
-        out = (rr / r_kappa) ** 2
+        np.clip(r, 0.0, r_kappa, out=out)
+        out /= r_kappa
+        np.square(out, out=out)
     else:
-        rr = np.clip(r, r_kappa, rc)
-        out = (rr * rr - r_kappa**2) / (rc**2 - r_kappa**2)
+        np.clip(r, r_kappa, rc, out=out)
+        np.multiply(out, out, out=out)
+        out -= r_kappa**2
+        out /= rc**2 - r_kappa**2
     return float(out) if out.ndim == 0 else out
 
 

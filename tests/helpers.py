@@ -5,10 +5,14 @@ sampling, quadrature of defining integrals, brute enumeration) so the library
 code under test never checks itself against itself.
 """
 
+import math
+
 import numpy as np
 
+from nfsg import analysis
 from nfsg.fresnel import fresnel_integrals
-from nfsg.pattern import ArrayConfig, angular_gain
+from nfsg.geometry import conditional_cdf_extended, spatial_angle_cdf_extended
+from nfsg.pattern import ArrayConfig, angular_gain, beam_depth
 
 
 def fresnel_phase_gain(cfg: ArrayConfig, theta_obs, r_obs, theta_f, r_f):
@@ -121,3 +125,60 @@ def two_level_sum_cdf(values, probs, counts):
     ps = np.array([atoms[x] for x in xs])
     return xs, np.cumsum(ps)
 
+
+
+def reference_side_grid(arr, sec, mlap, side, theta_k, r_k):
+    """(g, w) of analysis._side_grid built the long way: one zero-padded
+    inverse FFT of length P N per beta node, every cell binned, mass or not.
+    The cells, panels and bins are the library's own; only the transform and
+    the cell selection differ."""
+    depth = beam_depth(arr, theta_k, r_k, mlap.beta_gamma)
+    n = arr.n_antennas
+    pad = analysis._FFT_PAD
+    pn = pad * n
+    c = math.pi * arr.wavelength / 4.0
+    bound = sec.spatial_angle_bound
+    vk = 0.5 * math.sin(theta_k)
+    m = np.arange(math.ceil((-bound - vk) * pn - 0.5),
+                  math.floor((bound - vk) * pn + 0.5) + 1)
+    p_v = np.diff(spatial_angle_cdf_extended(vk + (np.append(m, m[-1] + 1) - 0.5) / pn,
+                                             sec))
+    v = np.clip(vk + m / pn, -bound, bound)
+    cq = c * (1.0 - 4.0 * v * v)
+    if side == "inner":
+        r_lo = r_k * math.sqrt(analysis._INNER_MASS_TOL)
+        y_lo, y_hi, trunc = 1.0 / r_k, 1.0 / r_lo, analysis._INNER_MASS_TOL
+    else:
+        r_lo = r_k
+        y_lo, y_hi, trunc = 1.0 / sec.cell_radius, 1.0 / r_k, 0.0
+    focus = c * math.cos(theta_k) ** 2 / r_k
+    beta_lo, beta_hi = focus - cq.max() * y_hi, focus - cq.min() * y_lo
+    kinks = [focus * (1.0 - r_k / d) for d in (depth.d_left, depth.d_right, r_k)
+             if d is not None]
+    edges = analysis._beta_panels(n, sorted({beta_lo, beta_hi,
+                                             *(b for b in kinks if beta_lo < b < beta_hi)}))
+    x, wt = np.polynomial.legendre.leggauss(analysis._ORD_BETA)
+    cuts = np.append(0.0, np.cumsum(wt)) / wt.sum()
+    offsets = np.arange(n) - (n - 1) / 2.0
+    log_rel = math.log1p(analysis._CLUSTER_REL)
+    n_bins = math.ceil(math.log(1.0 / analysis._CLUSTER_ABS) / log_rel) + 2
+    w_sum = np.zeros(n_bins)
+    gw_sum = np.zeros(n_bins)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nodes = lo + (hi - lo) * 0.5 * (x + 1.0)
+        cell = lo + (hi - lo) * cuts
+        cell[0], cell[-1] = lo, hi
+        spec = np.fft.ifft(np.exp(1j * nodes[:, None] * offsets**2), pn)[:, m % pn]
+        g = (spec.real ** 2 + spec.imag ** 2) * pad**2
+        den = focus - cell[:, None]
+        r = np.divide(cq, den, out=np.full((cell.size, cq.size), np.inf), where=den > 0)
+        w = np.diff(conditional_cdf_extended(side, np.maximum(r, r_lo), r_k, sec),
+                    axis=0) * p_v
+        bins = np.ceil(np.log(np.maximum(g, analysis._CLUSTER_ABS) / analysis._CLUSTER_ABS)
+                       / log_rel)
+        bins = np.minimum(bins, n_bins - 1).astype(np.intp).ravel()
+        w_sum += np.bincount(bins, w.ravel(), n_bins)
+        gw_sum += np.bincount(bins, (g * w).ravel(), n_bins)
+    w_sum[0] += trunc
+    keep = w_sum > 0
+    return gw_sum[keep] / w_sum[keep], w_sum[keep]

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import mlap_cross_gains, mlap_interference_on_anchor
-from nfsg import (DegenerateSupportError, DomainError, InvalidArgumentError,
+from helpers import mlap_cross_gains, mlap_interference_on_anchor, reference_side_grid
+from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
                   MlapConfig, NumericFailureError, PolarPoint, TrialPlan, analysis,
                   conditional_cp, laplace, level_probabilities, mlap_levels, tau_star)
 from nfsg.analysis import _GRID_T_RESOLVE
 from nfsg.geometry import sample_conditional_arrays
+from nfsg.kernels import gain_pairs
 from nfsg.montecarlo import conditional_interference_samples
 from nfsg.pattern import mlap_level_index
 
@@ -222,6 +223,62 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
     finally:
         analysis._side_grid.cache_clear()
     assert np.max(np.abs(fine - coarse)) < 1e-4
+
+
+@pytest.mark.parametrize("pad", [64, 128])
+@pytest.mark.parametrize("n_antennas", [13, 16, 256])
+def test_panel_gains_match_gain_pairs(n_antennas, pad):
+    # sample m of the length-P N transform is the gain at alpha = 2 pi m/(P N):
+    # m < 0 wraps to m + P N, and the residues above P/2 are read from their
+    # mirrors, which the samples near +-P N/2 and around P/2 cross
+    pn = pad * n_antennas
+    half = pn // 2
+    ms = [0, 1, -1, pad // 2, pad // 2 + 1, -(pad // 2), -(pad // 2) - 1, pad - 1,
+          pad, -pad, 3 * pad + 5, -(3 * pad + 5), half - 1, half, 1 - half, -half]
+    wavelength = ArrayConfig(n_antennas, 28e9).wavelength
+    scale = 0.25 * np.pi * wavelength
+    twiddle = analysis._twiddles(n_antennas, pad)
+    n_sq = (np.arange(n_antennas) - (n_antennas - 1) / 2.0) ** 2
+    targets = np.array([0.0, 3e-5, -4e-4, 2.5e-3, -2e-2])
+    prod = np.empty((targets.size, *twiddle.shape), complex)
+    power = np.empty((targets.size, twiddle.size))
+    for m in ms:
+        # a beam focused on (-theta, r_b) seen from (theta, r_a), with
+        # sin(theta) = m/(P N), has alpha = 2 pi m/(P N); r_a sets beta near
+        # its target, and beta is taken as gain_pairs computes it
+        theta_a, r_b = np.arcsin(m / pn), 1.0
+        s2 = np.sin(theta_a) ** 2
+        r_a = 1.0 / (1.0 / r_b - targets / (scale * (1.0 - s2)))
+        beta = scale * ((1.0 - s2) / r_b - (1.0 - s2) / r_a)
+        got = analysis._panel_gains(beta, n_sq, twiddle, prod, power)[
+            :, analysis._gain_index(np.array(m % pn), n_antennas, pad)]
+        want = gain_pairs(theta_a, r_a, -theta_a, r_b, n_antennas, wavelength)
+        assert np.max(np.abs(got - want)) < 1e-12, m
+
+
+@pytest.mark.parametrize("n_sectors", [2, 3])
+@pytest.mark.parametrize("n_antennas", [13, 16])
+def test_side_grid_matches_long_transform(scn, n_antennas, n_sectors):
+    small = scn.with_(array=replace(scn.array, n_antennas=n_antennas),
+                      sector=replace(scn.sector, n_sectors=n_sectors),
+                      mlap=replace(scn.mlap, n_levels=6))
+    kappas = np.arange(1, small.n_active + 1)
+    for theta, r in [(0.3, 20.0), (-0.9, 130.0)]:
+        laws = {}
+        for side in ("inner", "outer"):
+            grid = analysis._side_grid(small.array, small.sector, small.mlap, side, theta, r)
+            g, w = reference_side_grid(small.array, small.sector, small.mlap, side, theta, r)
+            assert abs(grid.w.sum() - w.sum()) < 1e-14
+            assert abs(grid.g @ grid.w - g @ w) < 1e-13 * (g @ w)
+            laws[side] = (grid.g[None], grid.w[None]), (g[None], w[None])
+        for db in (0.0, 10.0, 20.0):
+            thr = 10.0 ** (-db / 10.0)
+            got = analysis._node_cp(thr, laws["inner"][0], laws["outer"][0],
+                                    small.n_active, kappas)
+            want = analysis._node_cp(thr, laws["inner"][1], laws["outer"][1],
+                                     small.n_active, kappas)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_oracle_matches_library_pattern(scn, rng):

@@ -147,6 +147,17 @@ class TestConditionalDistance:
         assert conditional_cdf_extended("inner", 200.0, 100.0, SECTOR) == 1.0
         assert conditional_cdf_extended("outer", 10.0, 100.0, SECTOR) == 0.0
 
+    def test_extended_cdf_in_place(self):
+        # the side grids write the CDF over the distances they pass in
+        r = np.array([[-1.0, 0.0, 37.5, 99.9], [100.0, 120.0, 150.0, np.inf]])
+        inner = (np.clip(r, 0.0, 100.0) / 100.0) ** 2
+        outer = (np.clip(r, 100.0, 150.0) ** 2 - 100.0**2) / (150.0**2 - 100.0**2)
+        for side, want in (("inner", inner), ("outer", outer)):
+            assert np.array_equal(conditional_cdf_extended(side, r, 100.0, SECTOR), want)
+            work = r.copy()
+            assert conditional_cdf_extended(side, work, 100.0, SECTOR, out=work) is work
+            assert np.array_equal(work, want)
+
 
 class TestSpatialAngle:
     def test_symmetry_point(self):
