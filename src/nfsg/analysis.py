@@ -21,9 +21,10 @@ are implemented:
           mixture of the quantized levels g_i with level-hit probabilities
           p_i from the spatial-angle law and the conditional distance law.
           One builder, vectorised over focal points, gives the levels and
-          both sides' probabilities from array expressions (only the
-          distance floor of g_0 and the beam-depth edges depend on the
-          focal point); they do not depend on tau.
+          both sides' probabilities from array expressions (only g_0,
+          through the asymptotic gain, and the beam-depth edges depend on
+          the focal point, and both laws take arrays of focal points); they
+          do not depend on tau.
 
 One per-node evaluator turns the side laws into CP for every route: it
 returns 1 where every interferer clears 1/tau, the all-interferers-at-zero
@@ -79,7 +80,6 @@ next to 'exact' and 'mlap', and runs on the mlap laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,8 +88,8 @@ from .errors import (DegenerateSupportError, DomainError, InvalidArgumentError,
                      NumericFailureError)
 from .geometry import (PolarPoint, SectorGeometry, conditional_cdf_extended,
                        ordered_distance_dist, spatial_angle_cdf_extended)
-from .pattern import (ArrayConfig, MlapConfig, MlapLevels, beam_depth, depth_edges,
-                      distance_floor, mlap_levels)
+from .pattern import (ArrayConfig, MlapConfig, MlapLevels, asymptotic_gain, beam_depth,
+                      mlap_levels)
 from .scenario import ScenarioConfig
 
 def _check_orders(kappas, n_active: int, mode: str):
@@ -124,7 +124,7 @@ def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
     levels g_0..g_{M+1} and the probability that one inner / outer
     interferer lands on each of them.
 
-    Only g_0, through the distance floor, and the beam-depth edges depend on
+    Only g_0, through the asymptotic gain, and the beam-depth edges depend on
     the focal point; the first point's mlap_levels gives the other levels
     and checks the configuration. Mainlobe levels combine the spatial-angle
     mass of the first-null band with the conditional radial mass beyond /
@@ -135,9 +135,9 @@ def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
     m = mlap.n_levels
     first = mlap_levels(array, mlap, PolarPoint(float(theta_k[0]), float(r_k[0])))
     g = np.tile(first.gains, (r_k.size, 1))
-    g[:, 0] = first.gains[1] * distance_floor(array, theta_k, r_k)
+    g[:, 0] = first.gains[1] * asymptotic_gain(array, theta_k, r_k)
     # an unbounded interval reaches past the cell, where both radial CDFs are 1
-    d_left, d_right, _ = depth_edges(array, theta_k, r_k, mlap.beta_gamma)
+    depth = beam_depth(array, theta_k, r_k, mlap.beta_gamma)
     vk = 0.5 * np.sin(theta_k)
     # spatial-angle CDF at the band edges vk + k/N, k = -M..M
     cdf = spatial_angle_cdf_extended(vk[:, None] + np.arange(-m, m + 1) / n, sector)
@@ -147,8 +147,8 @@ def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
     a_side = band[:, m + 1:] + band[:, :m - 1][:, ::-1]
 
     def law(side):
-        f_left = conditional_cdf_extended(side, d_left, r_k, sector)
-        f_right = conditional_cdf_extended(side, d_right, r_k, sector)
+        f_left = conditional_cdf_extended(side, depth.d_left, r_k, sector)
+        f_right = conditional_cdf_extended(side, depth.d_right, r_k, sector)
         p = np.clip(np.column_stack([a_main * (1.0 - f_right),
                                      a_main * (f_right - f_left), a_side]), 0.0, 1.0)
         rest = np.maximum(0.0, 1.0 - np.cumsum(p, axis=1)[:, -1])
@@ -174,10 +174,10 @@ def _anchor_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
         for side in ("inner", "outer"):
             grids = [_side_grid(array, sector, mlap, side, float(t), float(d))
                      for t, d in zip(theta_k, r_k)]
-            g = np.zeros((len(grids), max(grid.g.size for grid in grids)))
+            g = np.zeros((len(grids), max(gains.size for gains, _ in grids)))
             p = np.zeros_like(g)
-            for row, grid in enumerate(grids):
-                g[row, :grid.g.size], p[row, :grid.g.size] = grid.g, grid.w
+            for row, (gains, w) in enumerate(grids):
+                g[row, :gains.size], p[row, :gains.size] = gains, w
             laws.append((g, p))
     else:
         g, p_in, p_out = _level_laws(array, sector, mlap, theta_k, r_k)
@@ -200,7 +200,7 @@ def _pinned_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfi
     if mode == "exact":
         sides = [_side_grid(*key, side, theta_k, r_k) if used else _EMPTY_SIDE
                  for side, used in (("inner", inner), ("outer", outer))]
-        return tuple((grid.g[None], grid.w[None]) for grid in sides)
+        return tuple((g[None], w[None]) for g, w in sides)
     with np.errstate(invalid="ignore"):
         g, p_in, p_out = _level_laws(*key, np.array([theta_k]), np.array([r_k]))
     if r_k == scenario.sector.cell_radius:
@@ -284,14 +284,8 @@ _CLUSTER_ABS = 1e-7
 _GRID_T_RESOLVE = 640.0
 
 
-@dataclass(frozen=True)
-class _SideGrid:
-    g: np.ndarray
-    w: np.ndarray
-
-
 # law of a side that holds no interferers: all mass at gain 0
-_EMPTY_SIDE = _SideGrid(g=np.zeros(1), w=np.ones(1))
+_EMPTY_SIDE = np.zeros(1), np.ones(1)
 
 
 @lru_cache(maxsize=32)
@@ -363,7 +357,7 @@ def _panel_gains(nodes, n_sq, twiddle, prod, power) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: str,
-               theta_k: float, r_k: float) -> _SideGrid:
+               theta_k: float, r_k: float) -> tuple[np.ndarray, np.ndarray]:
     """Gain law (g, w) of one interferer on one side of the user at
     (theta_k, r_k), binned on gain. It does not depend on the user count.
 
@@ -372,10 +366,12 @@ def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: st
     mass. Its beta cells come from `_beta_panels`, each panel cut into
     _ORD_BETA cells whose widths are its Gauss-Legendre weights and sampled
     at its nodes. The beam-depth edges and the focal distance, taken on the
-    focal angle, are kinks of the panels. Within a column, beta maps to the
-    distance r = c q / (c cos^2(theta_k)/r_k - beta), with c = pi lambda/4
-    and q = 1 - 4 v^2, so a beta cell's mass is the conditional distance law
-    between the distances its edges map to, clipped to the side's support.
+    focal angle, are kinks of the panels; an unbounded right edge maps to
+    the beta of r = infinity, which never lies inside the grid. Within a
+    column, beta maps to the distance r = c q / (c cos^2(theta_k)/r_k - beta),
+    with c = pi lambda/4 and q = 1 - 4 v^2, so a beta cell's mass is the
+    conditional distance law between the distances its edges map to, clipped
+    to the side's support.
     The inner side stops at r_k sqrt(_INNER_MASS_TOL), and the mass inside
     that goes to gain 0. The gains of one panel come from `_panel_gains`,
     P//2 + 1 twiddled N-point FFTs per node, and only its cells that carry
@@ -409,8 +405,7 @@ def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: st
     # beta at r = infinity: no edge at or above it maps to a finite distance
     focus = c * math.cos(theta_k) ** 2 / r_k
     beta_lo, beta_hi = focus - cq.max() * y_hi, focus - cq.min() * y_lo
-    kinks = [focus * (1.0 - r_k / d) for d in (depth.d_left, depth.d_right, r_k)
-             if d is not None]
+    kinks = [focus * (1.0 - r_k / d) for d in (depth.d_left, depth.d_right, r_k)]
     edges = _beta_panels(n, sorted({beta_lo, beta_hi,
                                     *(b for b in kinks if beta_lo < b < beta_hi)}))
 
@@ -474,7 +469,7 @@ def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: st
         gw_sum += np.bincount(i, t, n_bins)
     w_sum[0] += trunc
     keep = w_sum > 0
-    return _SideGrid(g=gw_sum[keep] / w_sum[keep], w=w_sum[keep])
+    return gw_sum[keep] / w_sum[keep], w_sum[keep]
 
 
 # ---------------------------------------------------------------------------

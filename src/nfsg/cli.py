@@ -62,30 +62,22 @@ def _rows_pattern_cut(spec: ExperimentSpec) -> list[Row]:
     arr = scn.array
     f = spec.anchor
     n = arr.n_antennas
-    rows = []
     r_grid = np.unique(np.concatenate([
         np.linspace(max(0.02 * f.r, 0.25), scn.sector.cell_radius, 281), [f.r]]))
-    levels = mlap_levels(arr, scn.mlap, f)
-    for r in r_grid:
-        if "exact" in spec.modes:
-            rows.append(Row(spec.name, "exact", "r_m", float(r), None, None, "gain",
-                            distance_gain(arr, f.theta, f.r, float(r))))
-        if "mlap" in spec.modes:
-            rows.append(Row(spec.name, "mlap", "r_m", float(r), None, None, "gain",
-                            three_level_distance_gain(arr, f.theta, f.r, float(r),
-                                                      scn.mlap.beta_gamma)))
     span = (scn.mlap.n_levels + 2) / n
     phis = np.linspace(-span, span, 481)
-    # the quantized pattern at the focal distance, one level per |phi|
-    mlap = np.asarray(levels.gains)[_level_index(n, levels, np.abs(phis), f.r)]
-    for phi, g in zip(phis, mlap):
-        if "exact" in spec.modes:
-            rows.append(Row(spec.name, "exact", "phi", float(phi), None, None,
-                            "gain", float(angular_gain(n, phi))))
-        if "mlap" in spec.modes:
-            rows.append(Row(spec.name, "mlap", "phi", float(phi), None, None,
-                            "gain", float(g)))
-    return rows
+    levels = mlap_levels(arr, scn.mlap, f)
+    # per mode, the distance cut on r_grid and the angle cut on phis; the
+    # quantized angle cut is taken at the focal distance, one level per |phi|
+    cuts = {"exact": (distance_gain(arr, f.theta, f.r, r_grid), angular_gain(n, phis)),
+            "mlap": (three_level_distance_gain(arr, f.theta, f.r, r_grid,
+                                               scn.mlap.beta_gamma),
+                     np.asarray(levels.gains)[_level_index(n, levels, np.abs(phis), f.r)])}
+    modes = [m for m in cuts if m in spec.modes]
+    return [Row(spec.name, mode, param, float(x), None, None, "gain",
+                float(cuts[mode][cut][i]))
+            for cut, (param, xs) in enumerate((("r_m", r_grid), ("phi", phis)))
+            for i, x in enumerate(xs) for mode in modes]
 
 
 def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:

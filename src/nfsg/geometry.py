@@ -122,11 +122,15 @@ def ordered_distance_dist(kappa: int, r, n_active: int, sector: SectorGeometry):
     cdf = np.clip(cdf, 0.0, 1.0)
 
     pdf = np.zeros_like(q)
-    if qi.size:
+    # the factor (1 - q)^(n_active - kappa) is 1 on the cell edge if kappa = n_active
+    support = (q > 0) & ((q < 1) | (kappa == n_active))
+    if support.any():
+        qs = q[support]
         logc = lgn - math.lgamma(kappa + 1) - math.lgamma(n_active - kappa + 1)
-        lpdf = (math.log(2.0 * kappa) - np.log(r[interior]) + logc
-                + kappa * np.log(qi) + (n_active - kappa) * np.log1p(-qi))
-        pdf[interior] = np.exp(lpdf)
+        lpdf = (math.log(2.0 * kappa) - np.log(r[support]) + logc + kappa * np.log(qs))
+        if kappa < n_active:
+            lpdf += (n_active - kappa) * np.log1p(-qs)
+        pdf[support] = np.exp(lpdf)
     if scalar:
         return float(cdf[0]), float(pdf[0])
     return cdf, pdf

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, DomainError, InvalidArgumentError
 from .geometry import PolarPoint, sample_conditional_arrays, sample_user_arrays
 from .pattern import array_response
 from .scenario import ScenarioConfig
@@ -123,6 +123,15 @@ def realize_sinr(theta, r, scenario: ScenarioConfig) -> np.ndarray:
         return 1.0 / (interference + scenario.noise_term(r))
 
 
+def _thresholds(tau_grid) -> np.ndarray:
+    """tau_grid as an array. Every threshold must be positive, as in the
+    analytic routes; +inf passes, and no user clears it."""
+    taus = np.asarray(tau_grid, float)
+    if not np.all(taus > 0):
+        raise DomainError("tau must be positive")
+    return taus
+
+
 def _coverage_counts(sir_kappa: np.ndarray, tau_grid: np.ndarray) -> np.ndarray:
     return (sir_kappa[:, None] > tau_grid[None, :]).sum(axis=0)
 
@@ -168,7 +177,7 @@ def estimate_conditional_cp(plan: TrialPlan, kappa: int, anchor: PolarPoint,
     estimate per threshold from one draw. The pinned user's noise term is a
     constant, so its SINR coverage is the SIR coverage at
     analysis.sinr_equivalent_threshold; an infinite threshold gives 0."""
-    taus = np.asarray(tau_grid, float)
+    taus = _thresholds(tau_grid)
     interference = conditional_interference_samples(plan, kappa, anchor)
     with np.errstate(divide="ignore"):
         sir = 1.0 / interference
@@ -183,7 +192,7 @@ def estimate_network(plan: TrialPlan, tau_grid):
     ase the per-threshold aggregate list.
     """
     scn = plan.scenario
-    taus = np.asarray(tau_grid, float)
+    taus = _thresholds(tau_grid)
     n_a = scn.n_active
 
     def block(b, size, rng):

@@ -15,10 +15,12 @@ which peaks at 1 on the focal point, collapses to the angle-only squared
 Dirichlet kernel in the far field, and along the focal angle reduces to a
 Fresnel-integral profile whose -gamma-dB extent is the beam depth.
 
-The two point-pair laws, exact_gain (this gain) and mlap_gain (the
-multi-level pattern, with mlap_level_index), each have one implementation.
-It takes the observation points as arrays (theta_obs, r_obs) that broadcast
-together, and returns a float for scalar input.
+Every law has one checked implementation whose point arguments broadcast
+together and which returns a float for scalar input: the point-pair laws
+exact_gain (this gain) and mlap_gain (the multi-level pattern, with
+mlap_level_index), and the distance-cut laws distance_gain,
+asymptotic_gain, beam_depth and three_level_distance_gain, which take arrays
+of focal points too. An interval that is unbounded on the right ends at inf.
 """
 
 from __future__ import annotations
@@ -99,39 +101,35 @@ class MlapConfig:
 @dataclass(frozen=True)
 class BeamDepthInterval:
     """Distance interval around the focal point where the distance-cut gain
-    stays above the gamma-dB level. d_right is None when the interval is
-    unbounded (focal distance at or beyond focal_limit)."""
+    stays above the gamma-dB level. d_right is inf when the interval is
+    unbounded (focal distance at or beyond focal_limit). The fields are
+    floats for one focal point and arrays for an array of them."""
 
-    d_left: float
-    d_right: float | None
-    focal_limit: float
-
-    @property
-    def unbounded(self) -> bool:
-        return self.d_right is None
+    d_left: float | np.ndarray
+    d_right: float | np.ndarray
+    focal_limit: float | np.ndarray
 
     @property
-    def right_or_inf(self) -> float:
-        return math.inf if self.d_right is None else self.d_right
+    def unbounded(self):
+        return self.d_right == math.inf
 
     @property
-    def depth(self) -> float:
-        return self.right_or_inf - self.d_left
+    def depth(self):
+        return self.d_right - self.d_left
 
 
 @dataclass(frozen=True)
 class MlapLevels:
     """Quantized gains g_0..g_{M+1} built for one focal point.
 
-    gains[0] is the beyond-depth mainlobe level g_1 * distance_floor,
-    gains[1] the in-depth mainlobe level, gains[m] the m-th lobe level, and
-    gains[M+1] is exactly 0.
+    gains[0] is the beyond-depth mainlobe level, g_1 times the asymptotic
+    gain, gains[1] the in-depth mainlobe level, gains[m] the m-th lobe level,
+    and gains[M+1] is exactly 0.
     """
 
     gains: tuple[float, ...]
     focal: PolarPoint
     depth: BeamDepthInterval = field(compare=False)
-    distance_floor: float = field(compare=False)
 
     @property
     def n_levels(self) -> int:
@@ -141,6 +139,10 @@ class MlapLevels:
 class MStar(NamedTuple):
     m: int
     saturated: bool
+
+
+def _float_if_scalar(a):
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def array_response(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
@@ -203,13 +205,6 @@ def ff_gain(cfg: ArrayConfig, theta: float, theta_focal: float) -> float:
     return float(angular_gain(cfg.n_antennas, phi))
 
 
-def _beta(cfg: ArrayConfig, theta_focal: float, r_focal: float, r_obs: float) -> float:
-    s2 = math.sin(theta_focal) ** 2
-    arg = (cfg.n_antennas**2 * cfg.spacing**2 * (1.0 - s2) / (2.0 * cfg.wavelength)
-           * abs(1.0 / r_focal - 1.0 / r_obs))
-    return math.sqrt(arg)
-
-
 def _fresnel_profile(beta):
     # (C(b)^2 + S(b)^2)/b^2 with the b -> 0 limit handled by series; takes
     # an array and returns one
@@ -220,15 +215,6 @@ def _fresnel_profile(beta):
                         (c * c + s * s) / (beta * beta))
 
 
-def distance_gain(cfg: ArrayConfig, theta_focal: float, r_focal: float,
-                  r_obs: float) -> float:
-    """Gain along the focal angle as a function of observation distance only:
-    |(C(beta) + j S(beta))/beta|^2 with beta the distance-mismatch argument."""
-    if not (r_focal > 0 and r_obs > 0):
-        raise DomainError("distance_gain requires positive distances")
-    return float(_fresnel_profile(_beta(cfg, theta_focal, r_focal, r_obs)))
-
-
 def _a_over(cfg: ArrayConfig, theta_focal, per):
     """A / per with A = N^2 d^2 (1-sin^2 theta_focal)/(2 lambda); theta_focal
     and per broadcast together."""
@@ -236,46 +222,48 @@ def _a_over(cfg: ArrayConfig, theta_focal, per):
     return cfg.n_antennas**2 * cfg.spacing**2 * (1.0 - s2) / (2.0 * cfg.wavelength * per)
 
 
-def distance_floor(cfg: ArrayConfig, theta_focal, r_focal):
-    """asymptotic_gain at arrays of focal points that broadcast together,
-    without its check: the Fresnel profile at beta = sqrt(A / r_focal)."""
-    return _fresnel_profile(np.sqrt(_a_over(cfg, theta_focal, r_focal)))
+def distance_gain(cfg: ArrayConfig, theta_focal, r_focal, r_obs):
+    """Gain along the focal angle as a function of observation distance only:
+    |(C(beta) + j S(beta))/beta|^2 with beta = sqrt(A |1/r_focal - 1/r_obs|).
+    The arguments broadcast together; scalar input gives a float."""
+    r_focal, r_obs = np.asarray(r_focal, float), np.asarray(r_obs, float)
+    if not (np.all(r_focal > 0) and np.all(r_obs > 0)):
+        raise DomainError("distance_gain requires positive distances")
+    beta = np.sqrt(_a_over(cfg, theta_focal, 1.0) * np.abs(1.0 / r_focal - 1.0 / r_obs))
+    return _float_if_scalar(_fresnel_profile(beta))
 
 
-def depth_edges(cfg: ArrayConfig, theta_focal, r_focal, beta_gamma: float):
-    """(d_left, right_or_inf, focal_limit) of beam_depth at arrays of focal
-    points that broadcast together, without its checks."""
-    limit = _a_over(cfg, theta_focal, beta_gamma**2)
-    left = r_focal * limit / (limit + r_focal)
-    with np.errstate(divide="ignore"):
-        right = np.where(r_focal < limit, r_focal * limit / (limit - r_focal), np.inf)
-    return left, right, limit
-
-
-def asymptotic_gain(cfg: ArrayConfig, theta_focal: float, r_focal: float) -> float:
-    """Limit of distance_gain as the observation distance grows without bound."""
-    if not r_focal > 0:
+def asymptotic_gain(cfg: ArrayConfig, theta_focal, r_focal):
+    """Limit of distance_gain as the observation distance grows without
+    bound, the Fresnel profile at beta = sqrt(A / r_focal). The arguments
+    broadcast together; scalar input gives a float."""
+    r_focal = np.asarray(r_focal, float)
+    if not np.all(r_focal > 0):
         raise DomainError("asymptotic_gain requires r_focal > 0")
-    return float(distance_floor(cfg, theta_focal, r_focal))
+    return _float_if_scalar(_fresnel_profile(np.sqrt(_a_over(cfg, theta_focal, r_focal))))
 
 
-def beam_depth(cfg: ArrayConfig, theta_focal: float, r_focal: float,
+def beam_depth(cfg: ArrayConfig, theta_focal, r_focal,
                beta_gamma: float) -> BeamDepthInterval:
     """Distance interval where the distance-cut gain exceeds the gamma level
     G_D(beta_gamma).
 
     The interval endpoints satisfy |1/r_focal - 1/r_end| = beta_gamma^2 / A
     with A = N^2 d^2 (1-sin^2 theta)/(2 lambda), so the depth scale is
-    A / beta_gamma^2; unbounded on the right once r_focal reaches it.
+    A / beta_gamma^2; unbounded on the right once r_focal reaches it. The
+    focal arguments broadcast together; scalar input gives float fields.
     """
-    if not r_focal > 0:
+    r_focal = np.asarray(r_focal, float)
+    if not np.all(r_focal > 0):
         raise DomainError("beam_depth requires r_focal > 0")
     if not beta_gamma > 0:
         raise DomainError("beam_depth requires beta_gamma > 0")
-    left, right, limit = depth_edges(cfg, theta_focal, r_focal, beta_gamma)
-    return BeamDepthInterval(d_left=float(left),
-                             d_right=float(right) if r_focal < limit else None,
-                             focal_limit=float(limit))
+    limit = _a_over(cfg, theta_focal, beta_gamma**2)
+    left = r_focal * limit / (limit + r_focal)
+    with np.errstate(divide="ignore"):
+        right = np.where(r_focal < limit, r_focal * limit / (limit - r_focal), np.inf)
+    edges = np.broadcast_arrays(left, right, limit)
+    return BeamDepthInterval(*map(_float_if_scalar, edges))
 
 
 def solve_beta_gamma(gamma_db: float) -> float:
@@ -294,36 +282,43 @@ def solve_beta_gamma(gamma_db: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def three_level_distance_gain(cfg: ArrayConfig, theta_focal: float, r_focal: float,
-                              r_obs: float, beta_gamma: float) -> float:
+def three_level_distance_gain(cfg: ArrayConfig, theta_focal, r_focal, r_obs,
+                              beta_gamma: float):
     """Three-level quantization of the distance cut: 1 inside the beam-depth
     interval, the asymptotic floor beyond it, 0 below it. Diagnostic pattern
-    only; the composite multi-level pattern scales its mainlobe differently."""
-    interval = beam_depth(cfg, theta_focal, r_focal, beta_gamma)
-    if interval.d_left < r_obs < interval.right_or_inf:
-        return 1.0
-    if not interval.unbounded and r_obs >= interval.d_right:
-        return asymptotic_gain(cfg, theta_focal, r_focal)
-    return 0.0
+    only; the composite multi-level pattern scales its mainlobe differently.
+    The arguments broadcast together; scalar input gives a float."""
+    r_obs = np.asarray(r_obs, float)
+    if not np.all(r_obs > 0):
+        raise DomainError("three_level_distance_gain requires r_obs > 0")
+    depth = beam_depth(cfg, theta_focal, r_focal, beta_gamma)
+    floor = asymptotic_gain(cfg, theta_focal, r_focal)
+    g = np.where((r_obs > depth.d_left) & (r_obs < depth.d_right), 1.0,
+                 np.where(r_obs >= depth.d_right, floor, 0.0))
+    return _float_if_scalar(g)
+
+
+def _lobe_levels(cfg: ArrayConfig, mlap: MlapConfig, count: int) -> np.ndarray:
+    """The mid-lobe levels (delta/2) * G_A((2m-1)/(2N)) of the lobes
+    m = 1..count."""
+    n = cfg.n_antennas
+    return mlap.delta / 2.0 * angular_gain(n, (2 * np.arange(1, count + 1) - 1) / (2.0 * n))
 
 
 def mlap_levels(cfg: ArrayConfig, mlap: MlapConfig, focal: PolarPoint) -> MlapLevels:
     """Quantized gain levels for a beam focused on `focal`.
 
     g_1 = (delta/2) * G_A(0), g_m = (delta/2) * G_A((2m-1)/(2N)) for m >= 2,
-    g_0 = g_1 * distance floor, g_{M+1} = 0.
+    g_0 = g_1 * asymptotic gain, g_{M+1} = 0.
     """
     m = mlap.n_levels
-    n = cfg.n_antennas
-    if m > n // 2:
+    if m > cfg.n_antennas // 2:
         raise InvalidArgumentError("n_levels must not exceed floor(n_antennas/2)")
-    half = mlap.delta / 2.0
-    g1 = half  # G_A(0) = 1
-    gm = [half * float(angular_gain(n, (2 * i - 1) / (2.0 * n))) for i in range(2, m + 1)]
+    g1 = mlap.delta / 2.0  # G_A(0) = 1
     floor = asymptotic_gain(cfg, focal.theta, focal.r)
-    gains = (g1 * floor, g1, *gm, 0.0)
+    gains = (g1 * floor, g1, *_lobe_levels(cfg, mlap, m)[1:].tolist(), 0.0)
     depth = beam_depth(cfg, focal.theta, focal.r, mlap.beta_gamma)
-    return MlapLevels(gains=gains, focal=focal, depth=depth, distance_floor=floor)
+    return MlapLevels(gains=gains, focal=focal, depth=depth)
 
 
 def mlap_level_index(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
@@ -346,9 +341,8 @@ def _level_index(n: int, levels: MlapLevels, phi_abs, r) -> np.ndarray:
     m_max = levels.n_levels
     lobe = np.clip(np.ceil(phi_abs * n).astype(int), 2, m_max + 1)
     depth = levels.depth
-    inside = (r > depth.d_left) & (r < depth.right_or_inf)
-    beyond = False if depth.unbounded else r >= depth.d_right
-    main = np.where(beyond, 0, np.where(inside, 1, m_max + 1))
+    inside = (r > depth.d_left) & (r < depth.d_right)
+    main = np.where(r >= depth.d_right, 0, np.where(inside, 1, m_max + 1))
     return np.where(phi_abs <= 1.0 / n, main, lobe)
 
 
@@ -369,11 +363,6 @@ def m_star(cfg: ArrayConfig, mlap: MlapConfig, tau: float) -> MStar:
     """
     if not tau > 0:
         raise DomainError("tau must be positive")
-    n = cfg.n_antennas
-    cap = n // 2
-    inv = 1.0 / tau
-    half = mlap.delta / 2.0
-    for m in range(1, cap + 1):
-        if half * float(angular_gain(n, (2 * m - 1) / (2.0 * n))) < inv:
-            return MStar(m, False)
-    return MStar(cap, True)
+    cap = cfg.n_antennas // 2
+    below = np.flatnonzero(_lobe_levels(cfg, mlap, cap) < 1.0 / tau)
+    return MStar(int(below[0]) + 1, False) if below.size else MStar(cap, True)

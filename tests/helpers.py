@@ -153,8 +153,7 @@ def reference_side_grid(arr, sec, mlap, side, theta_k, r_k):
         y_lo, y_hi, trunc = 1.0 / sec.cell_radius, 1.0 / r_k, 0.0
     focus = c * math.cos(theta_k) ** 2 / r_k
     beta_lo, beta_hi = focus - cq.max() * y_hi, focus - cq.min() * y_lo
-    kinks = [focus * (1.0 - r_k / d) for d in (depth.d_left, depth.d_right, r_k)
-             if d is not None]
+    kinks = [focus * (1.0 - r_k / d) for d in (depth.d_left, depth.d_right, r_k)]
     edges = analysis._beta_panels(n, sorted({beta_lo, beta_hi,
                                              *(b for b in kinks if beta_lo < b < beta_hi)}))
     x, wt = np.polynomial.legendre.leggauss(analysis._ORD_BETA)

@@ -58,6 +58,19 @@ class TestOrderedDistance:
         assert cdf == pytest.approx(cdf0, abs=1e-14)
         assert pdf == pytest.approx(pdf0, rel=1e-12)
 
+    def test_cell_edge_density(self):
+        # the density holds up to both ends of the cell: the farthest of n
+        # users has density 2 n/R at R, and any nearer one 0
+        r = np.linspace(0.0, 150.0, 31)
+        cdf, pdf = ordered_distance_dist(1, r, 1, SECTOR)
+        cdf0, pdf0 = unordered_distance_dist(r, SECTOR)
+        assert np.allclose(cdf, cdf0, rtol=1e-12, atol=1e-14)
+        assert np.allclose(pdf, pdf0, rtol=1e-12, atol=0.0)
+        for n in (1, 2, 15):
+            assert ordered_distance_dist(n, 150.0, n, SECTOR)[1] == pytest.approx(
+                2.0 * n / 150.0, rel=1e-12)
+        assert ordered_distance_dist(14, 150.0, 15, SECTOR)[1] == 0.0
+
     def test_max_order_telescopes(self):
         # the farthest of n nodes has CDF (r^2/R^2)^n
         cdf, _ = ordered_distance_dist(2, 150.0 / math.sqrt(2), 2, SECTOR)

@@ -17,7 +17,7 @@ from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgum
                   conditional_cp, conditional_cp_sinr, estimate_overall_cp,
                   laplace, level_probabilities, mlap_levels, overall_cp,
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
-from nfsg.pattern import beam_depth, depth_edges
+from nfsg.pattern import beam_depth
 from nfsg import analysis
 from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws, _anchor_nodes,
                            _conditional_cp_bounds, _lattice_cp, _lattice_step, _level_laws,
@@ -412,13 +412,13 @@ class TestOverall:
         theta = np.append(np.repeat(th, r.size), 0.3)
         dist = np.append(np.tile(r, th.size), limit)
         g, _, _ = _level_laws(scn.array, scn.sector, scn.mlap, theta, dist)
-        d_left, d_right, _ = depth_edges(scn.array, theta, dist, scn.mlap.beta_gamma)
+        depth = beam_depth(scn.array, theta, dist, scn.mlap.beta_gamma)
         levels = [mlap_levels(scn.array, scn.mlap, PolarPoint(t, d))
                   for t, d in zip(theta, dist)]
         assert np.array_equal(g, [lv.gains for lv in levels])
-        assert np.array_equal(d_left, [lv.depth.d_left for lv in levels])
-        assert np.array_equal(d_right, [lv.depth.right_or_inf for lv in levels])
-        assert levels[-1].depth.unbounded and np.isinf(d_right).sum() > 1
+        assert np.array_equal(depth.d_left, [lv.depth.d_left for lv in levels])
+        assert np.array_equal(depth.d_right, [lv.depth.d_right for lv in levels])
+        assert levels[-1].depth.unbounded and np.isinf(depth.d_right).sum() > 1
 
     def test_exact_padding_changes_no_node(self):
         # each node's row of the stacked laws, padded with zero-mass atoms at
@@ -430,9 +430,9 @@ class TestOverall:
         stacked = [_node_cp(thr, inner, outer, SMALL.n_active, kappas) for thr in thrs]
         th, _, r, _ = _anchor_nodes(SMALL.sector)
         for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
-            own = [(grid.g[None], grid.w[None])
-                   for grid in (_side_grid(SMALL.array, SMALL.sector, SMALL.mlap, side, t, d)
-                                for side in ("inner", "outer"))]
+            own = [(g[None], w[None]) for g, w in
+                   (_side_grid(SMALL.array, SMALL.sector, SMALL.mlap, side, t, d)
+                    for side in ("inner", "outer"))]
             for thr, (lower, upper) in zip(thrs, stacked):
                 lo, up = _node_cp(thr, *own, SMALL.n_active, kappas)
                 assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfsg import (ConfigError, InvalidArgumentError, PolarPoint, TrialPlan,
+from nfsg import (ConfigError, DomainError, InvalidArgumentError, PolarPoint, TrialPlan,
                   conditional_cp_sinr, estimate_ase, estimate_conditional_cp,
                   estimate_network, estimate_overall_cp, realize_sinr, realize_sir,
                   sample_user_arrays, sinr_equivalent_threshold)
@@ -103,6 +103,17 @@ class TestEstimators:
         assert [(e.value, e.std_error) for e in est] == [(1.0, 0.0), (0.0, 0.0)]
         assert conditional_cp_sinr(1e3, 0.0, 100.0, 1, one, "mlap") == 0.0
         assert conditional_cp_sinr(0.1, 0.0, 100.0, 1, one, "mlap") == 1.0
+
+    @pytest.mark.parametrize("tau", [-0.5, -2.0, 0.0, math.nan, -math.inf])
+    @pytest.mark.parametrize("estimator", ["network", "conditional"])
+    def test_threshold_must_be_positive(self, scn, estimator, tau):
+        # as in the analytic routes; +inf stays a valid conditional threshold
+        plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn)
+        run = {"network": lambda taus: estimate_network(plan, taus),
+               "conditional": lambda taus: estimate_conditional_cp(plan, 3, ANCHOR, taus)}
+        with pytest.raises(DomainError, match="tau must be positive"):
+            run[estimator]([10.0, tau])
+        assert estimate_conditional_cp(plan, 3, ANCHOR, [math.inf])[0].value == 0.0
 
     def test_single_user_anchor_checked(self, scn):
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn.with_(n_active=1))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfsg import (ArrayConfig, DomainError, InvalidArgumentError, MlapConfig,
-                  PolarPoint, angular_gain, array_response, asymptotic_gain,
+from nfsg import (ArrayConfig, BeamDepthInterval, DomainError, InvalidArgumentError,
+                  MlapConfig, PolarPoint, angular_gain, array_response, asymptotic_gain,
                   beam_depth, distance_gain, exact_gain, ff_gain, m_star,
                   mlap_gain, mlap_levels, solve_beta_gamma)
 from nfsg.pattern import three_level_distance_gain
@@ -244,7 +244,7 @@ class TestBeamDepth:
         assert not bd.unbounded
         far = beam_depth(CFG, 0.0, bd.focal_limit * 1.01, 1.3)
         assert far.unbounded
-        assert far.right_or_inf == math.inf
+        assert far.d_right == math.inf
         assert far.depth == math.inf
 
     def test_left_below_focal(self, rng):
@@ -253,6 +253,50 @@ class TestBeamDepth:
             bd = beam_depth(CFG, 0.0, r, 1.3)
             assert 0.0 < bd.d_left < r
             assert bd.unbounded or bd.d_right > r
+
+
+# the distance-cut laws as fn(theta_focal, r_focal, r_obs), and whether they
+# read r_obs
+_FOCAL_LAWS = {
+    "asymptotic_gain": (lambda t, rf, ro: asymptotic_gain(CFG, t, rf), False),
+    "beam_depth": (lambda t, rf, ro: beam_depth(CFG, t, rf, 1.3), False),
+    "distance_gain": (lambda t, rf, ro: distance_gain(CFG, t, rf, ro), True),
+    "three_level_distance_gain": (
+        lambda t, rf, ro: three_level_distance_gain(CFG, t, rf, ro, 1.3), True),
+}
+
+
+@pytest.mark.parametrize("law", list(_FOCAL_LAWS))
+def test_focal_laws_array_and_scalar_forms(law, rng):
+    fn, reads_r_obs = _FOCAL_LAWS[law]
+
+    def fields(out):
+        # beam_depth's three edges, or the gain
+        if isinstance(out, BeamDepthInterval):
+            return [out.d_left, out.d_right, out.focal_limit]
+        return [out]
+
+    # the last focal point lies beyond its focal limit: its depth is unbounded
+    theta, r_f = _rand_points(rng, 12, r_hi=60.0)
+    theta = np.append(theta, 0.2)
+    r_f = np.append(r_f, 1.5 * beam_depth(CFG, 0.2, 1.0, 1.3).focal_limit)
+    r_o = rng.uniform(1.0, 150.0, theta.size)
+    arrays = fields(fn(theta, r_f, r_o))
+    scalars = [fields(fn(float(t), float(rf), float(ro)))
+               for t, rf, ro in zip(theta, r_f, r_o)]
+    for k, a in enumerate(arrays):
+        assert a.shape == theta.shape
+        assert all(isinstance(s[k], float) for s in scalars)
+        assert np.array([s[k] for s in scalars]).tobytes() == a.tobytes()
+    if law == "beam_depth":
+        assert arrays[1][-1] == math.inf and scalars[-1][1] == math.inf
+        assert np.isfinite(arrays[1]).any()
+    for bad in (0.0, -3.0):
+        with pytest.raises(DomainError):
+            fn(theta, np.where(np.arange(theta.size) == 4, bad, r_f), r_o)
+        if reads_r_obs:
+            with pytest.raises(DomainError):
+                fn(theta, r_f, np.where(np.arange(theta.size) == 4, bad, r_o))
 
 
 class TestSolveBetaGamma:
