@@ -27,7 +27,8 @@ are implemented:
           do not depend on tau.
 
 One per-node evaluator turns the side laws into CP for every route: it
-returns 1 where every interferer clears 1/tau, the all-interferers-at-zero
+returns 0 at tau = +inf, which no SIR exceeds, a lone user's included, and
+1 where every interferer clears 1/tau, the all-interferers-at-zero
 probability where no gain falls in (0, 1/tau] (the frozen region), the
 closed-form product for the upper bound, and the lattice bounds below for
 the rest. The location average runs that evaluator on the quadrature nodes
@@ -598,15 +599,19 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (rows, m), one node per row. closed_form gives the 'upper'
     route instead: every interferer's gain must stay below thr on its own,
-    returned as both bounds. Nodes where every interferer clears thr are
-    covered for sure. Nodes with no gain in (0, thr] (the frozen region)
-    are covered only when every interferer sits on gain 0, which is the
-    closed-form product. The rest go through the lattice _LATTICE_ROWS rows
-    at a time, every batch writing its outer ladder into one workspace.
+    returned as both bounds. Both are 0 at thr = 0 (tau = +inf): no SIR, a
+    lone user's included, exceeds +inf. Nodes where every interferer clears
+    thr are covered for sure. Nodes with no gain in (0, thr] (the frozen
+    region) are covered only when every interferer sits on gain 0, which is
+    the closed-form product. The rest go through the lattice _LATTICE_ROWS
+    rows at a time, every batch writing its outer ladder into one workspace.
     Returns (lower, upper), each of shape (rows, len(kappas)).
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
     kap = np.asarray(kappas, int)
+    if thr == 0:
+        zero = np.zeros((g_in.shape[0], kap.size))
+        return zero, zero
     closed = (((p_in * (g_in < thr)).sum(axis=1)[:, None] ** (kap - 1))
               * ((p_out * (g_out < thr)).sum(axis=1)[:, None] ** (n_active - kap)))
     if closed_form:
@@ -658,11 +663,12 @@ def conditional_cp(tau: float, theta_k: float, r_k: float, kappa: int,
 
 
 def sinr_equivalent_threshold(tau: float, r_k: float,
-                              scenario: ScenarioConfig) -> float | None:
+                              scenario: ScenarioConfig) -> float:
     """SIR threshold whose coverage equals the SINR coverage at tau.
 
-    With zero noise this is the identity. Returns None when the noise term
-    alone exceeds the interference budget (coverage is then exactly 0)."""
+    With zero noise this is the identity. Where the noise term alone uses up
+    the interference budget 1/tau it is +inf, which no SIR exceeds, so every
+    route reads coverage 0 there."""
     if not tau > 0:
         raise DomainError("tau must be positive")
     if not r_k > 0:
@@ -671,19 +677,15 @@ def sinr_equivalent_threshold(tau: float, r_k: float,
     if noise == 0.0:
         return tau
     budget = 1.0 / tau - noise
-    if budget <= 0.0:
-        return None
-    return 1.0 / budget
+    return 1.0 / budget if budget > 0.0 else math.inf
 
 
 def conditional_cp_sinr(tau: float, theta_k: float, r_k: float, kappa: int,
                         scenario: ScenarioConfig, mode: str = "mlap") -> float:
     """SINR coverage via the threshold substitution, for any conditional_cp
     mode."""
-    tau_eq = sinr_equivalent_threshold(tau, r_k, scenario)
-    if tau_eq is None:
-        return 0.0
-    return conditional_cp(tau_eq, theta_k, r_k, kappa, scenario, mode)
+    return conditional_cp(sinr_equivalent_threshold(tau, r_k, scenario),
+                          theta_k, r_k, kappa, scenario, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +720,10 @@ def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
     The node laws do not depend on kappa or on the threshold: every route
     reads them from `_anchor_laws`, built once per array, sector and
     pattern, and one `_node_cp` call serves every node and user order.
+    tau = +inf has no finite rate and is rejected.
     """
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise DomainError("tau must be positive and finite")
     kap = np.asarray(list(kappas), int)
     _check_orders(kap, scenario.n_active, mode)
     n_active = scenario.n_active

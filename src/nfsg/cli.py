@@ -109,33 +109,23 @@ def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:
 def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
     f = spec.anchor
-    taus_db = spec.tau_grid_db
-    taus = [db_to_linear(d) for d in taus_db]
+    # one threshold grid for every route: each tau, then, with noise, its
+    # SINR-equivalent threshold, since the pinned user's noise term is a
+    # constant; it is +inf, never met, where the noise alone uses up 1/tau
+    metrics = ("cp", "cp_sinr") if scn.noise_power > 0 else ("cp",)
+    keys = [(m, d) for d in spec.tau_grid_db for m in metrics]
+    grid = [db_to_linear(d) if m == "cp" else
+            analysis.sinr_equivalent_threshold(db_to_linear(d), f.r, scn) for m, d in keys]
     rows = []
-    with_noise = scn.noise_power > 0
     for mode in spec.modes:
         if mode == "montecarlo":
-            # one draw serves both metrics: the pinned user's noise term is a
-            # constant, so cp_sinr is the SIR coverage at the equivalent
-            # threshold, and a threshold the noise alone exhausts is never met
-            metrics = ("cp", "cp_sinr") if with_noise else ("cp",)
-            grid = list(taus)
-            if with_noise:
-                eq = (analysis.sinr_equivalent_threshold(t, f.r, scn) for t in taus)
-                grid += [math.inf if t is None else t for t in eq]
-            est = montecarlo.estimate_conditional_cp(_plan(spec, scn), spec.kappa, f, grid)
-            keys = [(m, d) for m in metrics for d in taus_db]
-            rows += [Row(spec.name, mode, None, None, spec.kappa, d, m, e.value,
-                         e.std_error) for (m, d), e in zip(keys, est)]
-            continue
-        for d, tau in zip(taus_db, taus):
-            val = analysis.conditional_cp(tau, f.theta, f.r, spec.kappa, scn, mode)
-            rows.append(Row(spec.name, mode, None, None, spec.kappa, d, "cp", val))
-            if with_noise:
-                val = analysis.conditional_cp_sinr(tau, f.theta, f.r, spec.kappa,
-                                                   scn, mode)
-                rows.append(Row(spec.name, mode, None, None, spec.kappa, d,
-                                "cp_sinr", val))
+            est = [(e.value, e.std_error) for e in montecarlo.estimate_conditional_cp(
+                _plan(spec, scn), spec.kappa, f, grid)]
+        else:
+            est = [(analysis.conditional_cp(t, f.theta, f.r, spec.kappa, scn, mode), None)
+                   for t in grid]
+        rows += [Row(spec.name, mode, None, None, spec.kappa, d, metric, *e)
+                 for (metric, d), e in zip(keys, est)]
     return rows
 
 

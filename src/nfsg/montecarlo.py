@@ -89,6 +89,21 @@ def _map_blocks(plan: TrialPlan, fn):
         return [f.result() for f in futures]
 
 
+def _interference(theta, r, scenario: ScenarioConfig,
+                  exact_distances: bool = False) -> np.ndarray:
+    """Per-user beam interference, the sum of cross gains, for one
+    realization with the users at (theta, r)."""
+    theta, r = np.asarray(theta, float), np.asarray(r, float)
+    if exact_distances:
+        vecs = np.stack([array_response(scenario.array, PolarPoint(t, d))
+                         for t, d in zip(theta, r)])
+        cross = np.abs(np.conj(vecs) @ vecs.T) ** 2
+        return cross.sum(axis=1) - np.diag(cross)
+    return kernels.interference_sums(theta[None, :], r[None, :],
+                                     scenario.array.n_antennas,
+                                     scenario.array.wavelength)[0]
+
+
 def realize_sir(theta, r, scenario: ScenarioConfig,
                 exact_distances: bool = False) -> np.ndarray:
     """Per-user SIR for one realization, the users at (theta, r): 1 / sum of
@@ -98,37 +113,26 @@ def realize_sir(theta, r, scenario: ScenarioConfig,
     opt-in exact-distance mode rebuilds the gains from raw response-vector
     inner products instead of the Fresnel-phase sum, for cross-validation.
     """
-    theta, r = np.asarray(theta, float), np.asarray(r, float)
-    if exact_distances:
-        vecs = np.stack([array_response(scenario.array, PolarPoint(t, d))
-                         for t, d in zip(theta, r)])
-        cross = np.abs(np.conj(vecs) @ vecs.T) ** 2
-        interference = cross.sum(axis=1) - np.diag(cross)
-    else:
-        interference = kernels.interference_sums(
-            theta[None, :], r[None, :], scenario.array.n_antennas,
-            scenario.array.wavelength)[0]
     with np.errstate(divide="ignore"):
-        return 1.0 / interference
+        return 1.0 / _interference(theta, r, scenario, exact_distances)
 
 
 def realize_sinr(theta, r, scenario: ScenarioConfig) -> np.ndarray:
     """Per-user SINR for one realization: the interference sum plus the
     location-dependent noise term n_active * sigma^2 / (P_t N zeta r^-alpha)."""
-    theta, r = np.asarray(theta, float), np.asarray(r, float)
-    interference = kernels.interference_sums(theta[None, :], r[None, :],
-                                             scenario.array.n_antennas,
-                                             scenario.array.wavelength)[0]
+    noise = scenario.noise_term(np.asarray(r, float))
     with np.errstate(divide="ignore"):
-        return 1.0 / (interference + scenario.noise_term(r))
+        return 1.0 / (_interference(theta, r, scenario) + noise)
 
 
-def _thresholds(tau_grid) -> np.ndarray:
+def _thresholds(tau_grid, finite: bool) -> np.ndarray:
     """tau_grid as an array. Every threshold must be positive, as in the
-    analytic routes; +inf passes, and no user clears it."""
+    analytic routes, and finite where a rate is taken; no user clears +inf."""
     taus = np.asarray(tau_grid, float)
     if not np.all(taus > 0):
         raise DomainError("tau must be positive")
+    if finite and not np.all(taus < math.inf):
+        raise DomainError("tau must be positive and finite")
     return taus
 
 
@@ -176,8 +180,9 @@ def estimate_conditional_cp(plan: TrialPlan, kappa: int, anchor: PolarPoint,
     """Empirical conditional SIR coverage for a user pinned at `anchor`, one
     estimate per threshold from one draw. The pinned user's noise term is a
     constant, so its SINR coverage is the SIR coverage at
-    analysis.sinr_equivalent_threshold; an infinite threshold gives 0."""
-    taus = _thresholds(tau_grid)
+    analysis.sinr_equivalent_threshold; +inf, which no SIR exceeds, not even
+    a lone user's, gives 0."""
+    taus = _thresholds(tau_grid, finite=False)
     interference = conditional_interference_samples(plan, kappa, anchor)
     with np.errstate(divide="ignore"):
         sir = 1.0 / interference
@@ -189,10 +194,11 @@ def estimate_network(plan: TrialPlan, tau_grid):
     """One simulation pass giving per-user overall CP and the aggregate ASE.
 
     Returns (cp, ase): cp[k-1] is the per-threshold estimate list for user k,
-    ase the per-threshold aggregate list.
+    ase the per-threshold aggregate list. +inf has no finite rate and raises
+    DomainError.
     """
     scn = plan.scenario
-    taus = _thresholds(tau_grid)
+    taus = _thresholds(tau_grid, finite=True)
     n_a = scn.n_active
 
     def block(b, size, rng):

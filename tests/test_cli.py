@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import fresnel_phase_gain
-from nfsg import TrialPlan
+from nfsg import TrialPlan, conditional_cp, sinr_equivalent_threshold
 from nfsg.cli import COLUMNS, Row, emit_results, main, run_experiment
 from nfsg.config import db_to_linear, parse_config
 from nfsg.montecarlo import conditional_interference_samples
@@ -126,11 +126,19 @@ class TestExperiments:
         modes = ["exact", "mlap", "upper", "montecarlo"]
         spec = _spec(experiment="cond-cp", scenario=noisy, modes=modes,
                      kappa=2, anchor={"theta_deg": -5.0, "r_m": 20.0},
-                     tau_grid_db=[0.0, 10.0])
+                     tau_grid_db=[0.0, 10.0, 20.0])
+        scn, f = spec.scenario, spec.anchor
+        # at 20 dB the noise term alone uses up 1/tau
+        assert sinr_equivalent_threshold(db_to_linear(20.0), f.r, scn) == math.inf
         value = {(r.mode, r.tau_db, r.metric): r.value for r in run_experiment(spec)}
         for mode in modes:
-            for d in (0.0, 10.0):
+            for d in spec.tau_grid_db:
                 assert value[(mode, d, "cp_sinr")] <= value[(mode, d, "cp")]
+                if mode != "montecarlo":
+                    tau_eq = sinr_equivalent_threshold(db_to_linear(d), f.r, scn)
+                    assert value[(mode, d, "cp_sinr")] == conditional_cp(
+                        tau_eq, f.theta, f.r, spec.kappa, scn, mode)
+            assert value[(mode, 20.0, "cp_sinr")] == 0.0
 
     def test_cond_cp_sinr_from_one_draw(self):
         # Monte Carlo cp_sinr rows count 1/(I + noise) > tau on the draw of
@@ -262,6 +270,30 @@ class TestMain:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
         assert len(tables[0].splitlines()) == 1 + 3 * 2 * 2
+
+    def test_noisy_cond_cp_thread_count_invariance(self, tmp_path, monkeypatch):
+        # 10,000 trials make two Monte Carlo blocks, so the conditional
+        # sampler's block pool runs them on two workers; 20 dB is past the
+        # noise budget, so every route also answers tau = +inf
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": {**SMALL_SCENARIO, "noise_power_w": 1e-8},
+            "experiment": "cond-cp", "modes": ["exact", "mlap", "upper", "montecarlo"],
+            "tau_grid_db": [0.0, 10.0, 20.0], "trials": 10_000, "seed": 3}))
+        tables = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NFSG_THREADS", threads)
+            out = tmp_path / f"r{threads}.csv"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        rows = list(csv.DictReader(tables[0].decode().splitlines()))
+        # every route emits each cp_sinr row right after its cp row
+        assert [(r["mode"], r["tau_db"], r["metric"]) for r in rows] == [
+            (m, repr(d), metric) for m in ("exact", "mlap", "upper", "montecarlo")
+            for d in (0.0, 10.0, 20.0) for metric in ("cp", "cp_sinr")]
+        assert all(r["value"] == "0.0" for r in rows
+                   if (r["tau_db"], r["metric"]) == ("20.0", "cp_sinr"))
 
     def test_io_error_exit_code(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -14,7 +14,8 @@ from helpers import (mlap_interference_on_anchor, mlap_network_interference,
                      two_level_sum_cdf)
 from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
                   MlapConfig, PolarPoint, ScenarioConfig, SectorGeometry, TrialPlan,
-                  conditional_cp, conditional_cp_sinr, estimate_overall_cp,
+                  conditional_cp, conditional_cp_sinr, estimate_ase,
+                  estimate_conditional_cp, estimate_network, estimate_overall_cp,
                   laplace, level_probabilities, mlap_levels, overall_cp,
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.pattern import beam_depth
@@ -315,7 +316,7 @@ class TestSinr:
 
     def test_infeasible(self, scn):
         noisy = scn.with_(noise_power=1.0)  # 1 W of noise: budget hopeless
-        assert sinr_equivalent_threshold(10.0, 140.0, noisy) is None
+        assert sinr_equivalent_threshold(10.0, 140.0, noisy) == math.inf
         assert conditional_cp_sinr(10.0, 0.0, 140.0, 3, noisy, "mlap") == 0.0
 
     def test_thermal_model_negligible_at_close_range(self, scn):
@@ -325,6 +326,29 @@ class TestSinr:
             sir = conditional_cp(tau, ANCHOR.theta, ANCHOR.r, 3, noisy, "mlap")
             sinr = conditional_cp_sinr(tau, ANCHOR.theta, ANCHOR.r, 3, noisy, "mlap")
             assert abs(sir - sinr) <= 0.01
+
+    @pytest.mark.parametrize("n_active", [1, 4])
+    def test_infinite_threshold(self, n_active):
+        # no SIR exceeds +inf, not even a lone user's infinite one, so the
+        # conditional CP of every route is 0; the network metrics have no
+        # finite rate there, and every entry point of both routes rejects it
+        scn = SMALL.with_(n_active=n_active)
+        kappa, focus = min(2, n_active), PolarPoint(0.1, 20.0)
+        for mode in ("exact", "mlap", "upper"):
+            assert conditional_cp(math.inf, focus.theta, focus.r, kappa, scn, mode) == 0.0
+        plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn)
+        est = estimate_conditional_cp(plan, kappa, focus, [math.inf])
+        assert [(e.value, e.std_error) for e in est] == [(0.0, 0.0)]
+        network = [lambda m=m: overall_cp(math.inf, kappa, scn, m)
+                   for m in ("exact", "mlap", "upper")]
+        network += [lambda m=m: se_and_ase(math.inf, scn, m)
+                    for m in ("exact", "mlap", "upper")]
+        network += [lambda: estimate_network(plan, [10.0, math.inf]),
+                    lambda: estimate_overall_cp(plan, [math.inf], kappa),
+                    lambda: estimate_ase(plan, [math.inf])]
+        for call in network:
+            with pytest.raises(DomainError, match="tau must be positive and finite"):
+                call()
 
 
 class TestOverall:

@@ -96,7 +96,7 @@ class TestEstimators:
         # no threshold to meet; at -10 dB a lone user is covered for sure
         one = scn.with_(n_active=1, noise_power=1e-6)
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=one)
-        assert sinr_equivalent_threshold(1e3, 100.0, one) is None
+        assert sinr_equivalent_threshold(1e3, 100.0, one) == math.inf
         tau_eq = sinr_equivalent_threshold(0.1, 100.0, one)
         est = estimate_conditional_cp(plan, 1, PolarPoint(0.0, 100.0),
                                       [tau_eq, math.inf])
