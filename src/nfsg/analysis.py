@@ -41,24 +41,28 @@ compound-sum technique of Panjer recursion and FFT aggregation). Gains are
 nonnegative, so P{I <= 1/tau} depends only on each side's gain law on
 [0, 1/tau]: that law is put on the L+1 lattice points k*h, h = 1/(tau*L),
 with the mass above 1/tau dropped. Rounding every gain up gives a lower bound
-on CP and rounding it down an upper bound. Each side is raised to its power
-one convolution at a time, truncated to [0, L] after every step, which is
-exact for the rounded laws. A step takes one of two forms, chosen from the
-law. When no row of a pass keeps more than _SHIFT_ADD_ATOMS positive-mass
-atoms, it adds that many shifted copies of the array, weighted by the atoms'
-masses; the quantized laws have M+2 atoms, so mlap up to M = 28 goes this
-way. Denser laws, such as the exact route's binned histograms, multiply
-2(L+1)-point FFT spectra. The constant is the measured crossover of the two.
-The outer ladder is carried as CDFs: convolution commutes with the
-cumulative sum, and a CDF is 0 below cell 0, so one step serves both
-ladders. CP_kappa is then the dot product of the inner pmf power kappa-1
-with the reversed CDF of the outer power n_active-kappa, so the outer
-ladder is held reversed from the start and its steps correlate instead of
-convolving: the shift-and-add step reads its windows from the other end,
-and the FFT step multiplies by the conjugate spectrum. The lattice batches
-of one evaluation write their outer ladders into one workspace, which
-keeps the allocator from handing that memory back and faulting it in
-again for every batch. The public
+on CP and rounding it down an upper bound; atoms that land on one point are
+merged. Each side is raised to its power one convolution at a time,
+truncated to [0, L] after every step, which is exact for the rounded laws.
+One evaluation puts each side's laws on the lattice once per bound, every
+node in one step table, and runs the nodes _LATTICE_ROWS at a time, each
+batch slicing its rows out of those tables. A step takes one of two forms,
+chosen from the batch. When none of its rows keeps more than
+_SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
+weighted by the atoms' masses; the quantized laws have M+2 atoms before
+merging, so mlap up to M = 42 goes this way. Denser laws, such as the exact
+route's binned histograms, multiply 2(L+1)-point FFT spectra, taken once
+per batch. The constant is the measured crossover of the two. The outer
+ladder is carried as CDFs: convolution commutes with the cumulative sum,
+and a CDF is 0 below cell 0, so one step serves both ladders. CP_kappa is
+then the dot product of the inner pmf power kappa-1 with the reversed CDF
+of the outer power n_active-kappa, so the outer ladder is held reversed
+from the start and its steps correlate instead of convolving: the
+shift-and-add step reads its windows from the other end, and the FFT step
+multiplies by the conjugate spectrum. The batches of one evaluation write
+their outer ladders into one workspace and shift their arrays in one window
+buffer, which keeps the allocator from handing that memory back and
+faulting it in again for every batch. The public
 functions return the midpoint of the two bounds. For the exact route the
 bound covers the lattice rounding only, not the error of the side grid: its
 cells and its gain bins.
@@ -66,7 +70,8 @@ cells and its gain bins.
 A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
 one builder with one set of checks: orders, mode, sector, then supports (a
 side that holds an interferer needs room for it, so r_k = 0 is rejected with
-inner interferers and the cell edge with outer ones).
+inner interferers and the cell edge with outer ones), then the focus (a beam
+focused on the array, r_k = 0, has no beam depth, whoever the user).
 
 laplace gives the interference Laplace transform of the exact and the
 quantized route from the same pinned-user laws; the CP evaluator does not
@@ -103,9 +108,10 @@ def _check_orders(kappas, n_active: int, mode: str):
 def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig,
                   mode: str) -> tuple[bool, bool]:
     """Check user kappa fixed at (theta_k, r_k): order, mode, sector,
-    supports. Returns whether the inner and the outer side hold an
+    supports, focus. Returns whether the inner and the outer side hold an
     interferer; r_k = 0 leaves the inner support empty and r_k = cell_radius
-    the outer one."""
+    the outer one. A beam focused on the array, r_k = 0, has no beam depth,
+    so it is rejected whatever the sides hold."""
     _check_orders([kappa], scenario.n_active, mode)
     sec = scenario.sector
     if abs(theta_k) > sec.half_width or not 0 <= r_k <= sec.cell_radius:
@@ -115,6 +121,8 @@ def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConf
         raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
     if outer and r_k == sec.cell_radius:
         raise DegenerateSupportError("outer interferers conditioned on r_k = cell_radius")
+    if r_k == 0.0:
+        raise DomainError("a beam focused on the array has no beam depth")
     return inner, outer
 
 
@@ -483,111 +491,157 @@ _NFFT = 2 * (_LATTICE_CELLS + 1)
 # Focal nodes per lattice pass. One shift-and-add gather holds
 # rows x atoms x (L+1) doubles: 0.8 MB at 8 rows and M = 10, which fits a
 # 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. With one outer-
-# ladder workspace per _node_cp call, a whole overall-analytic benchmark
-# run (mlap and upper at 9 thresholds, N = 256, 15 users) took 1.44 s at
-# 4 rows, 1.05 s at 8 and 1.20 s at 16 (medians of 6 rotated runs; Xeon,
-# 2 MiB L2 per core).
+# ladder workspace and one step table per side and bound for each
+# _lattice_cp call, a whole overall-analytic benchmark run (mlap and upper at
+# 9 thresholds, N = 256, 15 users) took 0.93 s at 4 rows, 0.81 s at 8,
+# 0.78 s at 12 and 0.85 s at 16 (medians of 6 rotated runs; Xeon, 2 MiB L2
+# per core). 12 rows is within the spread of 8 and takes a ladder half as
+# large again.
 _LATTICE_ROWS = 8
-# Most positive-mass atoms per row for which a shift-and-add step beats a
-# 2(L+1)-point FFT round trip, a measured crossover. One _lattice_cp call at
-# 8 rows, n_active = 15: 12 atoms 7.6 ms against 21.5 ms by FFT, 28 atoms
-# 18.4 against 19.4, 32 atoms 22.2 against 20.0, 48 atoms 32.5 against
-# 19.7. So mlap laws up to M = 28 shift and add, while M = 128 and the exact
-# route's binned histograms take the FFT.
-_SHIFT_ADD_ATOMS = 30
+# Most merged atoms per row for which a shift-and-add step beats a
+# 2(L+1)-point FFT round trip, a measured crossover. One _lattice_cp call of
+# 8 rows, n_active = 15, atoms on distinct cells: 12 atoms 4.4 ms against
+# 17.8 ms by FFT, 28 atoms 9.7 against 17.7, 40 atoms 17.3 against 19.5, 44
+# atoms 19.1 against 19.3, 48 atoms 20.6 against 19.3 (medians of 7 calls,
+# same machine). So mlap laws up to M = 42 shift and add, while M = 128 and
+# the exact route's binned histograms take the FFT.
+_SHIFT_ADD_ATOMS = 44
 
 
-def _lattice_step(thr: float, gains, probs, round_up: bool, reverse: bool = False):
-    """One interferer's gain law put on the lattice k*thr/L, as a function
-    that convolves a (rows, L+1) array with it, truncated to [0, L]. With
-    reverse the array is held reversed, a[r, L - s], and so is the result:
-    the step correlates instead of convolving.
+def _step_table(thr: float, gains, probs, round_up: bool):
+    """One interferer's gain law put on the lattice k*thr/L, one law per row
+    of (gains, probs), which broadcast to (rows, m): (cells, masses, counts).
 
-    gains and probs broadcast to (rows, m), one law per row. Mass above thr
-    is dropped; the rest is rounded up (lower CP bound) or down (upper). A
-    law with at most _SHIFT_ADD_ATOMS positive-mass atoms in every row sums
-    shifted copies of the array, new[r, s] = sum_i p[r, i] a[r, s - c[r, i]],
-    which is exact and never negative; reversed, the same products are
-    summed in the same order. Denser laws multiply spectra, by the
-    conjugate one when reversed."""
+    Mass above thr is dropped; the rest is rounded up (lower CP bound) or
+    down (upper), and the atoms that land on one cell are merged. Row r
+    holds its counts[r] merged atoms first, in rising cell order, then
+    zero-mass atoms at cell 0; cells and masses are (rows, counts.max())."""
     gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
-    rows = gains.shape[0]
+    rows, m = gains.shape
     width = _LATTICE_CELLS + 1
-    x = gains * (_LATTICE_CELLS / thr)
-    cell = np.minimum(np.ceil(x) if round_up else np.floor(x),
-                      _LATTICE_CELLS).astype(np.int64)
-    keep = (gains <= thr) & (probs > 0)
-    m = int(keep.sum(axis=1).max())
+    kept = np.flatnonzero((gains <= thr) & (probs > 0))
+    p = probs.ravel()[kept]
+    # in place: the exact stacks keep millions of atoms
+    x = gains.ravel()[kept]
+    x *= _LATTICE_CELLS / thr
+    np.minimum((np.ceil if round_up else np.floor)(x, out=x), _LATTICE_CELLS, out=x)
+    # one key per row and cell: equal keys are one atom. Laws that fill a
+    # quarter of the cells or more, such as the exact side grids, are
+    # merged by one pass over every cell, sparser ones by sorting their
+    # keys; at 280 rows that took 2.3 ms against 3.2 ms by sorting at 30%
+    # fill, and 1.7 ms against 0.9 ms at 10%.
+    flat = np.floor_divide(kept, m, out=kept)
+    flat *= width
+    flat += x.astype(np.intp)
+    if 4 * flat.size >= rows * width:
+        mass = np.bincount(flat, p, rows * width)
+        key = np.flatnonzero(mass)
+        mass = mass[key]
+    else:
+        key, atom = np.unique(flat, return_inverse=True)
+        mass = np.bincount(atom, p, key.size)
+    row, cell = np.divmod(key, width)
+    counts = np.bincount(row, minlength=rows)
+    at = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
+    cells = np.zeros((rows, counts.max(initial=0)), np.intp)
+    masses = np.zeros(cells.shape)
+    cells[row, at] = cell
+    masses[row, at] = mass
+    return cells, masses, counts
+
+
+def _batch_law(table, batch: slice, reverse: bool):
+    """The rows batch of a _step_table, cut to their own atom count, as the
+    law of a _lattice_step: (rows, window starts, masses) to shift and add,
+    or, with more than _SHIFT_ADD_ATOMS atoms in a row, the 2(L+1)-point
+    spectrum to multiply by, the conjugate one when reversed."""
+    cells, masses, counts = table
+    m = int(counts[batch].max())
+    cells, masses = cells[batch, :m], masses[batch, :m]
+    width = _LATTICE_CELLS + 1
+    row = np.arange(cells.shape[0])[:, None]
     if m <= _SHIFT_ADD_ATOMS:
-        # the kept atoms first in every row; the padding ones carry no mass
-        first = np.argsort(~keep, axis=1, kind="stable")[:, :m]
-        shift = np.take_along_axis(cell, first, axis=1)
-        p = np.take_along_axis(np.where(keep, probs, 0.0), first, axis=1)[:, None, :]
-        # a[r, s - c] is buf[r, width + s - c], and cells below 0 stay zero;
-        # reversed, a[r, t + c] is buf[r, t + c], and cells above L stay zero
-        buf = np.zeros((rows, 2 * width))
-        windows = np.lib.stride_tricks.sliding_window_view(buf, width, axis=1)
-        row = np.arange(rows)[:, None]
-        if reverse:
-            held = buf[:, :width]
-        else:
-            held, shift = buf[:, width:], width - shift
-
-        def shift_add(a):
-            held[...] = a
-            return (p @ windows[row, shift])[:, 0]
-        return shift_add
-
-    flat = np.arange(rows)[:, None] * width + cell
-    pmf = np.bincount(flat[keep], weights=probs[keep], minlength=rows * width)
-    spectrum = np.fft.rfft(pmf.reshape(rows, width), _NFFT)
-    if reverse:
-        # index t + c stays below 2(L+1), so the correlation never wraps
-        spectrum = spectrum.conj()
-
-    def fft(a):
-        out = np.fft.irfft(np.fft.rfft(a, _NFFT) * spectrum, _NFFT)
-        return np.maximum(out[:, :width], 0.0)
-    return fft
+        # a[r, s - c] is window width - c at s; reversed, a[r, t + c] is
+        # window width + c at t
+        return row, width + cells if reverse else width - cells, masses[:, None, :]
+    pmf = np.bincount((row * width + cells).ravel(), masses.ravel(), row.size * width)
+    spectrum = np.fft.rfft(pmf.reshape(row.size, width), _NFFT)
+    # reversed, index t + c stays below 2(L+1), so the correlation never wraps
+    return spectrum.conj() if reverse else spectrum
 
 
-def _lattice_cp(thr: float, inner, outer, n_active: int, kappas, ladder=None):
+def _windows(rows: int):
+    """The windows of width L+1 of a zeroed (rows, 3(L+1)) buffer: a step
+    writes its array into window L+1, the middle third, and the thirds
+    around it stay zero, the cells below 0 and above L."""
+    width = _LATTICE_CELLS + 1
+    return np.lib.stride_tricks.sliding_window_view(np.zeros((rows, 3 * width)), width,
+                                                    axis=1, writeable=True)
+
+
+def _lattice_step(a, law, windows):
+    """a, shaped (rows, L+1), convolved with each row's law from _batch_law
+    and truncated to [0, L]. With a reversed law the array is held reversed,
+    a[r, L - s], and so is the result: the step correlates instead.
+
+    A shift-and-add law sums shifted copies of the array read from windows
+    (see _windows, at least rows rows), new[r, s] = sum_i p[r, i]
+    a[r, s - c[r, i]], which is exact and never negative; reversed, the same
+    products are summed in the same order. A spectrum is multiplied by."""
+    if isinstance(law, tuple):
+        row, start, p = law
+        windows[:row.size, _LATTICE_CELLS + 1] = a
+        return (p @ windows[row, start])[:, 0]
+    out = np.fft.irfft(np.fft.rfft(a, _NFFT) * law, _NFFT)
+    return np.maximum(out[:, :_LATTICE_CELLS + 1], 0.0)
+
+
+def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     """Lower and upper bounds on P{I <= thr} for each user order in kappas.
 
     inner and outer are the (gains, probs) laws of one interferer on each
-    side, shaped (m,) or (rows, m) for a batch of focal points. The outer
-    ladder starts from the CDF of zero interference, which is 1 on every
-    cell, and each step convolves it with one more outer law: convolution
-    commutes with the cumulative sum, and a CDF is 0 below cell 0. Those
-    CDFs are held reversed, so their steps correlate, and are written into
-    ladder, at least (n_active - min(kappas) + 1, rows, L+1), which one
-    caller can reuse over many calls; it is taken afresh when omitted. The
-    inner pmf walks up the kappa ladder, so every order costs one dot
-    product. Returns (lower, upper), each of shape (rows, len(kappas)).
+    side, shaped (m,) or (rows, m), one focal node per row. Each side and
+    bound gets one _step_table for every row; the rows then go through the
+    lattice _LATTICE_ROWS at a time, each batch cutting its rows out of the
+    tables. The outer ladder starts from the CDF of zero interference, which
+    is 1 on every cell, and each step convolves it with one more outer law:
+    convolution commutes with the cumulative sum, and a CDF is 0 below cell
+    0. Those CDFs are held reversed, so their steps correlate. Every batch
+    writes its outer ladder into one workspace and shifts its arrays in one
+    window buffer, both allocated once per call: taken afresh for every
+    batch, they are large enough for the allocator to hand them back and
+    fault them in again. The inner pmf walks up the kappa ladder, so every
+    order costs one dot product. Returns (lower, upper), each of shape
+    (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
     width = _LATTICE_CELLS + 1
+    tables = [[_step_table(thr, *law, round_up) for law in (inner, outer)]
+              for round_up in (True, False)]
     rows = np.atleast_2d(outer[1]).shape[0]
     n_out = n_active - int(kap.min())
-    if ladder is None:
-        ladder = np.empty((n_out + 1, rows, width))
-    cdf_out = ladder[:n_out + 1, :rows]
-    bounds = []
-    for round_up in (True, False):
-        step_in = _lattice_step(thr, *inner, round_up)
-        step_out = _lattice_step(thr, *outer, round_up, reverse=True)
-        cdf_out[0] = 1.0
-        for j in range(n_out):
-            cdf_out[j + 1] = step_out(cdf_out[j])
-        cp = np.empty((rows, kap.size))
-        pmf = np.zeros((rows, width))
-        pmf[:, 0] = 1.0
-        for k in range(1, int(kap.max()) + 1):
-            if k > 1:
-                pmf = step_in(pmf)
-            for q in np.flatnonzero(kap == k):
-                cp[:, q] = np.einsum("rl,rl->r", pmf, cdf_out[n_active - k])
-        bounds.append(np.clip(cp, 0.0, 1.0))
+    ladder = np.empty((n_out + 1, min(rows, _LATTICE_ROWS), width))
+    windows = _windows(ladder.shape[1])
+    # the columns of each user order
+    orders = [np.flatnonzero(kap == k) for k in range(int(kap.max()) + 1)]
+    bounds = np.empty((2, rows, kap.size))
+    for lo in range(0, rows, _LATTICE_ROWS):
+        batch = slice(lo, lo + _LATTICE_ROWS)
+        cdf_out = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
+        for (table_in, table_out), cp in zip(tables, bounds):
+            law_in = _batch_law(table_in, batch, False)
+            law_out = _batch_law(table_out, batch, True)
+            cdf_out[0] = 1.0
+            for j in range(n_out):
+                cdf_out[j + 1] = _lattice_step(cdf_out[j], law_out, windows)
+            pmf = np.zeros(cdf_out.shape[1:])
+            pmf[:, 0] = 1.0
+            for k in range(1, len(orders)):
+                if k > 1:
+                    pmf = _lattice_step(pmf, law_in, windows)
+                for q in orders[k]:
+                    cp[batch, q] = np.einsum("rl,rl->r", pmf, cdf_out[n_active - k])
+    np.clip(bounds, 0.0, 1.0, out=bounds)
     return bounds[0], bounds[1]
 
 
@@ -603,8 +657,7 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     lone user's included, exceeds +inf. Nodes where every interferer clears
     thr are covered for sure. Nodes with no gain in (0, thr] (the frozen
     region) are covered only when every interferer sits on gain 0, which is
-    the closed-form product. The rest go through the lattice _LATTICE_ROWS
-    rows at a time, every batch writing its outer ladder into one workspace.
+    the closed-form product. The rest go through one _lattice_cp call.
     Returns (lower, upper), each of shape (rows, len(kappas)).
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
@@ -622,15 +675,12 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     frozen = ~(((g_in > 0) & (g_in <= thr)).any(axis=1)
                | ((g_out > 0) & (g_out <= thr)).any(axis=1))
     todo = np.flatnonzero(~(covered | frozen))
-    # a fresh ladder per batch is large enough for the allocator to hand it
-    # back and fault it in again every time
-    ladder = np.empty((n_active - int(kap.min()) + 1, min(todo.size, _LATTICE_ROWS),
-                       _LATTICE_CELLS + 1))
-    for lo in range(0, todo.size, _LATTICE_ROWS):
-        rows = todo[lo:lo + _LATTICE_ROWS]
-        lower[rows], upper[rows] = _lattice_cp(
-            thr, (g_in[rows], p_in[rows]), (g_out[rows], p_out[rows]), n_active, kap,
-            ladder)
+    if todo.size == covered.size:
+        # a slice keeps the laws as views; the padded exact stacks are tens
+        # of MB
+        todo = slice(None)
+    lower[todo], upper[todo] = _lattice_cp(
+        thr, (g_in[todo], p_in[todo]), (g_out[todo], p_out[todo]), n_active, kap)
     return lower, upper
 
 
@@ -642,9 +692,13 @@ def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
                            scenario: ScenarioConfig, mode: str) -> tuple[float, float]:
     """(lower, upper) bounds on the route's CP for user kappa fixed at
     (theta_k, r_k): the lattice bounds for 'exact' and 'mlap', the closed
-    form twice for 'upper'."""
+    form twice for 'upper'. At tau = +inf both are 0 once the pinned user
+    passes its checks, and no law is built."""
     if not tau > 0:
         raise DomainError("tau must be positive")
+    if tau == math.inf:
+        _pinned_sides(theta_k, r_k, kappa, scenario, mode)
+        return 0.0, 0.0
     inner, outer = _pinned_laws(theta_k, r_k, kappa, scenario, mode)
     lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa],
                             closed_form=mode == "upper")

@@ -1,9 +1,11 @@
 """Lattice CP evaluator, coverage probabilities, bounds, SINR mapping."""
 
+import itertools
 import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,17 +22,16 @@ from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgum
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.pattern import beam_depth
 from nfsg import analysis
-from nfsg.analysis import (_LATTICE_CELLS, _SHIFT_ADD_ATOMS, _anchor_laws, _anchor_nodes,
-                           _conditional_cp_bounds, _lattice_cp, _lattice_step, _level_laws,
-                           _node_cp, _overall_cp_batch, _side_grid)
+from nfsg.analysis import (_LATTICE_CELLS, _LATTICE_ROWS, _SHIFT_ADD_ATOMS, _anchor_laws,
+                           _anchor_nodes, _batch_law, _conditional_cp_bounds, _lattice_cp,
+                           _lattice_step, _level_laws, _node_cp, _overall_cp_batch,
+                           _side_grid, _step_table, _windows)
 from nfsg.geometry import sample_conditional_arrays, sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
 # FFT round-off allowed on either side of an exact probability
 ROUNDOFF = 1e-12
-# copies per atom that make any kept atom select the FFT step
-FFT_COPIES = _SHIFT_ADD_ATOMS + 1
 # 13 antennas and 3 users: the exact location average stays tractable
 SMALL = ScenarioConfig(
     array=ArrayConfig(n_antennas=13, carrier_freq=28e9),
@@ -39,20 +40,23 @@ SMALL = ScenarioConfig(
     mlap=MlapConfig(n_levels=3))
 
 
-def _split(vals, probs, copies):
-    """The same law with every atom's mass spread over copies atoms."""
-    return np.repeat(vals, copies), np.repeat(probs, copies) / copies
+def _steps(shift_add_atoms):
+    """Lattice steps that shift and add up to shift_add_atoms atoms per row:
+    _SHIFT_ADD_ATOMS gives the module's steps, 0 the FFT step for every
+    law."""
+    return mock.patch.object(analysis, "_SHIFT_ADD_ATOMS", shift_add_atoms)
 
 
-def _lattice_brackets(vals, probs, counts, kappa, w, copies=1):
+def _lattice_brackets(vals, probs, counts, kappa, w, shift_add_atoms=_SHIFT_ADD_ATOMS):
     """Lattice bounds on P{X_1 + ... + X_counts <= w} for i.i.d. X with
     support vals, split into kappa-1 inner and counts-kappa+1 outer copies,
-    against the exact staircase CDF. copies > _SHIFT_ADD_ATOMS writes the law
-    with enough atoms to take the FFT step."""
+    against the exact staircase CDF. shift_add_atoms = 0 takes the FFT
+    step."""
     xs, cdf = two_level_sum_cdf(vals, probs, counts)
     exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, w, side="right")])
-    law = _split(vals, probs, copies)
-    lower, upper = _lattice_cp(w, law, law, counts + 1, [kappa])
+    law = vals, probs
+    with _steps(shift_add_atoms):
+        lower, upper = _lattice_cp(w, law, law, counts + 1, [kappa])
     return float(lower[0, 0]), exact, float(upper[0, 0])
 
 
@@ -84,8 +88,8 @@ class TestSyntheticInversion:
         probs = np.array([0.55, 0.3, 0.15])
         vals = np.array([0.0, a, b])
         for w in (0.19, 0.5, 0.71, 1.0, 1.4):
-            for copies in (1, FFT_COPIES):
-                lower, exact, upper = _lattice_brackets(vals, probs, 2, 2, w, copies)
+            for atoms in (_SHIFT_ADD_ATOMS, 0):
+                lower, exact, upper = _lattice_brackets(vals, probs, 2, 2, w, atoms)
                 assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
 
     @settings(max_examples=60, deadline=None)
@@ -99,21 +103,22 @@ class TestSyntheticInversion:
         xs, _ = two_level_sum_cdf(vals, probs, counts)
         assume(np.min(np.abs(xs - w)) > 1e-9)  # continuity points only
         kappa = 1 + round(kappa_share * counts)
-        for copies in (1, FFT_COPIES):
+        for atoms in (_SHIFT_ADD_ATOMS, 0):
             lower, exact, upper = _lattice_brackets(vals, probs, counts, kappa, w,
-                                                    copies)
+                                                    atoms)
             assert lower - ROUNDOFF <= exact <= upper + ROUNDOFF
 
     @settings(max_examples=40, deadline=None)
     @given(inner=_ROWS, outer=_ROWS, n_active=st.integers(2, 8),
            thr=st.floats(0.01, 2.0))
     def test_shift_add_matches_fft(self, inner, outer, n_active, thr):
-        # the same laws with each gain-0 mass split over 40 atoms take the
-        # FFT step; both steps must give the same bounds at kappa = 1 and n
+        # the same laws with each gain-0 mass split over 50 atoms, merged
+        # back and taken through the FFT step, must give the bounds of the
+        # shift-and-add step at kappa = 1 and n
         rows = min(len(inner), len(outer))
         few = [_law_rows(atoms[:rows], thr) for atoms in (inner, outer)]
-        many = [(np.column_stack([np.zeros((rows, 39)), g]),
-                 np.column_stack([np.repeat(p[:, :1] / 40, 40, axis=1), p[:, 1:]]))
+        many = [(np.column_stack([np.zeros((rows, 49)), g]),
+                 np.column_stack([np.repeat(p[:, :1] / 50, 50, axis=1), p[:, 1:]]))
                 for g, p in few]
 
         def kept(laws):
@@ -121,22 +126,44 @@ class TestSyntheticInversion:
                        for g, p in laws)
         assert kept(few) <= _SHIFT_ADD_ATOMS < kept(many)
         kappas = [1, n_active]
-        for a, b in zip(_lattice_cp(thr, *few, n_active, kappas),
-                        _lattice_cp(thr, *many, n_active, kappas)):
+        with _steps(0):
+            fft = _lattice_cp(thr, *many, n_active, kappas)
+        for a, b in zip(_lattice_cp(thr, *few, n_active, kappas), fft):
             assert np.all(np.abs(a - b) <= ROUNDOFF)
 
+    @pytest.mark.parametrize("shift_add_atoms", [_SHIFT_ADD_ATOMS, 0],
+                             ids=["shift_add", "fft"])
+    def test_split_atom_changes_no_bound(self, shift_add_atoms):
+        # atoms that land on one lattice cell become one atom of the step
+        # table, so a law with one atom split into two at the same gain
+        # gives the bounds of the unsplit law
+        law = np.array([0.0, 0.12, 0.3, 0.55]), np.array([0.4, 0.3, 0.2, 0.1])
+        split = np.array([0.0, 0.12, 0.3, 0.3, 0.55]), np.array([0.4, 0.3, 0.15, 0.05, 0.1])
+        for round_up in (True, False):
+            assert np.array_equal(_step_table(0.9, *split, round_up)[2],
+                                  _step_table(0.9, *law, round_up)[2])
+        kappas = [1, 3, 6]
+        with _steps(shift_add_atoms):
+            bounds = [_lattice_cp(0.9, x, x, 6, kappas) for x in (law, split)]
+        for a, b in zip(*bounds):
+            assert np.all(np.abs(a - b) <= ROUNDOFF)
 
-    @pytest.mark.parametrize("copies", [1, FFT_COPIES])
-    def test_reversed_step_is_forward_step_reversed(self, copies, rng):
+    @pytest.mark.parametrize("shift_add_atoms", [_SHIFT_ADD_ATOMS, 0],
+                             ids=["shift_add", "fft"])
+    def test_reversed_step_is_forward_step_reversed(self, shift_add_atoms, rng):
         # the outer ladder is held reversed: its step must give the forward
         # step's values, bit for bit when it shifts and adds
-        gains = np.repeat(rng.uniform(0.0, 1.2, (3, 9)), copies, axis=1)
-        probs = np.repeat(rng.uniform(0.0, 1.0, (3, 9)), copies, axis=1) / copies
+        gains = rng.uniform(0.0, 1.2, (3, 9))
+        probs = rng.uniform(0.0, 1.0, (3, 9))
         a = rng.uniform(0.0, 1.0, (3, _LATTICE_CELLS + 1))
+        windows = _windows(3)
         for round_up in (True, False):
-            forward = _lattice_step(0.9, gains, probs, round_up)(a)
-            reverse = _lattice_step(0.9, gains, probs, round_up, reverse=True)(a[:, ::-1])
-            if copies == 1:
+            table = _step_table(0.9, gains, probs, round_up)
+            with _steps(shift_add_atoms):
+                forward, reverse = [
+                    _lattice_step(x, _batch_law(table, slice(None), rev), windows)
+                    for x, rev in ((a, False), (a[:, ::-1], True))]
+            if shift_add_atoms:
                 assert np.array_equal(reverse[:, ::-1], forward)
             else:
                 assert np.max(np.abs(reverse[:, ::-1] - forward)) <= ROUNDOFF
@@ -163,8 +190,9 @@ def test_location_average_reuses_its_memory():
     # user order. An outer ladder of about 1 MB taken afresh for every
     # batch and bound made the allocator hand it back and fault it in
     # again: 16,592 minor faults for this call, against about 250 with one
-    # ladder per call. A fresh interpreter keeps other tests' allocations
-    # out of the count.
+    # ladder per call and about 420 with one ladder, one window buffer and
+    # four step tables per call. A fresh interpreter keeps other tests'
+    # allocations out of the count.
     src = str(Path(analysis.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, src],
                           capture_output=True, text=True, timeout=120, check=True)
@@ -350,6 +378,40 @@ class TestSinr:
             with pytest.raises(DomainError, match="tau must be positive and finite"):
                 call()
 
+    def test_infinite_threshold_builds_no_law(self, scn):
+        # CP at +inf is 0 once the pinned user passes its checks, without a
+        # side grid; the checks still raise their typed errors
+        focus = PolarPoint(0.2, 40.0)
+        calls = _side_grid.cache_info()
+        assert conditional_cp(math.inf, focus.theta, focus.r, 3, scn, "exact") == 0.0
+        after = _side_grid.cache_info()
+        assert (after.hits, after.misses) == (calls.hits, calls.misses)
+        with pytest.raises(InvalidArgumentError):
+            conditional_cp(math.inf, focus.theta, focus.r, 3, scn, "bogus")
+        with pytest.raises(DomainError):
+            conditional_cp(math.inf, 2.0, focus.r, 3, scn, "exact")
+        for r_k, kappa in ((scn.sector.cell_radius, 3), (0.0, 3)):
+            with pytest.raises(DegenerateSupportError):
+                conditional_cp(math.inf, focus.theta, r_k, kappa, scn, "exact")
+        # a beam focused on the array has no beam depth, whoever the user
+        for model in (scn, scn.with_(n_active=1)):
+            for mode, tau in itertools.product(("exact", "mlap", "upper"), (10.0, math.inf)):
+                with pytest.raises(DomainError, match="no beam depth"):
+                    conditional_cp(tau, focus.theta, 0.0, 1, model, mode)
+
+
+def test_one_step_table_per_side_and_bound(scn, monkeypatch):
+    # the location average of the baseline scenario runs its 280 nodes in
+    # many lattice batches, all cut from one table per side and bound
+    tables = []
+    build = analysis._step_table
+    monkeypatch.setattr(analysis, "_step_table",
+                        lambda *args: tables.append(args) or build(*args))
+    inner, outer = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+    assert inner[0].shape[0] > 2 * _LATTICE_ROWS
+    _node_cp(0.1, inner, outer, scn.n_active, range(1, scn.n_active + 1))
+    assert len(tables) == 4
+
 
 class TestOverall:
     def test_single_user(self, scn):
@@ -444,20 +506,30 @@ class TestOverall:
         assert np.array_equal(depth.d_right, [lv.depth.d_right for lv in levels])
         assert levels[-1].depth.unbounded and np.isinf(depth.d_right).sum() > 1
 
-    def test_exact_padding_changes_no_node(self):
-        # each node's row of the stacked laws, padded with zero-mass atoms at
-        # gain 0, gives the bounds of that node's own side grids
-        inner, outer = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
-        assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
-        kappas = range(1, SMALL.n_active + 1)
-        thrs = [10.0 ** (-d / 10.0) for d in (0.0, 20.0, 40.0)]
-        stacked = [_node_cp(thr, inner, outer, SMALL.n_active, kappas) for thr in thrs]
-        th, _, r, _ = _anchor_nodes(SMALL.sector)
+    @pytest.mark.parametrize("mode, db_vals", [("exact", (0.0, 20.0, 40.0)),
+                                               ("mlap", (0.0, 5.0, 20.0, 30.0))],
+                             ids=["exact", "mlap"])
+    def test_exact_padding_changes_no_node(self, scn, mode, db_vals):
+        # each node's row of the stacked laws gives the bounds of that node
+        # run alone. The exact rows are padded with zero-mass atoms at gain
+        # 0; the baseline mlap rows share step tables across many lattice
+        # batches, which must hand each row its own atoms.
+        model = SMALL if mode == "exact" else scn
+        inner, outer = _anchor_laws(model.array, model.sector, model.mlap, mode == "exact")
+        if mode == "exact":
+            assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
+        kappas = range(1, model.n_active + 1)
+        thrs = [10.0 ** (-d / 10.0) for d in db_vals]
+        stacked = [_node_cp(thr, inner, outer, model.n_active, kappas) for thr in thrs]
+        th, _, r, _ = _anchor_nodes(model.sector)
         for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
-            own = [(g[None], w[None]) for g, w in
-                   (_side_grid(SMALL.array, SMALL.sector, SMALL.mlap, side, t, d)
-                    for side in ("inner", "outer"))]
+            if mode == "exact":
+                own = [(g[None], w[None]) for g, w in
+                       (_side_grid(model.array, model.sector, model.mlap, side, t, d)
+                        for side in ("inner", "outer"))]
+            else:
+                own = [(g[row:row + 1], p[row:row + 1]) for g, p in (inner, outer)]
             for thr, (lower, upper) in zip(thrs, stacked):
-                lo, up = _node_cp(thr, *own, SMALL.n_active, kappas)
+                lo, up = _node_cp(thr, *own, model.n_active, kappas)
                 assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12
                 assert np.max(np.abs(upper[row] - up[0])) <= 1e-12
