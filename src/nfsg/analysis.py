@@ -26,15 +26,16 @@ are implemented:
           the focal point, and both laws take arrays of focal points); they
           do not depend on tau.
 
-One per-node evaluator turns the side laws into CP for every route: it
-returns 0 at tau = +inf, which no SIR exceeds, a lone user's included, and
-1 where every interferer clears 1/tau, the all-interferers-at-zero
-probability where no gain falls in (0, 1/tau] (the frozen region), the
-closed-form product for the upper bound, and the lattice bounds below for
-the rest. The location average runs that evaluator on the quadrature nodes
-once per threshold for every user order, in every mode on the node laws of
-_anchor_laws: the quantized laws or the side grids, built once per array,
-sector and pattern, whatever the user count.
+One per-node evaluator turns the side laws into CP for every route at a
+finite tau (at tau = +inf conditional CP is 0 before any law is built): 1
+where every interferer clears 1/tau, the all-interferers-at-zero probability
+where no gain falls in (0, 1/tau] (the frozen region), the closed-form
+product for the upper bound, and the lattice bounds below for the rest. The
+location average runs it on the quadrature nodes once per threshold for all
+the user orders asked, in every mode on the node laws of _anchor_laws (the
+quantized laws or the side grids, built once per array, sector and pattern),
+and weighs the orders with one broadcast call of the order-statistic law; an
+order's CP does not depend on the other orders of the call.
 
 Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
@@ -44,9 +45,10 @@ with the mass above 1/tau dropped. Rounding every gain up gives a lower bound
 on CP and rounding it down an upper bound; atoms that land on one point are
 merged. Each side is raised to its power one convolution at a time,
 truncated to [0, L] after every step, which is exact for the rounded laws.
-One evaluation puts each side's laws on the lattice once per bound, every
-node in one step table, and runs the nodes _LATTICE_ROWS at a time, each
-batch slicing its rows out of those tables. A step takes one of two forms,
+One evaluation runs the bounds one after the other: each puts each side's
+laws on the lattice once, every node in one step table, and runs the nodes
+_LATTICE_ROWS at a time, each batch slicing its rows out of those two
+tables, which go before the other bound's. A step takes one of two forms,
 chosen from the batch. When none of its rows keeps more than
 _SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
 weighted by the atoms' masses; the quantized laws have M+2 atoms before
@@ -92,17 +94,17 @@ import numpy as np
 
 from .errors import (DegenerateSupportError, DomainError, InvalidArgumentError,
                      NumericFailureError)
-from .geometry import (PolarPoint, SectorGeometry, conditional_cdf_extended,
+from .geometry import (PolarPoint, SectorGeometry, _user_orders, conditional_cdf_extended,
                        ordered_distance_dist, spatial_angle_cdf_extended)
 from .pattern import (ArrayConfig, MlapConfig, MlapLevels, asymptotic_gain, beam_depth,
                       mlap_levels)
 from .scenario import ScenarioConfig
 
-def _check_orders(kappas, n_active: int, mode: str):
-    if not all(1 <= k <= n_active for k in kappas):
-        raise InvalidArgumentError("kappa must be in [1, n_active]")
+def _check_orders(kappa, n_active: int, mode: str) -> np.ndarray:
+    kap = _user_orders(kappa, n_active)
     if mode not in ("exact", "mlap", "upper"):
         raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+    return kap
 
 
 def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig,
@@ -112,7 +114,7 @@ def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConf
     interferer; r_k = 0 leaves the inner support empty and r_k = cell_radius
     the outer one. A beam focused on the array, r_k = 0, has no beam depth,
     so it is rejected whatever the sides hold."""
-    _check_orders([kappa], scenario.n_active, mode)
+    _check_orders(kappa, scenario.n_active, mode)
     sec = scenario.sector
     if abs(theta_k) > sec.half_width or not 0 <= r_k <= sec.cell_radius:
         raise DomainError("focal point outside the sector")
@@ -600,24 +602,22 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     """Lower and upper bounds on P{I <= thr} for each user order in kappas.
 
     inner and outer are the (gains, probs) laws of one interferer on each
-    side, shaped (m,) or (rows, m), one focal node per row. Each side and
-    bound gets one _step_table for every row; the rows then go through the
-    lattice _LATTICE_ROWS at a time, each batch cutting its rows out of the
-    tables. The outer ladder starts from the CDF of zero interference, which
-    is 1 on every cell, and each step convolves it with one more outer law:
-    convolution commutes with the cumulative sum, and a CDF is 0 below cell
-    0. Those CDFs are held reversed, so their steps correlate. Every batch
-    writes its outer ladder into one workspace and shifts its arrays in one
-    window buffer, both allocated once per call: taken afresh for every
-    batch, they are large enough for the allocator to hand them back and
-    fault them in again. The inner pmf walks up the kappa ladder, so every
-    order costs one dot product. Returns (lower, upper), each of shape
-    (rows, len(kappas)).
+    side, shaped (m,) or (rows, m), one focal node per row. The bounds run
+    one after the other, each with one _step_table per side for every row,
+    and the rows go _LATTICE_ROWS at a time, each batch cutting its rows out
+    of the bound's two tables. The outer ladder starts from the CDF of zero
+    interference, which is 1 on every cell, and each step convolves it with
+    one more outer law: convolution commutes with the cumulative sum, and a
+    CDF is 0 below cell 0. Those CDFs are held reversed, so their steps
+    correlate. Every batch writes its outer ladder into one workspace and
+    shifts its arrays in one window buffer, both allocated once per call:
+    taken afresh for every batch, they are large enough for the allocator to
+    hand them back and fault them in again. The inner pmf walks up the kappa
+    ladder, so every order costs one dot product. Returns (lower, upper),
+    each of shape (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
     width = _LATTICE_CELLS + 1
-    tables = [[_step_table(thr, *law, round_up) for law in (inner, outer)]
-              for round_up in (True, False)]
     rows = np.atleast_2d(outer[1]).shape[0]
     n_out = n_active - int(kap.min())
     ladder = np.empty((n_out + 1, min(rows, _LATTICE_ROWS), width))
@@ -625,10 +625,14 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     # the columns of each user order
     orders = [np.flatnonzero(kap == k) for k in range(int(kap.max()) + 1)]
     bounds = np.empty((2, rows, kap.size))
-    for lo in range(0, rows, _LATTICE_ROWS):
-        batch = slice(lo, lo + _LATTICE_ROWS)
-        cdf_out = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
-        for (table_in, table_out), cp in zip(tables, bounds):
+
+    def bound(round_up: bool, cp):
+        # its two step tables die on return, before the other bound's
+        table_in = _step_table(thr, *inner, round_up)
+        table_out = _step_table(thr, *outer, round_up)
+        for lo in range(0, rows, _LATTICE_ROWS):
+            batch = slice(lo, lo + _LATTICE_ROWS)
+            cdf_out = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
             law_in = _batch_law(table_in, batch, False)
             law_out = _batch_law(table_out, batch, True)
             cdf_out[0] = 1.0
@@ -641,6 +645,9 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
                     pmf = _lattice_step(pmf, law_in, windows)
                 for q in orders[k]:
                     cp[batch, q] = np.einsum("rl,rl->r", pmf, cdf_out[n_active - k])
+
+    for round_up, cp in zip((True, False), bounds):
+        bound(round_up, cp)
     np.clip(bounds, 0.0, 1.0, out=bounds)
     return bounds[0], bounds[1]
 
@@ -653,8 +660,8 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (rows, m), one node per row. closed_form gives the 'upper'
     route instead: every interferer's gain must stay below thr on its own,
-    returned as both bounds. Both are 0 at thr = 0 (tau = +inf): no SIR, a
-    lone user's included, exceeds +inf. Nodes where every interferer clears
+    returned as both bounds. thr = 1/tau is positive: the callers settle
+    tau = +inf before any law is built. Nodes where every interferer clears
     thr are covered for sure. Nodes with no gain in (0, thr] (the frozen
     region) are covered only when every interferer sits on gain 0, which is
     the closed-form product. The rest go through one _lattice_cp call.
@@ -662,11 +669,11 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
     kap = np.asarray(kappas, int)
-    if thr == 0:
-        zero = np.zeros((g_in.shape[0], kap.size))
-        return zero, zero
-    closed = (((p_in * (g_in < thr)).sum(axis=1)[:, None] ** (kap - 1))
-              * ((p_out * (g_out < thr)).sum(axis=1)[:, None] ** (n_active - kap)))
+    # an exponent per node and order: numpy squares for a broadcast exponent
+    # 2 but calls pow for varying ones, a last bit apart
+    k = np.tile(kap, (g_in.shape[0], 1))
+    closed = (((p_in * (g_in < thr)).sum(axis=1)[:, None] ** (k - 1))
+              * ((p_out * (g_out < thr)).sum(axis=1)[:, None] ** (n_active - k)))
     if closed_form:
         return closed, closed
     lower, upper = closed.copy(), closed.copy()
@@ -761,51 +768,41 @@ def _anchor_nodes(sec: SectorGeometry):
     return th, w_th, r, w_r
 
 
-def _radial_weights_for_kappa(kappa, r, w_r, scenario):
-    _, pdf = ordered_distance_dist(kappa, r, scenario.n_active, scenario.sector)
-    w = w_r * pdf
-    return w / w.sum()
-
-
-def _overall_cp_batch(tau: float, scenario: ScenarioConfig, mode: str,
-                      kappas) -> np.ndarray:
-    """Overall CP for each requested kappa at one threshold.
-
-    The node laws do not depend on kappa or on the threshold: every route
-    reads them from `_anchor_laws`, built once per array, sector and
-    pattern, and one `_node_cp` call serves every node and user order.
-    tau = +inf has no finite rate and is rejected.
-    """
+def overall_cp(tau: float, kappa, scenario: ScenarioConfig, mode: str = "mlap"):
+    """Coverage averaged over the kappa-th user's ordered location law: a
+    float for one order, an array of kappa's shape for an array of orders.
+    The node laws come from `_anchor_laws`, and one `_node_cp` and one
+    `ordered_distance_dist` call serve every order. tau = +inf has no finite
+    rate and is rejected."""
     if not 0 < tau < math.inf:
         raise DomainError("tau must be positive and finite")
-    kap = np.asarray(list(kappas), int)
-    _check_orders(kap, scenario.n_active, mode)
-    n_active = scenario.n_active
-    if n_active == 1:
-        return np.ones(kap.size)
-    th, w_th, r, w_r = _anchor_nodes(scenario.sector)
-    laws = _anchor_laws(scenario.array, scenario.sector, scenario.mlap, mode == "exact")
-    lower, upper = _node_cp(1.0 / tau, *laws, n_active, kap, closed_form=mode == "upper")
-    cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, kap.size)
-
-    out = np.zeros(kap.size)
-    for q, k in enumerate(kap):
-        w_rk = _radial_weights_for_kappa(int(k), r, w_r, scenario)
-        out[q] = float(w_th @ cp_nodes[:, :, q] @ w_rk)
-    return np.clip(out, 0.0, 1.0)
-
-
-def overall_cp(tau: float, kappa: int, scenario: ScenarioConfig,
-               mode: str = "mlap") -> float:
-    """Coverage averaged over the kappa-th user's ordered location law."""
-    return float(_overall_cp_batch(tau, scenario, mode, [kappa])[0])
+    n_active, sec = scenario.n_active, scenario.sector
+    kap = _check_orders(kappa, n_active, mode)
+    out = np.ones(kap.shape)
+    if n_active > 1:
+        orders = kap.ravel()
+        th, w_th, r, w_r = _anchor_nodes(sec)
+        laws = _anchor_laws(scenario.array, sec, scenario.mlap, mode == "exact")
+        lower, upper = _node_cp(1.0 / tau, *laws, n_active, orders,
+                                closed_form=mode == "upper")
+        cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, orders.size)
+        _, pdf = ordered_distance_dist(orders[:, None], r, n_active, sec)
+        w = w_r * pdf
+        w /= w.sum(axis=1, keepdims=True)
+        # the angle nodes are summed one at a time: a matrix product would sum
+        # them by BLAS for one order and by numpy's own loop for several
+        cp_r = np.zeros(w.shape)
+        for w_i, cp_i in zip(w_th, cp_nodes):
+            cp_r += w_i * cp_i.T
+        out = np.clip([c @ w_q for c, w_q in zip(cp_r, w)], 0, 1).reshape(kap.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def se_and_ase(tau: float, scenario: ScenarioConfig, mode: str = "mlap"):
     """Per-user spectrum efficiencies CP_k * log2(1+tau) and the aggregate
     per-area efficiency over the sector."""
-    kappas = range(1, scenario.n_active + 1)
-    se = _overall_cp_batch(tau, scenario, mode, kappas) * math.log2(1.0 + tau)
+    kappas = np.arange(1, scenario.n_active + 1)
+    se = overall_cp(tau, kappas, scenario, mode) * math.log2(1.0 + tau)
     sector_area = math.pi * scenario.sector.cell_radius**2
     ase = scenario.sector.n_sectors / sector_area * float(se.sum())
     return se, ase

@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +35,10 @@ from .errors import ConfigError
 from .pattern import (_level_index, angular_gain, distance_gain, exact_gain, m_star,
                       mlap_gain, mlap_levels, three_level_distance_gain)
 
-COLUMNS = ("experiment", "mode", "sweep_param", "sweep_value", "kappa",
-           "tau_db", "metric", "value", "std_error")
 
+class Row(NamedTuple):
+    """One table row; its fields are the columns, in output order."""
 
-@dataclass
-class Row:
     experiment: str
     mode: str
     sweep_param: str | None = None
@@ -50,6 +48,9 @@ class Row:
     metric: str = ""
     value: float = math.nan
     std_error: float | None = None
+
+
+COLUMNS = Row._fields
 
 
 def _plan(spec: ExperimentSpec, scenario) -> montecarlo.TrialPlan:
@@ -179,7 +180,7 @@ def _rows_overall(spec: ExperimentSpec) -> list[Row]:
 
 def _rows_ase_sweep(spec: ExperimentSpec) -> list[Row]:
     sweep = spec.sweep
-    return [replace(row, sweep_param=sweep.param, sweep_value=value)
+    return [row._replace(sweep_param=sweep.param, sweep_value=value)
             for value, scn_v in zip(sweep.values, sweep.scenarios)
             for mode in spec.modes for row in _network_rows(spec, scn_v, mode)
             if row.metric == "ase"]
@@ -217,15 +218,13 @@ def emit_results(table: list[Row], path: str, fmt: str = "csv") -> str:
             writer = csv.writer(fh)
             writer.writerow(COLUMNS)
             for row in table:
-                d = asdict(row)
-                writer.writerow([_format_cell(d[c]) for c in COLUMNS])
+                writer.writerow([_format_cell(v) for v in row])
     elif fmt == "jsonl":
         with open(path, "w") as fh:
             for row in table:
-                d = asdict(row)
-                d["value"] = None if isinstance(d["value"], float) \
-                    and math.isnan(d["value"]) else d["value"]
-                fh.write(json.dumps({c: d[c] for c in COLUMNS}) + "\n")
+                if isinstance(row.value, float) and math.isnan(row.value):
+                    row = row._replace(value=None)
+                fh.write(json.dumps(row._asdict()) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path

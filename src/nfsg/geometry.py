@@ -90,49 +90,54 @@ def unordered_distance_dist(r, sector: SectorGeometry):
     return cdf, pdf
 
 
-def ordered_distance_dist(kappa: int, r, n_active: int, sector: SectorGeometry):
+def _user_orders(kappa, n_active: int) -> np.ndarray:
+    """kappa as an int array, checked to be nonempty and whole in [1, n_active]."""
+    kap = np.asarray(kappa)
+    if kap.size == 0 or not np.all((kap >= 1) & (kap <= n_active) & (kap % 1 == 0)):
+        raise InvalidArgumentError("kappa must be whole numbers in [1, n_active]")
+    return kap.astype(int)
+
+
+def ordered_distance_dist(kappa, r, n_active: int, sector: SectorGeometry):
     """(CDF, PDF) of the distance of the kappa-th closest of n_active users.
 
-    Binomial sums are evaluated in log space so large user counts do not
+    kappa and r broadcast together, so kappa[:, None] against a vector r
+    gives one row per order; scalar input gives floats. The CDF is 1 minus
+    the cumulative sum of the binomial terms u < kappa, each evaluated in log
+    space from one table of log-factorials, so large user counts do not
     overflow the binomial coefficients.
     """
-    if not 1 <= kappa <= n_active:
-        raise InvalidArgumentError("kappa must be in [1, n_active]")
+    kap = _user_orders(kappa, n_active)
     r = np.asarray(r, float)
     if np.any(r < 0) or np.any(r > sector.cell_radius):
         raise DomainError("r must lie in [0, cell_radius]")
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
+    kap, r = np.broadcast_arrays(kap, r)
     q = (r / sector.cell_radius) ** 2
+    n = n_active
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
-    lgn = math.lgamma(n_active + 1)
-    cdf = np.ones_like(q)
+    cdf = np.ones(q.shape)
     interior = (q > 0) & (q < 1)
-    qi = q[interior]
-    if qi.size:
-        acc = np.zeros_like(qi)
-        lq = np.log(qi)
-        l1q = np.log1p(-qi)
-        for u in range(kappa):
-            logterm = (lgn - math.lgamma(u + 1) - math.lgamma(n_active - u + 1)
-                       + u * lq + (n_active - u) * l1q)
-            acc += np.exp(logterm)
-        cdf[interior] = 1.0 - acc
+    ki, qi = kap[interior], q[interior]
+    u = np.arange(kap.max())[:, None]
+    terms = np.exp(log_fact[n] - log_fact[u] - log_fact[n - u]
+                   + u * np.log(qi) + (n - u) * np.log1p(-qi))
+    cdf[interior] = 1.0 - np.cumsum(terms, axis=0)[ki - 1, np.arange(qi.size)]
     cdf[q <= 0] = 0.0
     cdf = np.clip(cdf, 0.0, 1.0)
 
-    pdf = np.zeros_like(q)
+    pdf = np.zeros(q.shape)
     # the factor (1 - q)^(n_active - kappa) is 1 on the cell edge if kappa = n_active
-    support = (q > 0) & ((q < 1) | (kappa == n_active))
-    if support.any():
-        qs = q[support]
-        logc = lgn - math.lgamma(kappa + 1) - math.lgamma(n_active - kappa + 1)
-        lpdf = (math.log(2.0 * kappa) - np.log(r[support]) + logc + kappa * np.log(qs))
-        if kappa < n_active:
-            lpdf += (n_active - kappa) * np.log1p(-qs)
-        pdf[support] = np.exp(lpdf)
-    if scalar:
-        return float(cdf[0]), float(pdf[0])
+    support = (q > 0) & ((q < 1) | (kap == n))
+    ks, qs = kap[support], q[support]
+    log_2k = np.array([math.log(2.0 * k) for k in range(1, kap.max() + 1)])
+    lpdf = (log_2k[ks - 1] - np.log(r[support])
+            + (log_fact[n] - log_fact[ks] - log_fact[n - ks]) + ks * np.log(qs))
+    below = ks < n
+    lpdf[below] += (n - ks[below]) * np.log1p(-qs[below])
+    pdf[support] = np.exp(lpdf)
+    if q.ndim == 0:
+        return float(cdf), float(pdf)
     return cdf, pdf
 
 
@@ -216,8 +221,7 @@ def sample_conditional_arrays(kappa: int, anchor: PolarPoint, n_active: int,
     anchor, columns before it the sorted inner users, columns after it the
     sorted outer users.
     """
-    if not 1 <= kappa <= n_active:
-        raise InvalidArgumentError("kappa must be in [1, n_active]")
+    kappa = int(_user_orders(kappa, n_active))
     rc = sector.cell_radius
     if not (abs(anchor.theta) <= sector.half_width and 0 <= anchor.r <= rc):
         raise InvalidArgumentError("anchor must lie inside the sector")

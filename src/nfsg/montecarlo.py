@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .geometry import PolarPoint, sample_conditional_arrays, sample_user_arrays
+from .geometry import PolarPoint, _user_orders, sample_conditional_arrays, sample_user_arrays
 from .pattern import array_response
 from .scenario import ScenarioConfig
 
@@ -144,9 +144,8 @@ def estimate_overall_cp(plan: TrialPlan, tau_grid, kappa: int
                         ) -> list[EstimateWithError]:
     """Empirical P{SIR_kappa > tau} over fresh user sets, one estimate per
     threshold: user kappa's row of estimate_network."""
-    if not 1 <= kappa <= plan.scenario.n_active:
-        raise InvalidArgumentError("kappa must be in [1, n_active]")
-    return estimate_network(plan, tau_grid)[0][kappa - 1]
+    k = _user_orders(kappa, plan.scenario.n_active)
+    return estimate_network(plan, tau_grid)[0][k - 1]
 
 
 def _binomial_estimates(counts: np.ndarray, n: int) -> list[EstimateWithError]:

@@ -51,6 +51,11 @@ class TestEmitResults:
         assert list(obj) == list(COLUMNS)
         assert obj["value"] == 0.25
 
+    def test_unknown_format(self, tmp_path):
+        rows = [Row("overall", "mlap", None, None, 3, 20.0, "cp", 0.5, None)]
+        with pytest.raises(ValueError, match="unknown format"):
+            emit_results(rows, str(tmp_path / "t.xml"), "xml")
+
     def test_deterministic_bytes(self, tmp_path):
         spec = _spec(experiment="cond-cp", modes=["upper", "montecarlo"],
                      tau_grid_db=[5.0, 15.0])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nfsg import default_scenario
+from nfsg import InvalidArgumentError, default_scenario
 from nfsg.config import ExperimentSpec, parse_config
 from nfsg.errors import ConfigError
 
@@ -272,3 +272,31 @@ def test_anchor_on_cell_edge():
     for experiment in ("pattern-cut", "polar-heatmap"):
         parse_config(json.dumps({"experiment": experiment, "kappa": 3,
                                  "anchor": edge}))
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"trials": 2.5}, "trials"),
+    ({"scenario": {"noise_power_w": 1e-10, "noise_bandwidth_hz": 200e6,
+                   "noise_figure_db": 10.0}}, "scenario.noise_power_w"),
+    ({"experiment": "ase-vs-n", "sweep": ["n_antennas", [64, 128]]}, "sweep"),
+    ({"scenario": [256]}, "scenario"),
+    ({"experiment": "bogus"}, "experiment"),
+    ({"modes": []}, "modes"),
+    ({"modes": "mlap"}, "modes"),
+    ({"anchor": [0.0, 30.0]}, "anchor"),
+    ({"format": "xml"}, "format"),
+])
+def test_rejection_names_its_key(doc, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("changes", [
+    {"n_active": 0}, {"pathloss_exponent": 1.5}, {"tx_power": 0.0}, {"noise_power": -1.0},
+])
+def test_scenario_checks(changes):
+    # the config keys' minimums keep these out of a document; a scenario
+    # built in code meets the checks of ScenarioConfig itself
+    with pytest.raises(InvalidArgumentError):
+        default_scenario().with_(**changes)

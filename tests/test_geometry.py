@@ -82,6 +82,32 @@ class TestOrderedDistance:
         with pytest.raises(InvalidArgumentError):
             ordered_distance_dist(6, 10.0, 5, SECTOR)
 
+    @pytest.mark.parametrize("kappa", [2.5, [], [1, 2.5], [[1], [6]], math.nan])
+    def test_bad_kappa_array(self, kappa):
+        with pytest.raises(InvalidArgumentError):
+            ordered_distance_dist(kappa, 10.0, 5, SECTOR)
+
+    def test_r_outside_cell(self):
+        with pytest.raises(DomainError):
+            ordered_distance_dist(np.arange(1, 4)[:, None], [10.0, 150.5], 3, SECTOR)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 82, 200])
+    def test_orders_broadcast(self, n):
+        # every row of an array of orders is the call with that order alone,
+        # to the last bit, and so is every element the call at one distance
+        r = np.concatenate([[0.0, 150.0], np.linspace(1.0, 149.0, 23)])
+        kappas = np.arange(1, n + 1)
+        cdf, pdf = ordered_distance_dist(kappas[:, None], r, n, SECTOR)
+        assert cdf.shape == pdf.shape == (n, r.size)
+        for k in kappas:
+            one_cdf, one_pdf = ordered_distance_dist(int(k), r, n, SECTOR)
+            assert one_cdf.tobytes() == cdf[k - 1].tobytes()
+            assert one_pdf.tobytes() == pdf[k - 1].tobytes()
+        for j in (0, 1, 2, r.size - 1):
+            for k in (1, n):
+                assert ordered_distance_dist(k, r[j], n, SECTOR) == (cdf[k - 1, j],
+                                                                     pdf[k - 1, j])
+
     @pytest.mark.parametrize("kappa,n", [(1, 15), (3, 15), (8, 15), (15, 15)])
     def test_cdf_shape(self, kappa, n):
         r = np.linspace(0.0, 150.0, 301)
@@ -132,6 +158,15 @@ class TestOrderedDistance:
 
 
 class TestConditionalDistance:
+    @pytest.mark.parametrize("side,r_kappa,error", [
+        ("middle", 50.0, InvalidArgumentError),
+        ("outer", 150.5, DomainError),
+        ("inner", -1.0, DomainError),
+    ])
+    def test_bad_arguments(self, side, r_kappa, error):
+        with pytest.raises(error):
+            conditional_distance_dist(side, 10.0, r_kappa, SECTOR)
+
     def test_inner_ratio(self):
         cdf, _ = conditional_distance_dist("inner", 50.0, 100.0, SECTOR)
         assert cdf == pytest.approx(0.25)
@@ -256,6 +291,15 @@ class TestConditionalSampling:
     def test_degenerate_anchor(self, rng):
         with pytest.raises(DegenerateSupportError):
             sample_conditional_arrays(2, PolarPoint(0.0, 0.0), 3, SECTOR, 1, rng)
+
+    @pytest.mark.parametrize("kappa,anchor,n,error", [
+        (2, PolarPoint(0.0, 150.0), 3, DegenerateSupportError),
+        (0, PolarPoint(0.0, 50.0), 3, InvalidArgumentError),
+        (4, PolarPoint(0.0, 50.0), 3, InvalidArgumentError),
+    ])
+    def test_bad_arguments(self, kappa, anchor, n, error, rng):
+        with pytest.raises(error):
+            sample_conditional_arrays(kappa, anchor, n, SECTOR, 1, rng)
 
     def test_inner_law(self, rng):
         anchor = PolarPoint(0.0, 100.0)

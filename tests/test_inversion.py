@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -24,7 +25,7 @@ from nfsg.pattern import beam_depth
 from nfsg import analysis
 from nfsg.analysis import (_LATTICE_CELLS, _LATTICE_ROWS, _SHIFT_ADD_ATOMS, _anchor_laws,
                            _anchor_nodes, _batch_law, _conditional_cp_bounds, _lattice_cp,
-                           _lattice_step, _level_laws, _node_cp, _overall_cp_batch,
+                           _lattice_step, _level_laws, _node_cp,
                            _side_grid, _step_table, _windows)
 from nfsg.geometry import sample_conditional_arrays, sample_user_arrays
 from nfsg.montecarlo import conditional_interference_samples
@@ -342,6 +343,12 @@ class TestSinr:
         b = conditional_cp_sinr(100.0, ANCHOR.theta, ANCHOR.r, 3, scn, "mlap")
         assert a == b  # identical code path when noise is zero
 
+    @pytest.mark.parametrize("tau,r_k", [(0.0, 30.0), (-1.0, 30.0), (math.nan, 30.0),
+                                         (10.0, 0.0), (10.0, -5.0)])
+    def test_arguments_checked(self, scn, tau, r_k):
+        with pytest.raises(DomainError):
+            sinr_equivalent_threshold(tau, r_k, scn)
+
     def test_infeasible(self, scn):
         noisy = scn.with_(noise_power=1.0)  # 1 W of noise: budget hopeless
         assert sinr_equivalent_threshold(10.0, 140.0, noisy) == math.inf
@@ -402,11 +409,18 @@ class TestSinr:
 
 def test_one_step_table_per_side_and_bound(scn, monkeypatch):
     # the location average of the baseline scenario runs its 280 nodes in
-    # many lattice batches, all cut from one table per side and bound
+    # many lattice batches, all cut from one table per side and bound; one
+    # bound's two tables are gone before the other bound builds its own
     tables = []
     build = analysis._step_table
-    monkeypatch.setattr(analysis, "_step_table",
-                        lambda *args: tables.append(args) or build(*args))
+
+    def spy(*args):
+        assert sum(ref() is not None for ref in tables) <= 1
+        table = build(*args)
+        tables.append(weakref.ref(table[0]))
+        return table
+
+    monkeypatch.setattr(analysis, "_step_table", spy)
     inner, outer = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
     assert inner[0].shape[0] > 2 * _LATTICE_ROWS
     _node_cp(0.1, inner, outer, scn.n_active, range(1, scn.n_active + 1))
@@ -424,6 +438,37 @@ class TestOverall:
             overall_cp(5.0, 1, single, "bogus")
         with pytest.raises(InvalidArgumentError):
             se_and_ase(5.0, single, "bogus")
+
+    @pytest.mark.parametrize("mode", ["exact", "mlap", "upper"])
+    def test_orders_at_once(self, mode):
+        # an array of orders gives, to the last bit, each order's own call
+        kappas = np.array([[3, 1], [2, 2]])
+        for tau in (0.5, 10.0, 100.0, 1e3):
+            cps = overall_cp(tau, kappas, SMALL, mode)
+            assert cps.shape == kappas.shape
+            one = [[overall_cp(tau, int(k), SMALL, mode) for k in row] for row in kappas]
+            assert cps.tolist() == one
+            assert all(type(c) is float for row in one for c in row)
+
+    def test_all_orders_at_once(self, scn):
+        kappas = np.arange(1, scn.n_active + 1)
+        cps = overall_cp(100.0, kappas, scn, "mlap")
+        assert cps.tolist() == [overall_cp(100.0, int(k), scn, "mlap") for k in kappas]
+
+    @pytest.mark.parametrize("kappa", [0, 16, 2.5, [], [1, 2.5]])
+    def test_orders_checked(self, scn, kappa):
+        for model in (scn, scn.with_(n_active=1)):
+            with pytest.raises(InvalidArgumentError):
+                overall_cp(10.0, kappa, model, "mlap")
+
+    def test_one_order_law_per_threshold(self, scn, monkeypatch):
+        # se_and_ase weighs every user order from one call of the law
+        calls = []
+        law = analysis.ordered_distance_dist
+        monkeypatch.setattr(analysis, "ordered_distance_dist",
+                            lambda *args: calls.append(args) or law(*args))
+        se, _ = se_and_ase(100.0, scn, "upper")
+        assert len(calls) == 1 and se.shape == (scn.n_active,)
 
     def test_monotone_in_tau(self, scn):
         for mode in ("mlap", "upper"):
@@ -444,19 +489,19 @@ class TestOverall:
         theta, r = sample_user_arrays(scn.sector, scn.n_active, nt, rng)
         interference = mlap_network_interference(scn, theta, r)
         tau = 100.0
-        cps = _overall_cp_batch(tau, scn, "mlap", range(1, scn.n_active + 1))
+        cps = overall_cp(tau, np.arange(1, scn.n_active + 1), scn, "mlap")
         mc = (interference < 1.0 / tau).mean(axis=0)
         assert np.max(np.abs(cps - mc)) < 0.012
 
     def test_many_users_bounds_ordered(self, scn):
         many = scn.with_(n_active=64)
         inner, outer = _anchor_laws(many.array, many.sector, many.mlap, False)
-        kappas = range(1, many.n_active + 1)
+        kappas = np.arange(1, many.n_active + 1)
         for tau in (3.0, 100.0):
             lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, kappas)
             assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
             assert np.all(lower <= upper + ROUNDOFF)
-            cps = _overall_cp_batch(tau, many, "mlap", kappas)
+            cps = overall_cp(tau, kappas, many, "mlap")
             assert np.all((cps >= 0.0) & (cps <= 1.0))
 
     def test_se_and_ase(self, scn):

@@ -129,6 +129,11 @@ class TestEstimators:
         with pytest.raises(InvalidArgumentError):
             TrialPlan(n_trials=0, root_seed=0, scenario=scn)
 
+    @pytest.mark.parametrize("n_trials,block_size", [(0, 8192), (64, 0)])
+    def test_plan_sizes_validated(self, scn, n_trials, block_size):
+        with pytest.raises(InvalidArgumentError):
+            TrialPlan(n_trials=n_trials, root_seed=0, scenario=scn, block_size=block_size)
+
     def test_clt_scaling(self, scn):
         tau = [100.0]
         se1 = estimate_overall_cp(

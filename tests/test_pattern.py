@@ -411,3 +411,14 @@ class TestMStar:
         assert out.saturated
         assert out.m == 4  # floor(9/2)
 
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: MlapConfig(n_levels=10, beta_gamma=0.0), InvalidArgumentError),
+    (lambda: beam_depth(CFG, 0.0, 30.0, 0.0), DomainError),
+    (lambda: m_star(CFG, MLAP, 0.0), DomainError),
+    (lambda: m_star(CFG, MLAP, -1.0), DomainError),
+], ids=["mlap-beta-gamma", "beam-depth-beta-gamma", "m-star-zero", "m-star-negative"])
+def test_arguments_checked(call, error):
+    with pytest.raises(error):
+        call()
