@@ -70,10 +70,11 @@ bound covers the lattice rounding only, not the error of the side grid: its
 cells and its gain bins.
 
 A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
-one builder with one set of checks: orders, mode, sector, then supports (a
-side that holds an interferer needs room for it, so r_k = 0 is rejected with
-inner interferers and the cell edge with outer ones), then the focus (a beam
-focused on the array, r_k = 0, has no beam depth, whoever the user).
+one builder. It checks the mode, then the user with geometry._pinned_user,
+which Monte Carlo's conditional sampler runs too: order, sector (NaN lies
+outside), supports (a side that holds an interferer needs room for it, so
+r_k = 0 is rejected with inner interferers and the cell edge with outer
+ones), then the focus (a beam focused on the array has no beam depth).
 
 laplace gives the interference Laplace transform of the exact and the
 quantized route from the same pinned-user laws; the CP evaluator does not
@@ -92,40 +93,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DegenerateSupportError, DomainError, InvalidArgumentError,
-                     NumericFailureError)
-from .geometry import (PolarPoint, SectorGeometry, _user_orders, conditional_cdf_extended,
-                       ordered_distance_dist, spatial_angle_cdf_extended)
+from .errors import DomainError, InvalidArgumentError, NumericFailureError
+from .geometry import (PolarPoint, SectorGeometry, _pinned_user, _user_orders,
+                       conditional_cdf_extended, ordered_distance_dist,
+                       spatial_angle_cdf_extended)
 from .pattern import (ArrayConfig, MlapConfig, MlapLevels, asymptotic_gain, beam_depth,
                       mlap_levels)
 from .scenario import ScenarioConfig
 
-def _check_orders(kappa, n_active: int, mode: str) -> np.ndarray:
-    kap = _user_orders(kappa, n_active)
-    if mode not in ("exact", "mlap", "upper"):
-        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
-    return kap
+_MODES = ("exact", "mlap", "upper")
 
 
 def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig,
                   mode: str) -> tuple[bool, bool]:
-    """Check user kappa fixed at (theta_k, r_k): order, mode, sector,
-    supports, focus. Returns whether the inner and the outer side hold an
-    interferer; r_k = 0 leaves the inner support empty and r_k = cell_radius
-    the outer one. A beam focused on the array, r_k = 0, has no beam depth,
-    so it is rejected whatever the sides hold."""
-    _check_orders(kappa, scenario.n_active, mode)
-    sec = scenario.sector
-    if abs(theta_k) > sec.half_width or not 0 <= r_k <= sec.cell_radius:
-        raise DomainError("focal point outside the sector")
-    inner, outer = kappa > 1, kappa < scenario.n_active
-    if inner and r_k == 0.0:
-        raise DegenerateSupportError("inner interferers conditioned on r_k = 0")
-    if outer and r_k == sec.cell_radius:
-        raise DegenerateSupportError("outer interferers conditioned on r_k = cell_radius")
-    if r_k == 0.0:
-        raise DomainError("a beam focused on the array has no beam depth")
-    return inner, outer
+    """Check the mode and user kappa fixed at (theta_k, r_k), the latter with
+    geometry._pinned_user. Returns whether the inner and the outer side hold
+    an interferer."""
+    if mode not in _MODES:
+        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
+    n_in, n_out = _pinned_user(kappa, theta_k, r_k, scenario.n_active, scenario.sector)
+    return n_in > 0, n_out > 0
 
 
 def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
@@ -744,7 +731,9 @@ def sinr_equivalent_threshold(tau: float, r_k: float,
 def conditional_cp_sinr(tau: float, theta_k: float, r_k: float, kappa: int,
                         scenario: ScenarioConfig, mode: str = "mlap") -> float:
     """SINR coverage via the threshold substitution, for any conditional_cp
-    mode."""
+    mode. The pinned user is checked before its noise term is taken, so every
+    input raises what conditional_cp raises for it."""
+    _pinned_sides(theta_k, r_k, kappa, scenario, mode)
     return conditional_cp(sinr_equivalent_threshold(tau, r_k, scenario),
                           theta_k, r_k, kappa, scenario, mode)
 
@@ -777,7 +766,9 @@ def overall_cp(tau: float, kappa, scenario: ScenarioConfig, mode: str = "mlap"):
     if not 0 < tau < math.inf:
         raise DomainError("tau must be positive and finite")
     n_active, sec = scenario.n_active, scenario.sector
-    kap = _check_orders(kappa, n_active, mode)
+    kap = _user_orders(kappa, n_active)
+    if mode not in _MODES:
+        raise InvalidArgumentError("mode must be 'exact', 'mlap' or 'upper'")
     out = np.ones(kap.shape)
     if n_active > 1:
         orders = kap.ravel()

@@ -6,7 +6,8 @@
 
 Runs the ExperimentSpec that `config.parse_config` returns as it is: the
 spec carries every default, the threshold grid and, for a sweep, the scenario
-at each value. The command-line flags only override document keys.
+at each value. The command-line flags only override document keys. A sweep
+re-runs its base experiment's row builder at each value and keeps one metric.
 
 Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
@@ -107,8 +108,7 @@ def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:
     return rows
 
 
-def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
-    scn = spec.scenario
+def _cond_cp_rows(spec: ExperimentSpec, scn) -> list[Row]:
     f = spec.anchor
     # one threshold grid for every route: each tau, then, with noise, its
     # SINR-equivalent threshold, since the pinned user's noise term is a
@@ -130,17 +130,44 @@ def _rows_cond_cp(spec: ExperimentSpec) -> list[Row]:
     return rows
 
 
+def _overall_rows(spec: ExperimentSpec, scn) -> list[Row]:
+    """Per route and threshold, the cp and se rows of every user and the ase
+    row."""
+    rows = []
+    taus_db = spec.tau_grid_db
+    taus = [db_to_linear(d) for d in taus_db]
+    for mode in spec.modes:
+        if mode == "montecarlo":
+            cp, ase = montecarlo.estimate_network(_plan(spec, scn), taus)
+        for i, (d, tau) in enumerate(zip(taus_db, taus)):
+            rate = math.log2(1.0 + tau)
+            if mode == "montecarlo":
+                users = [(e.value, e.std_error, e.value * rate, e.std_error * rate)
+                         for e in (c[i] for c in cp)]
+                total = (ase[i].value, ase[i].std_error)
+            else:
+                se, total_ase = analysis.se_and_ase(tau, scn, mode)
+                users = [(float(s / rate), None, float(s), None) for s in se]
+                total = (total_ase, None)
+            for k, (c, c_err, s, s_err) in enumerate(users, 1):
+                rows.append(Row(spec.name, mode, None, None, k, d, "cp", c, c_err))
+                rows.append(Row(spec.name, mode, None, None, k, d, "se", s, s_err))
+            rows.append(Row(spec.name, mode, None, None, None, d, "ase", *total))
+    return rows
+
+
+def _swept(spec: ExperimentSpec, rows_at, metric: str) -> list[Row]:
+    """The `metric` rows that rows_at(spec, scenario) gives at every sweep
+    point, tagged with that point."""
+    sweep = spec.sweep
+    return [row._replace(sweep_param=sweep.param, sweep_value=value)
+            for value, scn in zip(sweep.values, sweep.scenarios)
+            for row in rows_at(spec, scn) if row.metric == metric]
+
+
 def _rows_m_sweep(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
-    f = spec.anchor
-    sweep = spec.sweep
-    rows = []
-    for v, scn_m in zip(sweep.values, sweep.scenarios):
-        for d in spec.tau_grid_db:
-            val = analysis.conditional_cp(db_to_linear(d), f.theta, f.r,
-                                          spec.kappa, scn_m, "mlap")
-            rows.append(Row(spec.name, "mlap", sweep.param, v, spec.kappa, d,
-                            "cp", val))
+    rows = _swept(spec, _cond_cp_rows, "cp")
     for d in spec.tau_grid_db:
         ms = m_star(scn.array, scn.mlap, db_to_linear(d))
         rows.append(Row(spec.name, "mlap", None, None, None, d, "m_star",
@@ -148,53 +175,14 @@ def _rows_m_sweep(spec: ExperimentSpec) -> list[Row]:
     return rows
 
 
-def _network_rows(spec: ExperimentSpec, scn, mode: str) -> list[Row]:
-    """Per threshold, the cp and se rows of every user and the ase row of one
-    route on one scenario."""
-    rows = []
-    taus_db = spec.tau_grid_db
-    taus = [db_to_linear(d) for d in taus_db]
-    if mode == "montecarlo":
-        cp, ase = montecarlo.estimate_network(_plan(spec, scn), taus)
-    for i, (d, tau) in enumerate(zip(taus_db, taus)):
-        rate = math.log2(1.0 + tau)
-        if mode == "montecarlo":
-            users = [(e.value, e.std_error, e.value * rate, e.std_error * rate)
-                     for e in (c[i] for c in cp)]
-            total = (ase[i].value, ase[i].std_error)
-        else:
-            se, total_ase = analysis.se_and_ase(tau, scn, mode)
-            users = [(float(s / rate), None, float(s), None) for s in se]
-            total = (total_ase, None)
-        for k, (c, c_err, s, s_err) in enumerate(users, 1):
-            rows.append(Row(spec.name, mode, None, None, k, d, "cp", c, c_err))
-            rows.append(Row(spec.name, mode, None, None, k, d, "se", s, s_err))
-        rows.append(Row(spec.name, mode, None, None, None, d, "ase", *total))
-    return rows
-
-
-def _rows_overall(spec: ExperimentSpec) -> list[Row]:
-    return [row for mode in spec.modes
-            for row in _network_rows(spec, spec.scenario, mode)]
-
-
-def _rows_ase_sweep(spec: ExperimentSpec) -> list[Row]:
-    sweep = spec.sweep
-    return [row._replace(sweep_param=sweep.param, sweep_value=value)
-            for value, scn_v in zip(sweep.values, sweep.scenarios)
-            for mode in spec.modes for row in _network_rows(spec, scn_v, mode)
-            if row.metric == "ase"]
-
-
 _EXPERIMENTS = {
     "pattern-cut": _rows_pattern_cut,
     "polar-heatmap": _rows_polar_heatmap,
-    "cond-cp": _rows_cond_cp,
+    "cond-cp": lambda spec: _cond_cp_rows(spec, spec.scenario),
     "m-sweep": _rows_m_sweep,
-    "overall": _rows_overall,
-    "ase-vs-n": _rows_ase_sweep,
-    "ase-vs-na": _rows_ase_sweep,
-    "ratio-sweep": _rows_ase_sweep,
+    "overall": lambda spec: _overall_rows(spec, spec.scenario),
+    **dict.fromkeys(("ase-vs-n", "ase-vs-na", "ratio-sweep"),
+                    lambda spec: _swept(spec, _overall_rows, "ase")),
 }
 
 

@@ -10,7 +10,9 @@ Draws come as (theta, r) arrays of shape (n_sets, n_active), one row per
 realization: sample_user_arrays for free user sets, sample_conditional_arrays
 for sets with one user pinned. The spatial-angle and conditional distance
 CDFs are written once, in their *_cdf_extended form; spatial_angle_dist and
-conditional_distance_dist check the support and add the PDF.
+conditional_distance_dist check the support and add the PDF. NaN fails
+every support check with DomainError. A pinned user is checked once, by
+_pinned_user, which the conditional sampler and every analytic route call.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def sample_user_arrays(sector: SectorGeometry, n_active: int, n_sets: int,
 def unordered_distance_dist(r, sector: SectorGeometry):
     """(CDF, PDF) of the distance of a random (non-ordered) user: r^2/R_c^2, 2r/R_c^2."""
     r = np.asarray(r, float)
-    if np.any(r < 0) or np.any(r > sector.cell_radius):
+    if not np.all((0 <= r) & (r <= sector.cell_radius)):
         raise DomainError("r must lie in [0, cell_radius]")
     q = r / sector.cell_radius
     cdf = q * q
@@ -98,6 +100,25 @@ def _user_orders(kappa, n_active: int) -> np.ndarray:
     return kap.astype(int)
 
 
+def _pinned_user(kappa, theta: float, r: float, n_active: int,
+                 sector: SectorGeometry) -> tuple[int, int]:
+    """(kappa - 1, n_active - kappa) interferers of user kappa pinned at
+    (theta, r), after checking, in order: kappa; the point inside the sector,
+    NaN outside; room on every side that holds an interferer; r > 0."""
+    kappa = int(_user_orders(kappa, n_active))
+    rc = sector.cell_radius
+    if not (abs(theta) <= sector.half_width and 0 <= r <= rc):
+        raise DomainError("pinned user outside the sector")
+    n_in, n_out = kappa - 1, n_active - kappa
+    if n_in and r == 0.0:
+        raise DegenerateSupportError("inner interferers conditioned on r = 0")
+    if n_out and r == rc:
+        raise DegenerateSupportError("outer interferers conditioned on r = cell_radius")
+    if r == 0.0:
+        raise DomainError("a beam focused on the array has no beam depth")
+    return n_in, n_out
+
+
 def ordered_distance_dist(kappa, r, n_active: int, sector: SectorGeometry):
     """(CDF, PDF) of the distance of the kappa-th closest of n_active users.
 
@@ -109,7 +130,7 @@ def ordered_distance_dist(kappa, r, n_active: int, sector: SectorGeometry):
     """
     kap = _user_orders(kappa, n_active)
     r = np.asarray(r, float)
-    if np.any(r < 0) or np.any(r > sector.cell_radius):
+    if not np.all((0 <= r) & (r <= sector.cell_radius)):
         raise DomainError("r must lie in [0, cell_radius]")
     kap, r = np.broadcast_arrays(kap, r)
     q = (r / sector.cell_radius) ** 2
@@ -158,11 +179,11 @@ def conditional_distance_dist(side: str, r, r_kappa: float, sector: SectorGeomet
         raise DegenerateSupportError("outer side empty: r_kappa = cell_radius")
     r = np.asarray(r, float)
     if side == "inner":
-        if np.any(r < 0) or np.any(r >= r_kappa):
+        if not np.all((0 <= r) & (r < r_kappa)):
             raise DomainError("inner side requires 0 <= r < r_kappa")
         span = r_kappa**2
     else:
-        if np.any(r < r_kappa) or np.any(r > rc):
+        if not np.all((r_kappa <= r) & (r <= rc)):
             raise DomainError("outer side requires r_kappa <= r <= cell_radius")
         span = rc**2 - r_kappa**2
     pdf = 2.0 * r / span
@@ -194,7 +215,7 @@ def spatial_angle_dist(vartheta, sector: SectorGeometry):
     """(CDF, PDF) of the spatial angle (1/2) sin(theta) of a uniform sector angle."""
     bound = sector.spatial_angle_bound
     v = np.asarray(vartheta, float)
-    if np.any(np.abs(v) > bound):
+    if not np.all(np.abs(v) <= bound):
         raise DomainError("spatial angle outside the sector support")
     ns = sector.n_sectors
     with np.errstate(divide="ignore"):
@@ -219,18 +240,14 @@ def sample_conditional_arrays(kappa: int, anchor: PolarPoint, n_active: int,
 
     Returns (theta, r) of shape (n_sets, n_active); column kappa-1 holds the
     anchor, columns before it the sorted inner users, columns after it the
-    sorted outer users.
+    sorted outer users. The anchor is checked by `_pinned_user`, as in every
+    analytic route: InvalidArgumentError for kappa outside [1, n_active] or
+    not whole; DomainError for an anchor outside the sector, NaN included,
+    or at r = 0; DegenerateSupportError, a DomainError, for inner users at
+    r = 0 or outer users on the cell edge.
     """
-    kappa = int(_user_orders(kappa, n_active))
-    rc = sector.cell_radius
-    if not (abs(anchor.theta) <= sector.half_width and 0 <= anchor.r <= rc):
-        raise InvalidArgumentError("anchor must lie inside the sector")
-    n_in, n_out = kappa - 1, n_active - kappa
-    if anchor.r == 0.0 and n_in > 0:
-        raise DegenerateSupportError("inner users requested with anchor at r = 0")
-    if anchor.r == rc and n_out > 0:
-        raise DegenerateSupportError("outer users requested with anchor at r = cell_radius")
-
+    n_in, n_out = _pinned_user(kappa, anchor.theta, anchor.r, n_active, sector)
+    kappa, rc = n_in + 1, sector.cell_radius
     theta = rng.uniform(-sector.half_width, sector.half_width, (n_sets, n_active))
     theta[:, kappa - 1] = anchor.theta
     r = np.empty((n_sets, n_active))

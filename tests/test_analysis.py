@@ -9,7 +9,8 @@ import pytest
 from helpers import mlap_cross_gains, mlap_interference_on_anchor, reference_side_grid
 from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
                   MlapConfig, NumericFailureError, PolarPoint, TrialPlan, analysis,
-                  conditional_cp, laplace, level_probabilities, mlap_levels, tau_star)
+                  conditional_cp, conditional_cp_sinr, estimate_conditional_cp, laplace,
+                  level_probabilities, mlap_levels, tau_star)
 from nfsg.analysis import _GRID_T_RESOLVE
 from nfsg.geometry import sample_conditional_arrays
 from nfsg.kernels import gain_pairs
@@ -70,6 +71,55 @@ class TestLevelProbabilities:
     def test_outside_sector(self, scn):
         with pytest.raises(DomainError):
             level_probabilities(2.0, 30.0, 3, scn)
+
+
+def _pinned_entry_points(scn):
+    """Every route that takes a user pinned at (theta, r) with order kappa,
+    as calls f(theta, r, kappa)."""
+    plan = TrialPlan(n_trials=16, root_seed=0, scenario=scn)
+    sector, n = scn.sector, scn.n_active
+    calls = {"level_probabilities": lambda t, r, k: level_probabilities(t, r, k, scn),
+             "estimate_conditional_cp": lambda t, r, k: estimate_conditional_cp(
+                 plan, k, PolarPoint(t, r), [10.0]),
+             "conditional_interference_samples": lambda t, r, k:
+                 conditional_interference_samples(plan, k, PolarPoint(t, r)),
+             "sample_conditional_arrays": lambda t, r, k: sample_conditional_arrays(
+                 k, PolarPoint(t, r), n, sector, 4, np.random.default_rng(0))}
+    for mode in ("exact", "mlap", "upper"):
+        calls[f"conditional_cp[{mode}]"] = \
+            lambda t, r, k, m=mode: conditional_cp(10.0, t, r, k, scn, m)
+        calls[f"conditional_cp_sinr[{mode}]"] = \
+            lambda t, r, k, m=mode: conditional_cp_sinr(10.0, t, r, k, scn, m)
+    for mode in ("exact", "mlap"):
+        calls[f"laplace[{mode}]"] = lambda t, r, k, m=mode: laplace(0.5, t, r, k, scn, m)
+    return calls
+
+
+# (theta, r, kappa) on the baseline sector (half-width pi/3, radius 150 m)
+# with 15 users, and the one error type that every route raises for it
+@pytest.mark.parametrize("theta,r,kappa,error", [
+    (0.0, 30.0, 0, InvalidArgumentError),
+    (0.0, 30.0, 16, InvalidArgumentError),
+    (0.0, 30.0, 2.5, InvalidArgumentError),
+    (math.nan, 30.0, 3, DomainError),
+    (1.1, 30.0, 3, DomainError),
+    (0.0, math.nan, 3, DomainError),
+    (0.0, 151.0, 3, DomainError),
+    (0.0, 0.0, 3, DegenerateSupportError),
+    (0.0, 150.0, 3, DegenerateSupportError),
+    (0.0, 0.0, 1, DomainError),
+], ids=["kappa0", "kappa_n+1", "kappa_frac", "theta_nan", "theta_out", "r_nan",
+        "r_out", "r0_inner", "edge_outer", "r0_lone_focus"])
+def test_pinned_user_rejected_alike_by_every_route(scn, theta, r, kappa, error):
+    # noise, so that conditional_cp_sinr takes a noise term at r
+    raised = {}
+    for name, call in _pinned_entry_points(scn.with_(noise_power=1e-10)).items():
+        try:
+            call(theta, r, kappa)
+            raised[name] = None
+        except Exception as exc:
+            raised[name] = type(exc)
+    assert raised == dict.fromkeys(raised, error)
 
 
 class TestTauStar:

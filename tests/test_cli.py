@@ -174,6 +174,39 @@ class TestExperiments:
         assert {int(r.sweep_value) for r in cps} == {1, 2, 4}
         assert any(r.metric == "m_star" for r in rows)
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-8])
+    def test_sweeps_rerun_base_rows(self, noise):
+        # each sweep row is its base experiment's row at that point's
+        # scenario, tagged with the point: m-sweep the cond-cp mlap cp rows
+        # (with noise, not the cp_sinr ones), the ASE sweeps the overall ase rows
+        scenario = {**SMALL_SCENARIO, "noise_power_w": noise}
+        taus = [0.0, 10.0, 20.0]
+
+        def base(experiment, point, **doc):
+            return run_experiment(_spec(experiment=experiment, tau_grid_db=taus,
+                                        scenario={**scenario, **point}, **doc))
+
+        m_sweep = run_experiment(_spec(experiment="m-sweep", scenario=scenario,
+                                       tau_grid_db=taus,
+                                       sweep={"param": "n_levels", "values": [2, 6]}))
+        assert [r for r in m_sweep if r.metric != "m_star"] == [
+            r._replace(experiment="m-sweep", sweep_param="n_levels", sweep_value=float(m))
+            for m in (2, 6) for r in base("cond-cp", {"n_levels": m}, modes=["mlap"])
+            if r.metric == "cp"]
+        modes = ["mlap", "upper", "montecarlo"]
+        for experiment, param, values, users in (
+                ("ase-vs-na", "n_active", [3, 6], lambda v: v),
+                ("ratio-sweep", "na_over_n", [0.125, 0.25], lambda v: round(32 * v))):
+            rows = run_experiment(_spec(experiment=experiment, scenario=scenario,
+                                        modes=modes, tau_grid_db=taus, trials=200,
+                                        sweep={"param": param, "values": values}))
+            assert rows == [
+                r._replace(experiment=experiment, sweep_param=param, sweep_value=float(v))
+                for v in values
+                for r in base("overall", {"n_active": users(v)}, modes=modes,
+                              trials=200, kappa=1)
+                if r.metric == "ase"]
+
     def test_overall_rows(self):
         spec = _spec(experiment="overall", modes=["upper", "montecarlo"],
                      tau_grid_db=[10.0], trials=300)

@@ -157,6 +157,21 @@ class TestOrderedDistance:
         assert abs(cdf - emp) < 0.005
 
 
+@pytest.mark.parametrize("law,args", [
+    (unordered_distance_dist, (math.nan, SECTOR)),
+    (ordered_distance_dist, (3, math.nan, 15, SECTOR)),
+    (ordered_distance_dist, (3, [10.0, math.nan], 15, SECTOR)),
+    (conditional_distance_dist, ("inner", math.nan, 100.0, SECTOR)),
+    (conditional_distance_dist, ("outer", math.nan, 100.0, SECTOR)),
+    (conditional_distance_dist, ("inner", 10.0, math.nan, SECTOR)),
+    (spatial_angle_dist, (math.nan, SECTOR)),
+    (spatial_angle_dist, ([0.1, math.nan], SECTOR)),
+], ids=lambda x: getattr(x, "__name__", ""))
+def test_nan_lies_outside_every_support(law, args):
+    with pytest.raises(DomainError):
+        law(*args)
+
+
 class TestConditionalDistance:
     @pytest.mark.parametrize("side,r_kappa,error", [
         ("middle", 50.0, InvalidArgumentError),

@@ -116,8 +116,9 @@ class TestEstimators:
         assert estimate_conditional_cp(plan, 3, ANCHOR, [math.inf])[0].value == 0.0
 
     def test_single_user_anchor_checked(self, scn):
+        # outside the sector, as in the analytic routes
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn.with_(n_active=1))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(DomainError):
             estimate_conditional_cp(plan, 1, PolarPoint(3.0, 500.0), [1.0])
 
     def test_kappa_validated(self, scn):
