@@ -54,20 +54,19 @@ _SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
 weighted by the atoms' masses; the quantized laws have M+2 atoms before
 merging, so mlap up to M = 42 goes this way. Denser laws, such as the exact
 route's binned histograms, multiply 2(L+1)-point FFT spectra, taken once
-per batch. The constant is the measured crossover of the two. The outer
-ladder is carried as CDFs: convolution commutes with the cumulative sum,
-and a CDF is 0 below cell 0, so one step serves both ladders. CP_kappa is
-then the dot product of the inner pmf power kappa-1 with the reversed CDF
-of the outer power n_active-kappa, so the outer ladder is held reversed
-from the start and its steps correlate instead of convolving: the
-shift-and-add step reads its windows from the other end, and the FFT step
-multiplies by the conjugate spectrum. The batches of one evaluation write
+per batch. The constant is the measured crossover of the two. Every step
+convolves. The outer ladder is carried as CDFs: convolution commutes with
+the cumulative sum, and a CDF is 0 below cell 0, so one step serves both
+ladders. CP_kappa is then the dot product of the inner pmf power kappa-1
+with the reversed CDF of the outer power n_active-kappa, so the outer ladder
+is stored reversed and stepped through a reversed view of that storage: the
+dot then reads two contiguous arrays. The batches of one evaluation write
 their outer ladders into one workspace and shift their arrays in one window
 buffer, which keeps the allocator from handing that memory back and
-faulting it in again for every batch. The public
-functions return the midpoint of the two bounds. For the exact route the
-bound covers the lattice rounding only, not the error of the side grid: its
-cells and its gain bins.
+faulting it in again for every batch. The public functions return the
+midpoint of the two bounds. For the exact route the bound covers the
+lattice rounding only, not the error of the side grid: its cells and its
+gain bins.
 
 A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
 one builder. It checks the mode, then the user with geometry._pinned_user,
@@ -539,44 +538,40 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     return cells, masses, counts
 
 
-def _batch_law(table, batch: slice, reverse: bool):
+def _batch_law(table, batch: slice):
     """The rows batch of a _step_table, cut to their own atom count, as the
     law of a _lattice_step: (rows, window starts, masses) to shift and add,
     or, with more than _SHIFT_ADD_ATOMS atoms in a row, the 2(L+1)-point
-    spectrum to multiply by, the conjugate one when reversed."""
+    spectrum to multiply by."""
     cells, masses, counts = table
     m = int(counts[batch].max())
     cells, masses = cells[batch, :m], masses[batch, :m]
     width = _LATTICE_CELLS + 1
     row = np.arange(cells.shape[0])[:, None]
     if m <= _SHIFT_ADD_ATOMS:
-        # a[r, s - c] is window width - c at s; reversed, a[r, t + c] is
-        # window width + c at t
-        return row, width + cells if reverse else width - cells, masses[:, None, :]
+        # a[r, s - c] is window width - c at s
+        return row, width - cells, masses[:, None, :]
     pmf = np.bincount((row * width + cells).ravel(), masses.ravel(), row.size * width)
-    spectrum = np.fft.rfft(pmf.reshape(row.size, width), _NFFT)
-    # reversed, index t + c stays below 2(L+1), so the correlation never wraps
-    return spectrum.conj() if reverse else spectrum
+    return np.fft.rfft(pmf.reshape(row.size, width), _NFFT)
 
 
 def _windows(rows: int):
-    """The windows of width L+1 of a zeroed (rows, 3(L+1)) buffer: a step
-    writes its array into window L+1, the middle third, and the thirds
-    around it stay zero, the cells below 0 and above L."""
+    """The windows of width L+1 of a zeroed (rows, 2(L+1)) buffer: a step
+    writes its array into window L+1, the right half, and the left half
+    stays zero, the cells below 0."""
     width = _LATTICE_CELLS + 1
-    return np.lib.stride_tricks.sliding_window_view(np.zeros((rows, 3 * width)), width,
+    return np.lib.stride_tricks.sliding_window_view(np.zeros((rows, 2 * width)), width,
                                                     axis=1, writeable=True)
 
 
 def _lattice_step(a, law, windows):
     """a, shaped (rows, L+1), convolved with each row's law from _batch_law
-    and truncated to [0, L]. With a reversed law the array is held reversed,
-    a[r, L - s], and so is the result: the step correlates instead.
+    and truncated to [0, L].
 
     A shift-and-add law sums shifted copies of the array read from windows
     (see _windows, at least rows rows), new[r, s] = sum_i p[r, i]
-    a[r, s - c[r, i]], which is exact and never negative; reversed, the same
-    products are summed in the same order. A spectrum is multiplied by."""
+    a[r, s - c[r, i]], which is exact and never negative. A spectrum is
+    multiplied by."""
     if isinstance(law, tuple):
         row, start, p = law
         windows[:row.size, _LATTICE_CELLS + 1] = a
@@ -595,13 +590,14 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     of the bound's two tables. The outer ladder starts from the CDF of zero
     interference, which is 1 on every cell, and each step convolves it with
     one more outer law: convolution commutes with the cumulative sum, and a
-    CDF is 0 below cell 0. Those CDFs are held reversed, so their steps
-    correlate. Every batch writes its outer ladder into one workspace and
-    shifts its arrays in one window buffer, both allocated once per call:
-    taken afresh for every batch, they are large enough for the allocator to
-    hand them back and fault them in again. The inner pmf walks up the kappa
-    ladder, so every order costs one dot product. Returns (lower, upper),
-    each of shape (rows, len(kappas)).
+    CDF is 0 below cell 0. The ladder is stored reversed and stepped through
+    a reversed view, so each order's dot product reads contiguous memory.
+    Every batch writes its outer ladder into one workspace and shifts its
+    arrays in one window buffer, both allocated once per call: taken afresh
+    for every batch, they are large enough for the allocator to hand them
+    back and fault them in again. The inner pmf walks up the kappa ladder,
+    so every order costs one dot product. Returns (lower, upper), each of
+    shape (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
     width = _LATTICE_CELLS + 1
@@ -619,9 +615,10 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
         table_out = _step_table(thr, *outer, round_up)
         for lo in range(0, rows, _LATTICE_ROWS):
             batch = slice(lo, lo + _LATTICE_ROWS)
-            cdf_out = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
-            law_in = _batch_law(table_in, batch, False)
-            law_out = _batch_law(table_out, batch, True)
+            rev = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
+            cdf_out = rev[:, :, ::-1]
+            law_in = _batch_law(table_in, batch)
+            law_out = _batch_law(table_out, batch)
             cdf_out[0] = 1.0
             for j in range(n_out):
                 cdf_out[j + 1] = _lattice_step(cdf_out[j], law_out, windows)
@@ -631,7 +628,7 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
                 if k > 1:
                     pmf = _lattice_step(pmf, law_in, windows)
                 for q in orders[k]:
-                    cp[batch, q] = np.einsum("rl,rl->r", pmf, cdf_out[n_active - k])
+                    cp[batch, q] = np.einsum("rl,rl->r", pmf, rev[n_active - k])
 
     for round_up, cp in zip((True, False), bounds):
         bound(round_up, cp)

@@ -167,7 +167,8 @@ def _swept(spec: ExperimentSpec, rows_at, metric: str) -> list[Row]:
 
 def _rows_m_sweep(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
-    rows = _swept(spec, _cond_cp_rows, "cp")
+    # no cp row reads the noise; without it, no cp_sinr row is built
+    rows = _swept(spec, lambda _, at: _cond_cp_rows(spec, at.with_(noise_power=0.0)), "cp")
     for d in spec.tau_grid_db:
         ms = m_star(scn.array, scn.mlap, db_to_linear(d))
         rows.append(Row(spec.name, "mlap", None, None, None, d, "m_star",

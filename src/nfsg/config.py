@@ -10,6 +10,7 @@ only on their own parameter; every scenario a sweep runs is built here. Each
 experiment takes only the modes it runs, and its default modes are those of
 the default list that it runs.
 Unknown keys and inputs outside the model are rejected with their path.
+The anchor is checked by geometry._pinned_user, the rule every route runs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, InvalidArgumentError
-from .geometry import PolarPoint, SectorGeometry
+from .errors import ConfigError, DomainError, InvalidArgumentError
+from .geometry import PolarPoint, SectorGeometry, _pinned_user
 from .pattern import ArrayConfig, MlapConfig
 from .scenario import ScenarioConfig
 
@@ -279,19 +280,18 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
         theta=math.radians(_number(anchor_get("theta_deg"), "anchor.theta_deg")),
         r=_number(anchor_get("r_m"), "anchor.r_m", minimum=0.0),
     )
-    if abs(anchor.theta) > scenario.sector.half_width \
-            or anchor.r > scenario.sector.cell_radius:
-        raise ConfigError("anchor", "outside the sector")
-    if anchor.r == 0.0:
-        raise ConfigError("anchor", "r_m must be positive")
 
     kappa = _number(get("kappa"), "kappa", minimum=1, integer=True)
     if kappa > scenario.n_active:
         raise ConfigError("kappa", "exceeds n_active")
-    # no outer interferer can lie beyond the cell edge
-    if name in ("cond-cp", "m-sweep") and anchor.r == scenario.sector.cell_radius \
-            and kappa < scenario.n_active:
-        raise ConfigError("anchor", "on the cell edge only kappa = n_active fits")
+    # the user of cond-cp and m-sweep is checked as every route checks it;
+    # the other experiments only focus on the anchor, as for a lone user
+    pinned = name in ("cond-cp", "m-sweep")
+    try:
+        _pinned_user(kappa if pinned else 1, anchor.theta, anchor.r,
+                     scenario.n_active if pinned else 1, scenario.sector)
+    except DomainError as exc:
+        raise ConfigError("anchor", str(exc)) from None
 
     sweep = _build_sweep(doc.get("sweep"), name, scenario)
 

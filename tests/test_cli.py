@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import fresnel_phase_gain
-from nfsg import TrialPlan, conditional_cp, sinr_equivalent_threshold
+from nfsg import TrialPlan, analysis, conditional_cp, sinr_equivalent_threshold
 from nfsg.cli import COLUMNS, Row, emit_results, main, run_experiment
 from nfsg.config import db_to_linear, parse_config
 from nfsg.montecarlo import conditional_interference_samples
@@ -206,6 +207,19 @@ class TestExperiments:
                 for r in base("overall", {"n_active": users(v)}, modes=modes,
                               trials=200, kappa=1)
                 if r.metric == "ase"]
+
+    def test_noisy_m_sweep_asks_only_cp(self):
+        # m-sweep keeps only the cp rows, so with noise it must not evaluate
+        # the cp_sinr thresholds too: one CP per lobe count and threshold
+        taus, lobes = [0.0, 10.0, 20.0], [2, 4, 6]
+        spec = _spec(experiment="m-sweep", tau_grid_db=taus,
+                     scenario={**SMALL_SCENARIO, "noise_power_w": 1e-10},
+                     sweep={"param": "n_levels", "values": lobes})
+        with mock.patch.object(analysis, "conditional_cp",
+                               wraps=analysis.conditional_cp) as cp:
+            rows = run_experiment(spec)
+        assert cp.call_count == len(lobes) * len(taus)
+        assert sorted({r.metric for r in rows}) == ["cp", "m_star"]
 
     def test_overall_rows(self):
         spec = _spec(experiment="overall", modes=["upper", "montecarlo"],

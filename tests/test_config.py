@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nfsg import InvalidArgumentError, default_scenario
+from nfsg import DomainError, InvalidArgumentError, conditional_cp, default_scenario
 from nfsg.config import ExperimentSpec, parse_config
 from nfsg.errors import ConfigError
 
@@ -272,6 +272,34 @@ def test_anchor_on_cell_edge():
     for experiment in ("pattern-cut", "polar-heatmap"):
         parse_config(json.dumps({"experiment": experiment, "kappa": 3,
                                  "anchor": edge}))
+
+
+# (theta, r, kappa): the finite inputs of the pinned-user test of every
+# route, on the baseline sector (half-width pi/3, radius 150 m) with 15
+# users, and two users the routes accept
+@pytest.mark.parametrize("theta,r,kappa", [
+    (0.0, 30.0, 0), (0.0, 30.0, 16), (0.0, 30.0, 2.5), (1.1, 30.0, 3),
+    (0.0, 151.0, 3), (0.0, 0.0, 3), (0.0, 150.0, 3), (0.0, 0.0, 1),
+    (0.0, 30.0, 3), (0.2, 150.0, 15),
+])
+def test_cond_cp_anchor_checked_as_by_routes(theta, r, kappa):
+    # a cond-cp document is rejected exactly where conditional_cp rejects
+    # its user, naming kappa for the order and anchor for the point
+    try:
+        conditional_cp(10.0, theta, r, kappa, default_scenario(), "mlap")
+        expected = None
+    except InvalidArgumentError:
+        expected = "kappa"
+    except DomainError:
+        expected = "anchor"
+    doc = {"experiment": "cond-cp", "kappa": kappa,
+           "anchor": {"theta_deg": math.degrees(theta), "r_m": r}}
+    try:
+        parse_config(json.dumps(doc))
+        key = None
+    except ConfigError as err:
+        key = err.key
+    assert key == expected
 
 
 @pytest.mark.parametrize("doc,key", [
