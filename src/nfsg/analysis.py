@@ -55,18 +55,29 @@ weighted by the atoms' masses; the quantized laws have M+2 atoms before
 merging, so mlap up to M = 42 goes this way. Denser laws, such as the exact
 route's binned histograms, multiply 2(L+1)-point FFT spectra, taken once
 per batch. The constant is the measured crossover of the two. Every step
-convolves. The outer ladder is carried as CDFs: convolution commutes with
-the cumulative sum, and a CDF is 0 below cell 0, so one step serves both
-ladders. CP_kappa is then the dot product of the inner pmf power kappa-1
-with the reversed CDF of the outer power n_active-kappa, so the outer ladder
-is stored reversed and stepped through a reversed view of that storage: the
-dot then reads two contiguous arrays. The batches of one evaluation write
-their outer ladders into one workspace and shift their arrays in one window
-buffer, which keeps the allocator from handing that memory back and
-faulting it in again for every batch. The public functions return the
-midpoint of the two bounds. For the exact route the bound covers the
-lattice rounding only, not the error of the side grid: its cells and its
-gain bins.
+convolves. A batch steps one ladder or two. The quantized laws of one node
+share every gain on both sides and differ only in the masses of the zero
+level, g_0 and g_1, so on the lattice the outer law is the inner one plus a
+difference of at most three cells. Where a row differs so little, and its
+sum has few enough terms (_DELTA_CELLS, _DELTA_GROWTH, _DELTA_TERMS), the
+batch steps the inner law's CDF powers 0..n_active-1, and expanding each
+outer power binomially around the inner law gives every order's CP as a
+fixed sum of those CDFs, read a few cells below the top (_difference_cp):
+half the steps of two ladders. An order whose signed terms cancel too far
+for its CP to keep its relative accuracy takes the two ladders, as do the
+other rows, such as the exact route's and the law pinned on the cell
+edge. Those step the outer ladder as CDFs (convolution commutes with the
+cumulative sum, and a CDF is 0 below cell 0, so one step serves both
+ladders) and the inner one as pmfs; CP_kappa is then the dot product of the
+inner pmf power kappa-1 with the reversed CDF of the outer power
+n_active-kappa. A CDF ladder is stored reversed and stepped through a
+reversed view of that storage, so that dot reads two contiguous arrays.
+The batches of one evaluation write their CDF ladders into one workspace
+and shift their arrays in one window buffer, which keeps the allocator from
+handing that memory back and faulting it in again for every batch. The
+public functions return the midpoint of the two bounds. For the exact
+route the bound covers the lattice rounding only, not the error of the
+side grid: its cells and its gain bins.
 
 A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
 one builder. It checks the mode, then the user with geometry._pinned_user,
@@ -494,6 +505,24 @@ _LATTICE_ROWS = 8
 # same machine). So mlap laws up to M = 42 shift and add, while M = 128 and
 # the exact route's binned histograms take the FFT.
 _SHIFT_ADD_ATOMS = 44
+# The difference path: a row whose outer step table differs from its inner
+# one on at most _DELTA_CELLS cells may step only the inner ladder. The
+# quantized laws of one node share every gain and differ only in the masses
+# of the zero level, g_0 and g_1, so they do. Its sums of signed terms can
+# multiply a CDF's rounding by up to (1 + sum |d|)^(n_active-1), which must
+# stay at most _DELTA_GROWTH (the baseline mlap laws read at most 1.46), and
+# each order's sum of the terms' magnitudes must stay within _DELTA_GROWTH
+# times its CP, or that order takes the two ladders.
+_DELTA_CELLS = 3
+_DELTA_GROWTH = 16.0
+# Most terms per row of the difference path, C(n_active - 1 + c, c) for a
+# difference of c cells, per step it saves. A term costs about 25 ns a row
+# to gather and sum with its magnitude, a shift-and-add step about 4 us a
+# row (8 rows, 7 to 10 atoms, 1024 cells; Xeon, 2 MiB L2 per core), so the
+# path breaks even near 160 terms a step; at 64 it costs about 40% of the
+# steps it saves. Three cells take it up to 17 users, two up to 125 and one
+# always.
+_DELTA_TERMS = 64
 
 
 def _step_table(thr: float, gains, probs, round_up: bool):
@@ -528,7 +557,15 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     else:
         key, atom = np.unique(flat, return_inverse=True)
         mass = np.bincount(atom, p, key.size)
-    row, cell = np.divmod(key, width)
+    return _pack(key, mass, rows)
+
+
+def _pack(key, mass, rows: int):
+    """Atoms given by their rising keys row*(L+1) + cell and their masses,
+    as (cells, masses, counts): row r holds its counts[r] atoms first, in
+    rising cell order, then zero-mass atoms at cell 0; cells and masses are
+    (rows, counts.max())."""
+    row, cell = np.divmod(key, _LATTICE_CELLS + 1)
     counts = np.bincount(row, minlength=rows)
     at = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
     cells = np.zeros((rows, counts.max(initial=0)), np.intp)
@@ -580,55 +617,177 @@ def _lattice_step(a, law, windows):
     return np.maximum(out[:, :_LATTICE_CELLS + 1], 0.0)
 
 
+def _difference(table_in, table_out, n_active: int):
+    """The cell-wise difference out - in of two step tables, row by row, as
+    (cells, masses, counts, usable) in the layout of _step_table. usable[r]
+    tells whether row r may take the difference path: its difference has at
+    most _DELTA_CELLS cells, (1 + sum |d|)^(n_active-1) is at most
+    _DELTA_GROWTH, and its terms are at most _DELTA_TERMS per step saved. A
+    row whose atom counts differ by more than _DELTA_CELLS, such as an exact
+    node's, is not compared."""
+    width = _LATTICE_CELLS + 1
+    near = np.flatnonzero(np.abs(table_out[2] - table_in[2]) <= _DELTA_CELLS)
+    keys, masses = [], []
+    for (cells, mass, counts), sign in ((table_out, 1.0), (table_in, -1.0)):
+        # the compared rows' atoms, without their zero-mass padding
+        real = np.arange(cells.shape[1]) < counts[near, None]
+        keys.append((near[:, None] * width + cells[near])[real])
+        masses.append(sign * mass[near][real])
+    # an outer atom's mass, then minus the inner one's on its cell: the cells
+    # they share with equal masses come out exactly 0
+    key, atom = np.unique(np.concatenate(keys), return_inverse=True)
+    d = np.bincount(atom, np.concatenate(masses), key.size)
+    moved = d != 0
+    cells, d, counts = _pack(key[moved], d[moved], table_in[2].size)
+    usable = np.zeros(counts.size, bool)
+    usable[near] = True
+    usable &= counts <= _DELTA_CELLS
+    usable &= (1.0 + np.abs(d).sum(axis=1)) ** (n_active - 1) <= _DELTA_GROWTH
+    terms = np.array([math.comb(n_active - 1 + c, c) for c in range(_DELTA_CELLS + 1)])
+    usable &= terms[np.minimum(counts, _DELTA_CELLS)] <= _DELTA_TERMS * (n_active - 1)
+    return cells, d, counts, usable
+
+
+@lru_cache(maxsize=8)
+def _compositions(n_active: int, parts: int):
+    """The terms of the difference path for a difference of parts cells, in
+    rising k: every e of parts whole numbers with k = sum e <= n_active - 1,
+    as (level, e, multinomial, starts, binomial). level[t] = n_active - 1 - k
+    is the inner CDF power term t reads, e is (terms, parts), multinomial[t]
+    is k!/prod(e_a!), starts[k] is the first term of k, and
+    binomial[kappa-1, k] = C(n_active - kappa, k)."""
+    e = [c for k in range(n_active) for c in _splits(k, parts)]
+    k = [sum(c) for c in e]
+    multinomial = [math.factorial(kt) // math.prod(map(math.factorial, c))
+                   for kt, c in zip(k, e)]
+    k = np.array(k, np.intp)
+    binomial = [[math.comb(n_active - kappa, j) for j in range(n_active)]
+                for kappa in range(1, n_active + 1)]
+    tables = (n_active - 1 - k, np.array(e, np.intp).reshape(-1, parts),
+              np.array(multinomial, float), np.searchsorted(k, np.arange(n_active)),
+              np.array(binomial, float))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _splits(k: int, parts: int):
+    """Every tuple of parts whole numbers that sum to k."""
+    if parts == 1:
+        return [(k,)]
+    return [(first, *rest) for first in range(k + 1) for rest in _splits(k - first, parts - 1)]
+
+
+def _difference_cp(rev, delta, batch: slice, n_active: int):
+    """P{I <= thr} of the lattice laws for every user order 1..n_active, and
+    whether each is sound, both shaped (rows, n_active), from rev, the inner
+    law's CDF powers 0..n_active-1 stored reversed, and the rows batch of
+    delta, the _difference of the outer law from the inner one. Rows that
+    may not take the difference path are read as if their laws were equal.
+
+    With out = in + Delta, in^(kappa-1) * out^(n-kappa) is the sum over k of
+    C(n-kappa, k) in^(n-1-k) * Delta^k, and Delta^k puts the mass
+    k!/prod(e_a!) prod(d_a^e_a) on the cell sum(e_a c_a) for each split e of
+    k over the cells of Delta. Each term reads the CDF of in^(n-1-k) at L
+    minus that cell, 0 below cell 0. The terms of each k are summed in a
+    fixed order and every order then takes one matrix product, so an order's
+    CP does not depend on which others are asked. The terms have both signs:
+    a CP is sound when the same sum of their magnitudes is at most
+    _DELTA_GROWTH times its own, so that it keeps its relative accuracy
+    however small it is."""
+    cells, d, counts, usable = delta
+    usable = usable[batch]
+    parts = int(counts[batch].max(initial=0, where=usable))
+    if parts == 0:
+        # the outer law is the inner one: every order reads in^(n-1)
+        return (np.repeat(rev[n_active - 1, :, :1], n_active, axis=1),
+                np.ones((usable.size, n_active), bool))
+    cells, d = cells[batch, :parts], np.where(usable[:, None], d[batch, :parts], 0.0)
+    level, e, multinomial, starts, binomial = _compositions(n_active, parts)
+    rows = np.arange(cells.shape[0])[:, None]
+    shift = cells @ e.T
+    # d_a ** j for j = 0..n_active-1, by repeated products
+    powers = np.ones((*d.shape, n_active))
+    powers[:, :, 1:] = d[:, :, None]
+    np.cumprod(powers, axis=2, out=powers)
+    terms = multinomial * powers[:, 0, e[:, 0]]
+    for a in range(1, parts):
+        terms *= powers[:, a, e[:, a]]
+    terms[shift > _LATTICE_CELLS] = 0.0
+    terms *= rev[level, rows, np.minimum(shift, _LATTICE_CELLS)]
+    cp = np.add.reduceat(terms, starts, axis=1) @ binomial.T
+    size = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1) @ binomial.T
+    return cp, size <= _DELTA_GROWTH * np.abs(cp)
+
+
 def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     """Lower and upper bounds on P{I <= thr} for each user order in kappas.
 
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (m,) or (rows, m), one focal node per row. The bounds run
-    one after the other, each with one _step_table per side for every row,
-    and the rows go _LATTICE_ROWS at a time, each batch cutting its rows out
-    of the bound's two tables. The outer ladder starts from the CDF of zero
-    interference, which is 1 on every cell, and each step convolves it with
-    one more outer law: convolution commutes with the cumulative sum, and a
-    CDF is 0 below cell 0. The ladder is stored reversed and stepped through
-    a reversed view, so each order's dot product reads contiguous memory.
-    Every batch writes its outer ladder into one workspace and shifts its
+    one after the other, each with one _step_table per side for every row
+    and their _difference, and the rows go _LATTICE_ROWS at a time, each
+    batch cutting its rows out of the bound's tables. A CDF ladder starts
+    from the CDF of zero interference, which is 1 on every cell, and each
+    step convolves it with one more law: convolution commutes with the
+    cumulative sum, and a CDF is 0 below cell 0. The ladder is stored
+    reversed and stepped through a reversed view, so each read of its top
+    cells is contiguous.
+    A batch with a row that may take the difference path steps the inner
+    law's CDF ladder to power n_active-1 and gets every order of every row
+    from _difference_cp, one sum for all orders, so an order's bounds do not
+    depend on the others asked. The orders that some row may not take from
+    that sum, because its law differs too much or the order's sum is not
+    sound, come from the two ladders: the outer law's CDF ladder to power
+    n_active minus the least of those orders, and the inner pmf walked up
+    the kappa ladder, so every order costs one dot product. Each row and
+    order keeps the first of the two that it may take.
+    Every batch writes its CDF ladder into one workspace and shifts its
     arrays in one window buffer, both allocated once per call: taken afresh
     for every batch, they are large enough for the allocator to hand them
-    back and fault them in again. The inner pmf walks up the kappa ladder,
-    so every order costs one dot product. Returns (lower, upper), each of
-    shape (rows, len(kappas)).
+    back and fault them in again. Returns (lower, upper), each of shape
+    (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
     width = _LATTICE_CELLS + 1
     rows = np.atleast_2d(outer[1]).shape[0]
-    n_out = n_active - int(kap.min())
-    ladder = np.empty((n_out + 1, min(rows, _LATTICE_ROWS), width))
+    ladder = np.empty((n_active, min(rows, _LATTICE_ROWS), width))
     windows = _windows(ladder.shape[1])
-    # the columns of each user order
-    orders = [np.flatnonzero(kap == k) for k in range(int(kap.max()) + 1)]
     bounds = np.empty((2, rows, kap.size))
 
     def bound(round_up: bool, cp):
         # its two step tables die on return, before the other bound's
         table_in = _step_table(thr, *inner, round_up)
         table_out = _step_table(thr, *outer, round_up)
+        delta = _difference(table_in, table_out, n_active)
         for lo in range(0, rows, _LATTICE_ROWS):
             batch = slice(lo, lo + _LATTICE_ROWS)
             rev = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
-            cdf_out = rev[:, :, ::-1]
+            cdf = rev[:, :, ::-1]
             law_in = _batch_law(table_in, batch)
+            cdf[0] = 1.0
+            # the (row, order) pairs the difference path settles
+            done = np.zeros((rev.shape[1], kap.size), bool)
+            if delta[3][batch].any():
+                for j in range(n_active - 1):
+                    cdf[j + 1] = _lattice_step(cdf[j], law_in, windows)
+                got, sound = _difference_cp(rev, delta, batch, n_active)
+                cp[batch] = got[:, kap - 1]
+                done = delta[3][batch, None] & sound[:, kap - 1]
+            left = ~done.all(axis=0)
+            if not left.any():
+                continue
             law_out = _batch_law(table_out, batch)
-            cdf_out[0] = 1.0
-            for j in range(n_out):
-                cdf_out[j + 1] = _lattice_step(cdf_out[j], law_out, windows)
-            pmf = np.zeros(cdf_out.shape[1:])
+            for j in range(n_active - int(kap[left].min())):
+                cdf[j + 1] = _lattice_step(cdf[j], law_out, windows)
+            pmf = np.zeros(cdf.shape[1:])
             pmf[:, 0] = 1.0
-            for k in range(1, len(orders)):
+            for k in range(1, int(kap[left].max()) + 1):
                 if k > 1:
                     pmf = _lattice_step(pmf, law_in, windows)
-                for q in orders[k]:
-                    cp[batch, q] = np.einsum("rl,rl->r", pmf, rev[n_active - k])
+                for q in np.flatnonzero(left & (kap == k)):
+                    np.copyto(cp[batch, q], np.einsum("rl,rl->r", pmf, rev[n_active - k]),
+                              where=~done[:, q])
 
     for round_up, cp in zip((True, False), bounds):
         bound(round_up, cp)

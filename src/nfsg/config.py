@@ -11,6 +11,8 @@ experiment takes only the modes it runs, and its default modes are those of
 the default list that it runs.
 Unknown keys and inputs outside the model are rejected with their path.
 The anchor is checked by geometry._pinned_user, the rule every route runs.
+Noise is rejected where the experiment's metrics would drop it (_SIR_ONLY):
+only cond-cp and m-sweep read it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ EXPERIMENTS = {
     "ratio-sweep": ((20.0,), ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
                     MODES),
 }
+# The network metrics of these experiments read no noise, so a noisy
+# scenario is rejected instead of reported as its SIR coverage.
+_SIR_ONLY = ("overall", "ase-vs-n", "ase-vs-na", "ratio-sweep")
 
 # Scenario key: (baseline value, minimum, integer). The noise pair has no
 # baseline; the baseline is noiseless.
@@ -258,6 +263,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
     name = get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {tuple(EXPERIMENTS)}")
+    if name in _SIR_ONLY and scenario.noise_power > 0:
+        raise ConfigError("scenario.noise_power_w",
+                          f"{name} computes SIR coverage only and would drop the noise")
     runs = EXPERIMENTS[name][2]
     # the default modes are the ones of _TOP_DEFAULTS that the experiment runs
     modes = doc.get("modes", [m for m in _TOP_DEFAULTS["modes"] if m in runs])

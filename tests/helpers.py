@@ -106,21 +106,24 @@ def ks_distance(samples, cdf):
     return max(up, dn)
 
 
-def two_level_sum_cdf(values, probs, counts):
+def two_level_sum_cdf(values, probs, counts, outer=None):
     """Exact CDF of a sum of independent finite discrete variables.
 
     values/probs describe one variable's support; counts is how many i.i.d.
-    copies enter the sum. Returns (atoms, cdf_at_atoms) with the CDF
+    copies enter the sum. outer = (values, probs, counts) adds that many
+    i.i.d. copies of a second variable, such as the outer interferers next
+    to the inner ones. Returns (atoms, cdf_at_atoms) with the CDF
     right-continuous.
     """
     atoms = {0.0: 1.0}
-    for _ in range(counts):
-        nxt = {}
-        for a, pa in atoms.items():
-            for v, pv in zip(values, probs):
-                key = a + v
-                nxt[key] = nxt.get(key, 0.0) + pa * pv
-        atoms = nxt
+    for vals, ps, copies in [(values, probs, counts), *([outer] if outer else [])]:
+        for _ in range(copies):
+            nxt = {}
+            for a, pa in atoms.items():
+                for v, pv in zip(vals, ps):
+                    key = a + v
+                    nxt[key] = nxt.get(key, 0.0) + pa * pv
+            atoms = nxt
     xs = np.array(sorted(atoms))
     ps = np.array([atoms[x] for x in xs])
     return xs, np.cumsum(ps)

@@ -10,6 +10,7 @@ from helpers import fresnel_phase_gain
 from nfsg import TrialPlan, analysis, conditional_cp, sinr_equivalent_threshold
 from nfsg.cli import COLUMNS, Row, emit_results, main, run_experiment
 from nfsg.config import db_to_linear, parse_config
+from nfsg.errors import ConfigError
 from nfsg.montecarlo import conditional_interference_samples
 from nfsg.pattern import mlap_gain, mlap_levels
 
@@ -179,7 +180,9 @@ class TestExperiments:
     def test_sweeps_rerun_base_rows(self, noise):
         # each sweep row is its base experiment's row at that point's
         # scenario, tagged with the point: m-sweep the cond-cp mlap cp rows
-        # (with noise, not the cp_sinr ones), the ASE sweeps the overall ase rows
+        # (with noise, not the cp_sinr ones), the ASE sweeps the overall ase
+        # rows. The ASE sweeps and overall read no noise, so a noisy scenario
+        # is a config error there.
         scenario = {**SMALL_SCENARIO, "noise_power_w": noise}
         taus = [0.0, 10.0, 20.0]
 
@@ -198,9 +201,13 @@ class TestExperiments:
         for experiment, param, values, users in (
                 ("ase-vs-na", "n_active", [3, 6], lambda v: v),
                 ("ratio-sweep", "na_over_n", [0.125, 0.25], lambda v: round(32 * v))):
-            rows = run_experiment(_spec(experiment=experiment, scenario=scenario,
-                                        modes=modes, tau_grid_db=taus, trials=200,
-                                        sweep={"param": param, "values": values}))
+            doc = dict(experiment=experiment, scenario=scenario, modes=modes,
+                       tau_grid_db=taus, trials=200, sweep={"param": param, "values": values})
+            if noise:
+                with pytest.raises(ConfigError, match="noise"):
+                    _spec(**doc)
+                continue
+            rows = run_experiment(_spec(**doc))
             assert rows == [
                 r._replace(experiment=experiment, sweep_param=param, sweep_value=float(v))
                 for v in values

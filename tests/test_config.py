@@ -99,10 +99,28 @@ def test_anchor_inside_sector():
 
 def test_thermal_noise_pair():
     spec = parse_config(json.dumps(
-        {"scenario": {"noise_bandwidth_hz": 200e6, "noise_figure_db": 10.0}}))
+        {"experiment": "cond-cp",
+         "scenario": {"noise_bandwidth_hz": 200e6, "noise_figure_db": 10.0}}))
     assert spec.scenario.noise_power == pytest.approx(7.962e-12, rel=1e-3)
     with pytest.raises(ConfigError):
         parse_config(json.dumps({"scenario": {"noise_bandwidth_hz": 200e6}}))
+
+
+@pytest.mark.parametrize("noise", [{"noise_power_w": 1e-10},
+                                   {"noise_bandwidth_hz": 200e6, "noise_figure_db": 10.0}],
+                         ids=["power", "thermal"])
+@pytest.mark.parametrize("experiment", ["overall", "ase-vs-n", "ase-vs-na", "ratio-sweep"])
+def test_noise_rejected_where_dropped(experiment, noise):
+    # these experiments' network metrics read no noise, so a noisy scenario
+    # would be reported as its SIR coverage; a noiseless one still parses
+    with pytest.raises(ConfigError, match="noise") as err:
+        parse_config(json.dumps({"experiment": experiment, "scenario": noise}))
+    assert err.value.key == "scenario.noise_power_w"
+    assert parse_config(json.dumps({"experiment": experiment,
+                                    "scenario": {"noise_power_w": 0.0}})).name == experiment
+    for reads_noise in ("cond-cp", "m-sweep"):
+        spec = parse_config(json.dumps({"experiment": reads_noise, "scenario": noise}))
+        assert spec.scenario.noise_power > 0
 
 
 def test_parse_document():

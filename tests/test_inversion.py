@@ -21,6 +21,7 @@ from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgum
                   estimate_conditional_cp, estimate_network, estimate_overall_cp,
                   laplace, level_probabilities, mlap_levels, overall_cp,
                   se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
+from nfsg.config import EXPERIMENTS
 from nfsg.pattern import beam_depth
 from nfsg import analysis
 from nfsg.analysis import (_LATTICE_CELLS, _LATTICE_ROWS, _SHIFT_ADD_ATOMS, _anchor_laws,
@@ -75,8 +76,8 @@ def _law_rows(atoms, thr):
 
 # gain shares of thr: exactly at thr, above it, in the top cell (cell L
 # rounded up, L-1 rounded down) and anywhere on (0, 1]
-_ATOM = st.tuples(st.sampled_from([1.0, 1.5, 1.0 - 0.3 / _LATTICE_CELLS])
-                  | st.floats(1e-6, 1.0), st.floats(0.01, 1.0))
+_SHARE = st.sampled_from([1.0, 1.5, 1.0 - 0.3 / _LATTICE_CELLS]) | st.floats(1e-6, 1.0)
+_ATOM = st.tuples(_SHARE, st.floats(0.01, 1.0))
 _ROWS = st.lists(st.lists(_ATOM, min_size=1, max_size=10), min_size=1, max_size=3)
 
 
@@ -147,6 +148,178 @@ class TestSyntheticInversion:
             bounds = [_lattice_cp(0.9, x, x, 6, kappas) for x in (law, split)]
         for a, b in zip(*bounds):
             assert np.all(np.abs(a - b) <= ROUNDOFF)
+
+
+def _ladders(delta_growth):
+    """Lattice batches that take the difference path up to delta_growth:
+    _DELTA_GROWTH gives the module's choice, 0 two ladders for every
+    batch."""
+    return mock.patch.object(analysis, "_DELTA_GROWTH", delta_growth)
+
+
+def _one_ladder():
+    """A spy on the difference path: one call per batch and bound that
+    takes it."""
+    return mock.patch.object(analysis, "_difference_cp", wraps=analysis._difference_cp)
+
+
+@st.composite
+def _moved_row(draw, shares=_SHARE, max_atoms=6):
+    """One node's (gain shares of thr, inner probs, outer probs), the gain-0
+    atom first. The outer law is the inner one with mass moved between at
+    most three lattice cells: up to two atoms, anywhere on (0, 1.5], give
+    mass to or take it from the gain-0 atom. The last atom is the twin of
+    another, on its cell, so a move can change a cell that the twin shares
+    with an unmoved atom."""
+    gains = [0.0] + draw(st.lists(shares, min_size=1, max_size=max_atoms))
+    gains.append(gains[draw(st.integers(1, len(gains) - 1))])
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(gains),
+                                     max_size=len(gains))))
+    inner = weights / weights.sum()
+    outer = inner.copy()
+    for i in draw(st.lists(st.integers(1, len(gains) - 1), max_size=2, unique=True)):
+        moved = draw(st.floats(-1.0, 1.0)) * min(inner[i], 0.03)
+        outer[i] += moved
+        outer[0] -= moved
+    assume(outer[0] >= 0.0)
+    return np.array(gains), inner, outer
+
+
+class TestDifferencePath:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(_moved_row(), min_size=1, max_size=3), n_active=st.integers(2, 16),
+           thr=st.floats(0.01, 2.0))
+    def test_matches_two_ladders(self, rows, n_active, thr):
+        # moves of at most 0.03 keep (1 + sum |d|)^(n_active-1) under the
+        # growth bound, so every batch steps one ladder; both bounds of
+        # every order must be those of the outer and inner ladders, also
+        # relative to a small CP
+        gains, p_in, p_out = np.zeros((3, len(rows), max(g.size for g, _, _ in rows)))
+        for r, (shares, inner, outer) in enumerate(rows):
+            gains[r, :shares.size] = shares * thr
+            p_in[r, :shares.size], p_out[r, :shares.size] = inner, outer
+        kappas = range(1, n_active + 1)
+        with _one_ladder() as one:
+            got = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas)
+        assert one.call_count == 2
+        with _ladders(0.0), _one_ladder() as one:
+            want = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas)
+        assert one.call_count == 0
+        for a, b in zip(got, want):
+            assert np.all(np.abs(a - b) <= 1e-13)
+            assert np.all(np.abs(a - b) <= 1e-11 * np.maximum(np.abs(a), np.abs(b)))
+
+    def test_vanishing_cp_exact(self):
+        # the outer law moves all of the inner law's gain-0 mass to 0.6 thr,
+        # so with two or more outer interferers CP is exactly 0; the signed
+        # terms of those orders cancel to about 1e-25, which the soundness
+        # check hands to the two ladders
+        law_in = np.array([0.0, 0.6]), np.array([0.02, 0.98])
+        law_out = law_in[0], np.array([0.0, 1.0])
+        n_active = 8
+        with _one_ladder() as one:
+            got = _lattice_cp(1.0, law_in, law_out, n_active, range(1, n_active + 1))
+        assert one.call_count == 2
+        # with one outer interferer every inner one sits on gain 0; with
+        # none, at most one of the n_active-1 inner ones is at 0.6
+        exact = [0.0] * (n_active - 2) + [0.02 ** 6, 0.02 ** 7 + 7 * 0.98 * 0.02 ** 6]
+        for cp in got:
+            assert np.all(cp[0, :n_active - 2] == 0.0)
+            np.testing.assert_allclose(cp[0], exact, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(row=_moved_row(st.floats(1e-6, 1.0) | st.just(1.5), max_atoms=3),
+           n_active=st.integers(2, 6), kappa_share=st.floats(0.0, 1.0),
+           thr=st.floats(0.01, 2.0))
+    def test_bracketed(self, row, n_active, kappa_share, thr):
+        # the difference path's bounds bracket the exact CDF of kappa-1
+        # inner and n_active-kappa outer interferers
+        shares, inner, outer = row
+        kappa = 1 + round(kappa_share * (n_active - 1))
+        xs, cdf = two_level_sum_cdf(shares * thr, inner, kappa - 1,
+                                    outer=(shares * thr, outer, n_active - kappa))
+        assume(np.min(np.abs(xs - thr)) > 1e-9 * thr)  # continuity points only
+        exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, thr, side="right")])
+        with _one_ladder() as one:
+            lower, upper = _lattice_cp(thr, (shares * thr, inner), (shares * thr, outer),
+                                       n_active, [kappa])
+        assert one.call_count == 2
+        assert lower[0, 0] - ROUNDOFF <= exact <= upper[0, 0] + ROUNDOFF
+
+
+class TestLadderChoice:
+    def test_baseline_steps_one_ladder(self, scn):
+        # every lattice batch of the baseline mlap location average, at every
+        # default overall threshold, steps the inner ladder alone: n_active-1
+        # steps per batch and bound
+        laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+        batches = 0
+        for db_val in EXPERIMENTS["overall"][0]:
+            with mock.patch.object(analysis, "_lattice_cp", wraps=_lattice_cp) as lattice, \
+                    mock.patch.object(analysis, "_lattice_step",
+                                      wraps=analysis._lattice_step) as step, \
+                    _one_ladder() as one:
+                _node_cp(10.0 ** (-db_val / 10.0), *laws, scn.n_active,
+                         range(1, scn.n_active + 1))
+            rows = lattice.call_args.args[1][1].shape[0]
+            calls = 2 * -(-rows // _LATTICE_ROWS)
+            assert one.call_count == calls
+            assert step.call_count == calls * (scn.n_active - 1)
+            batches += calls
+        assert batches > 100
+
+    def test_two_ladders(self, scn):
+        # laws that differ on many cells step both ladders: the exact side
+        # grids of the location average and of a pinned user, and the mlap
+        # law pinned on the cell edge, whose outer law sits at gain 0
+        exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
+        for run in (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3]),
+                    lambda: _conditional_cp_bounds(10.0, 0.2, 20.0, 2, SMALL, "exact"),
+                    lambda: _conditional_cp_bounds(10.0, 0.1, scn.sector.cell_radius,
+                                                   scn.n_active, scn, "mlap")):
+            with mock.patch.object(analysis, "_lattice_step",
+                                   wraps=analysis._lattice_step) as step, \
+                    _one_ladder() as one:
+                run()
+            assert step.call_count > 0 and one.call_count == 0
+        # so does a difference over the growth bound: (1 + 0.8)^(n_active-1)
+        # is 10.5 at 5 users and 18.9 at 6
+        law = np.array([0.0, 0.3]), np.array([0.5, 0.5])
+        moved = law[0], np.array([0.9, 0.1])
+        for n_active, calls in ((5, 2), (6, 0)):
+            with _one_ladder() as one:
+                _lattice_cp(1.0, law, moved, n_active, range(1, n_active + 1))
+            assert one.call_count == calls
+        # and one with more terms than _DELTA_TERMS per step saved: a
+        # difference of three cells has C(n_active+2, 3) terms, 969 at 17
+        # users (64 x 16 = 1024) and 1140 at 18 (64 x 17 = 1088)
+        law = np.array([0.0, 0.3, 0.5]), np.array([0.5, 0.25, 0.25])
+        moved = law[0], np.array([0.49, 0.255, 0.255])
+        for n_active, calls in ((17, 2), (18, 0)):
+            with _one_ladder() as one:
+                _lattice_cp(1.0, law, moved, n_active, [1, n_active])
+            assert one.call_count == calls
+
+    def test_mixed_batch(self):
+        # a batch with a row that may take the difference path and one that
+        # may not steps the inner CDF ladder for the first and both ladders
+        # for the second; each row matches the two-ladder path
+        gains = np.array([0.0, 0.2, 0.35, 0.5, 0.7])
+        p_in = np.array([[0.4, 0.2, 0.2, 0.1, 0.1], [0.4, 0.2, 0.2, 0.1, 0.1]])
+        p_out = np.array([[0.39, 0.21, 0.2, 0.1, 0.1], [0.1, 0.1, 0.2, 0.2, 0.4]])
+        laws = ((np.tile(gains, (2, 1)), p_in), (np.tile(gains, (2, 1)), p_out))
+        n_active, kappas = 6, range(1, 7)
+        with _one_ladder() as one, mock.patch.object(
+                analysis, "_lattice_step", wraps=analysis._lattice_step) as step:
+            got = _lattice_cp(1.0, *laws, n_active, kappas)
+        # per bound: n_active-1 inner CDF steps, n_active-1 outer CDF steps
+        # and n_active-1 inner pmf steps
+        assert one.call_count == 2
+        assert step.call_count == 2 * 3 * (n_active - 1)
+        with _ladders(0.0):
+            want = _lattice_cp(1.0, *laws, n_active, kappas)
+        for a, b in zip(got, want):
+            assert np.all(np.abs(a - b) <= 1e-13)
 
 
 _FAULTS_SCRIPT = """
