@@ -3,12 +3,11 @@ beamfocusing networks: exact, quantized-pattern, and closed-form-bound
 coverage/efficiency metrics, validated by Monte Carlo simulation of the
 physical model."""
 
-from .analysis import (conditional_cp, conditional_cp_sinr, laplace,
-                       level_probabilities, overall_cp, se_and_ase,
-                       sinr_equivalent_threshold, tau_star)
+from .analysis import (conditional_cp, conditional_cp_sinr, level_probabilities,
+                       overall_cp, se_and_ase, sinr_equivalent_threshold, tau_star)
 from .config import default_scenario, thermal_noise_power
 from .errors import (ConfigError, DegenerateSupportError, DomainError,
-                     InvalidArgumentError, NumericFailureError)
+                     InvalidArgumentError)
 from .fresnel import fresnel_integrals
 from .geometry import (PolarPoint, SectorGeometry, conditional_distance_dist,
                        ordered_distance_dist, sample_conditional_arrays,

@@ -86,14 +86,10 @@ outside), supports (a side that holds an interferer needs room for it, so
 r_k = 0 is rejected with inner interferers and the cell edge with outer
 ones), then the focus (a beam focused on the array has no beam depth).
 
-laplace gives the interference Laplace transform of the exact and the
-quantized route from the same pinned-user laws; the CP evaluator does not
-need it.
-
-The closed-form upper bound replaces each Laplace factor with the
-probability that a single interferer's quantized gain stays below 1/tau. It
-is the third mode, 'upper', of conditional_cp, overall_cp and se_and_ase,
-next to 'exact' and 'mlap', and runs on the mlap laws.
+The closed-form upper bound is the probability that every interferer's
+quantized gain stays below 1/tau, one factor per interferer. It is the third
+mode, 'upper', of conditional_cp, overall_cp and se_and_ase, next to 'exact'
+and 'mlap', and runs on the mlap laws.
 """
 
 from __future__ import annotations
@@ -103,7 +99,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError, NumericFailureError
+from .errors import DomainError, InvalidArgumentError
 from .geometry import (PolarPoint, SectorGeometry, _pinned_user, _user_orders,
                        conditional_cdf_extended, ordered_distance_dist,
                        spatial_angle_cdf_extended)
@@ -232,26 +228,6 @@ def tau_star(levels: MlapLevels) -> float:
     return 1.0 / min(levels.gains[:-1])
 
 
-def laplace(s: complex, theta_k: float, r_k: float, kappa: int,
-            scenario: ScenarioConfig, mode: str = "mlap") -> complex:
-    """Interference Laplace transform E[exp(-s I)] for user kappa fixed at
-    (theta_k, r_k): the inner factor to the (kappa-1) power times the outer
-    factor to the (n_active-kappa) power, each the average of exp(-s G) over
-    one interferer's gain law, the side grid ('exact') or the quantized
-    levels ('mlap'). 'upper' is a CP bound and has no transform."""
-    (g_in, p_in), (g_out, p_out) = _pinned_laws(theta_k, r_k, kappa, scenario, mode)
-    if mode == "upper":
-        raise InvalidArgumentError("mode 'upper' is a CP bound with no Laplace transform")
-    if s == 0:
-        return 1.0 + 0.0j
-    if mode == "exact" and abs(complex(s).imag) > 100.0 * _GRID_T_RESOLVE:
-        raise NumericFailureError(
-            "|Im s| far beyond the gain grid's validated range",
-            complex("nan"), math.inf)
-    return (complex(np.exp(-s * g_in[0]) @ p_in[0]) ** (kappa - 1)
-            * complex(np.exp(-s * g_out[0]) @ p_out[0]) ** (scenario.n_active - kappa))
-
-
 # ---------------------------------------------------------------------------
 # Exact-mode interference grid
 #
@@ -286,9 +262,10 @@ _ORD_BETA = 8
 _INNER_MASS_TOL = 1e-5
 _CLUSTER_REL = 1e-3
 _CLUSTER_ABS = 1e-7
-# how far in t the gain grid fully resolves exp(j t G); beyond it the
-# binned histogram is still measure-accurate and its transform error
-# stays incoherently small
+# the beta resolution of the side grid: where the gain on the focal angle is
+# large, near beta = 0, _beta_panels narrows a panel by up to this value over
+# 2 pi _CYC_BETA, so that the grid resolves exp(j t G) up to t = 640. It sets
+# every beta panel, so changing it moves every exact table.
 _GRID_T_RESOLVE = 640.0
 
 

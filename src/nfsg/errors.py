@@ -20,15 +20,3 @@ class ConfigError(ValueError):
         self.key = key
         super().__init__(f"{key}: {message}")
 
-
-class NumericFailureError(RuntimeError):
-    """A numerical routine did not converge within its budget.
-
-    Carries the best available estimate and an error bound so callers can
-    decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message: str, estimate: float | complex, error_bound: float):
-        self.estimate = estimate
-        self.error_bound = error_bound
-        super().__init__(f"{message} (estimate={estimate}, error_bound={error_bound:g})")

@@ -159,7 +159,7 @@ def _binomial_estimates(counts: np.ndarray, n: int) -> list[EstimateWithError]:
 def conditional_interference_samples(plan: TrialPlan, kappa: int,
                                      anchor: PolarPoint) -> np.ndarray:
     """Beam-interference draws for a user pinned at `anchor` with order kappa;
-    oracle material for the conditional Laplace transform and CP."""
+    the oracle of the conditional CP of every route."""
     scn = plan.scenario
 
     def block(b, size, rng):

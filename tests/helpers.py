@@ -96,13 +96,16 @@ def mlap_network_interference(scn, theta, r):
     return out
 
 
-def ks_distance(samples, cdf):
-    """Kolmogorov-Smirnov distance between sorted draws and a CDF callable."""
+def ks_distance(samples, cdf, floor=0.0):
+    """Kolmogorov-Smirnov distance between sorted draws and a CDF callable,
+    measured at the draws above `floor`; those at or below it still count
+    in the empirical CDF."""
     x = np.sort(np.asarray(samples))
     n = x.size
-    f = cdf(x)
-    up = np.max(np.arange(1, n + 1) / n - f)
-    dn = np.max(f - np.arange(0, n) / n)
+    lo = np.searchsorted(x, floor, side="right")
+    f = cdf(x[lo:])
+    up = np.max(np.arange(lo + 1, n + 1) / n - f)
+    dn = np.max(f - np.arange(lo, n) / n)
     return max(up, dn)
 
 

@@ -1,4 +1,5 @@
-"""Level probabilities and Laplace transforms against sampling oracles."""
+"""Level probabilities, pinned-user checks and the exact side grids against
+sampling and reference oracles."""
 
 import math
 from dataclasses import replace
@@ -6,12 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import mlap_cross_gains, mlap_interference_on_anchor, reference_side_grid
+from helpers import ks_distance, mlap_cross_gains, reference_side_grid
 from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
-                  MlapConfig, NumericFailureError, PolarPoint, TrialPlan, analysis,
-                  conditional_cp, conditional_cp_sinr, estimate_conditional_cp, laplace,
-                  level_probabilities, mlap_levels, tau_star)
-from nfsg.analysis import _GRID_T_RESOLVE
+                  MlapConfig, PolarPoint, TrialPlan, analysis, conditional_cp,
+                  conditional_cp_sinr, estimate_conditional_cp, level_probabilities,
+                  mlap_levels, tau_star)
 from nfsg.geometry import sample_conditional_arrays
 from nfsg.kernels import gain_pairs
 from nfsg.montecarlo import conditional_interference_samples
@@ -90,8 +90,6 @@ def _pinned_entry_points(scn):
             lambda t, r, k, m=mode: conditional_cp(10.0, t, r, k, scn, m)
         calls[f"conditional_cp_sinr[{mode}]"] = \
             lambda t, r, k, m=mode: conditional_cp_sinr(10.0, t, r, k, scn, m)
-    for mode in ("exact", "mlap"):
-        calls[f"laplace[{mode}]"] = lambda t, r, k, m=mode: laplace(0.5, t, r, k, scn, m)
     return calls
 
 
@@ -137,109 +135,6 @@ class TestTauStar:
             prev = ts
 
 
-def _small(scn):
-    """13 antennas and 6 lobes: exact side grids in well under a second."""
-    return scn.with_(array=replace(scn.array, n_antennas=13),
-                     mlap=replace(scn.mlap, n_levels=6))
-
-
-def _check_cell_edge_user(scn, mode):
-    # the last user on the cell edge has no outer interferer; its outer law
-    # sits on gain 0, so the transform is the inner factor alone, which the
-    # same point gives with two users
-    theta, rc, n = 0.2, scn.sector.cell_radius, scn.n_active
-    pair = scn.with_(n_active=2)
-    for s in (0.5, 3.0, 10.0 + 2.0j, -40.0j):
-        val = laplace(s, theta, rc, n, scn, mode)
-        inner = laplace(s, theta, rc, 2, pair, mode)
-        assert np.isfinite(val) and abs(val) <= 1.0 + 1e-12
-        assert val == pytest.approx(inner ** (n - 1), rel=1e-12, abs=1e-300)
-
-
-class TestLaplaceMlap:
-    def test_at_origin(self, scn):
-        assert laplace(0.0, ANCHOR.theta, ANCHOR.r, 3, scn) == 1.0
-
-    def test_all_mass_on_zero_level(self, scn):
-        _check_cell_edge_user(scn, "mlap")
-
-    def test_lone_user_has_no_interference(self, scn):
-        assert laplace(2.0, ANCHOR.theta, ANCHOR.r, 1, scn.with_(n_active=1)) == 1.0
-
-    def test_rejects_bad_inputs(self, scn):
-        for kappa in (0, 20):
-            with pytest.raises(InvalidArgumentError):
-                laplace(0.5, ANCHOR.theta, ANCHOR.r, kappa, scn)
-        # a CP bound, not a law, and an unknown route
-        for mode in ("upper", "bogus"):
-            with pytest.raises(InvalidArgumentError):
-                laplace(0.5, ANCHOR.theta, ANCHOR.r, 3, scn, mode)
-
-    def test_real_transform_shape(self, scn):
-        vals = [laplace(s, ANCHOR.theta, ANCHOR.r, 3, scn).real
-                for s in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0)]
-        assert all(0.0 < v <= 1.0 for v in vals)
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_against_model_sampling(self, scn, rng):
-        kappa = 3
-        n = 300_000
-        theta, r = sample_conditional_arrays(kappa, ANCHOR, scn.n_active,
-                                             scn.sector, n, rng)
-        interference = mlap_interference_on_anchor(scn, ANCHOR, theta, r, kappa)
-        for s in (0.7, 2.0):
-            x = np.exp(-s * interference)
-            mc, se = x.mean(), x.std(ddof=1) / math.sqrt(n)
-            val = laplace(s, ANCHOR.theta, ANCHOR.r, kappa, scn).real
-            assert abs(val - mc) < 3 * se
-
-
-class TestLaplaceExact:
-    def test_at_origin(self, scn):
-        assert laplace(0.0, ANCHOR.theta, ANCHOR.r, 3, scn, "exact") == 1.0
-
-    def test_all_mass_on_zero_level(self, scn):
-        _check_cell_edge_user(_small(scn), "exact")
-
-    def test_single_user(self, scn):
-        single = scn.with_(n_active=1)
-        for s in (0.0, 1.0, 2.0 - 1.0j):
-            assert laplace(s, ANCHOR.theta, ANCHOR.r, 1, single, "exact") == 1.0
-
-    def test_checks_before_grid_range(self, scn):
-        small = _small(scn)
-        far = -1j * 200.0 * _GRID_T_RESOLVE
-        with pytest.raises(NumericFailureError):
-            laplace(far, ANCHOR.theta, 20.0, 2, small, "exact")
-        # a bad order is an argument error whatever s is
-        for kappa in (0, small.n_active + 1):
-            with pytest.raises(InvalidArgumentError):
-                laplace(far, ANCHOR.theta, 20.0, kappa, small, "exact")
-
-    def test_real_value_against_sampling(self, scn):
-        # oracle: E[exp(-I)] over 1e6 conditioned draws of the exact model
-        plan = TrialPlan(n_trials=1_000_000, root_seed=202, scenario=scn)
-        interference = conditional_interference_samples(plan, 3, ANCHOR)
-        x = np.exp(-interference)
-        mc, se = float(x.mean()), float(x.std(ddof=1)) / math.sqrt(x.size)
-        val = laplace(1.0, ANCHOR.theta, ANCHOR.r, 3, scn, "exact").real
-        assert abs(val - mc) < 3 * se
-
-    def test_cf_at_large_t_matches_sampling(self, scn):
-        plan = TrialPlan(n_trials=200_000, root_seed=7, scenario=scn)
-        interference = conditional_interference_samples(plan, 3, ANCHOR)
-        n = interference.size
-        for t in (300.0, 3000.0):
-            mc = np.exp(1j * t * interference).mean()
-            val = laplace(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
-            assert abs(val - mc) < 4.0 / math.sqrt(n)
-
-    def test_transform_magnitude(self, scn):
-        for t in (1.0, 50.0, 400.0):
-            val = laplace(-1j * t, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
-            assert abs(val) <= 1.0 + 1e-9
-
-
 @pytest.mark.parametrize("n_sectors", [2, 3])
 @pytest.mark.parametrize("n_antennas", [13, 16])
 def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
@@ -274,6 +169,52 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
     finally:
         analysis._side_grid.cache_clear()
     assert np.max(np.abs(fine - coarse)) < 1e-4
+
+
+# Draws per focal point, each one inner and one outer interferer. At N = 256
+# the side grid's own CDF error above _CLUSTER_ABS reads 3.1e-3 to 3.9e-3 at
+# 3.2M draws, at each focal point below and on each side; the bound adds the
+# DKW band of these draws at alpha = 1e-3, 4.4e-3. Coarser FFTs read 1.9e-2
+# to 2.4e-2 (_FFT_PAD = 16) and 4.3e-2 to 8.1e-2 (_FFT_PAD = 8).
+_GRID_DRAWS = 200_000
+_GRID_KS = 3.9e-3 + math.sqrt(math.log(2.0 / 1e-3) / (2.0 * _GRID_DRAWS))
+
+
+def _side_grid_ks(scn, theta, r, rng):
+    """KS distance, per side, between the side grid of the beam focused on
+    (theta, r) and the gains of single interferers drawn from that side's
+    conditional law. It is read only above _CLUSTER_ABS: the grid lumps
+    every gain up to that into bin 0."""
+    # three users with the middle one pinned: column 0 is one inner draw,
+    # column 2 one outer draw
+    th, rr = sample_conditional_arrays(2, PolarPoint(theta, r), 3, scn.sector,
+                                       _GRID_DRAWS, rng)
+    ks = {}
+    for side, col in (("inner", 0), ("outer", 2)):
+        g, w = analysis._side_grid(scn.array, scn.sector, scn.mlap, side, theta, r)
+        cdf = np.append(0.0, np.cumsum(w))
+        gains = gain_pairs(th[:, col], rr[:, col], theta, r, scn.array.n_antennas,
+                           scn.array.wavelength)
+        ks[side] = ks_distance(gains, lambda x: cdf[np.searchsorted(g, x, side="right")],
+                               floor=analysis._CLUSTER_ABS)
+    return ks
+
+
+@pytest.mark.parametrize("theta,r", [(0.3, 10.0), (0.2, 60.0), (-0.9, 130.0), (0.0, 30.0)])
+def test_side_grid_law_matches_sampled_gains(scn, rng, theta, r):
+    ks = _side_grid_ks(scn, theta, r, rng)
+    assert max(ks.values()) < _GRID_KS, ks
+
+
+def test_side_grid_law_check_rejects_coarse_grid(scn, rng, monkeypatch):
+    # an FFT 8 times too short, which reads 4.3e-2 or more here
+    analysis._side_grid.cache_clear()
+    monkeypatch.setattr(analysis, "_FFT_PAD", 8)
+    try:
+        ks = _side_grid_ks(scn, 0.3, 10.0, rng)
+    finally:
+        analysis._side_grid.cache_clear()
+    assert min(ks.values()) > _GRID_KS, ks
 
 
 @pytest.mark.parametrize("pad", [64, 128])

@@ -19,8 +19,8 @@ from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgum
                   MlapConfig, PolarPoint, ScenarioConfig, SectorGeometry, TrialPlan,
                   conditional_cp, conditional_cp_sinr, estimate_ase,
                   estimate_conditional_cp, estimate_network, estimate_overall_cp,
-                  laplace, level_probabilities, mlap_levels, overall_cp,
-                  se_and_ase, sinr_equivalent_threshold, tau_star, thermal_noise_power)
+                  level_probabilities, mlap_levels, overall_cp, se_and_ase,
+                  sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.config import EXPERIMENTS
 from nfsg.pattern import beam_depth
 from nfsg import analysis
@@ -387,8 +387,6 @@ class TestConditionalCp:
         # focused on the array has no beam depth
         with pytest.raises(DomainError):
             conditional_cp(10.0, 0.0, 0.0, 1, four, mode)
-        with pytest.raises(DegenerateSupportError):
-            laplace(0.1, 0.0, rc, 2, four, mode)
 
     def test_monotone_in_tau(self, scn):
         taus = [10 ** (d / 10) for d in (0, 5, 10, 15, 20, 25, 30)]
@@ -448,12 +446,15 @@ class TestConditionalCp:
 
     def test_exact_against_sampling(self, scn):
         plan = TrialPlan(n_trials=30_000, root_seed=31, scenario=scn)
-        interference = conditional_interference_samples(plan, 3, ANCHOR)
-        for db_val in (5.0, 15.0):
-            tau = 10 ** (db_val / 10)
-            mc = float((interference < 1.0 / tau).mean())
-            cp = conditional_cp(tau, ANCHOR.theta, ANCHOR.r, 3, scn, "exact")
-            assert abs(cp - mc) < 0.02
+        # the last user on the cell edge has no outer interferer, and its
+        # exact law takes no outer grid
+        for kappa, anchor in ((3, ANCHOR), (scn.n_active, PolarPoint(0.2, 150.0))):
+            interference = conditional_interference_samples(plan, kappa, anchor)
+            for db_val in (5.0, 15.0):
+                tau = 10 ** (db_val / 10)
+                mc = float((interference < 1.0 / tau).mean())
+                cp = conditional_cp(tau, anchor.theta, anchor.r, kappa, scn, "exact")
+                assert abs(cp - mc) < 0.02, (kappa, db_val, cp, mc)
 
     def test_many_users_against_model_sampling(self, scn, rng):
         # n_active = 64: 63 quantized interferer gains per trial, checked with
