@@ -54,30 +54,27 @@ _SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
 weighted by the atoms' masses; the quantized laws have M+2 atoms before
 merging, so mlap up to M = 42 goes this way. Denser laws, such as the exact
 route's binned histograms, multiply 2(L+1)-point FFT spectra, taken once
-per batch. The constant is the measured crossover of the two. Every step
-convolves. A batch steps one ladder or two. The quantized laws of one node
-share every gain on both sides and differ only in the masses of the zero
-level, g_0 and g_1, so on the lattice the outer law is the inner one plus a
-difference of at most three cells. Where a row differs so little, and its
-sum has few enough terms (_DELTA_CELLS, _DELTA_GROWTH, _DELTA_TERMS), the
-batch steps the inner law's CDF powers 0..n_active-1, and expanding each
-outer power binomially around the inner law gives every order's CP as a
-fixed sum of those CDFs, read a few cells below the top (_difference_cp):
-half the steps of two ladders. An order whose signed terms cancel too far
-for its CP to keep its relative accuracy takes the two ladders, as do the
-other rows, such as the exact route's and the law pinned on the cell
-edge. Those step the outer ladder as CDFs (convolution commutes with the
-cumulative sum, and a CDF is 0 below cell 0, so one step serves both
-ladders) and the inner one as pmfs; CP_kappa is then the dot product of the
-inner pmf power kappa-1 with the reversed CDF of the outer power
-n_active-kappa. A CDF ladder is stored reversed and stepped through a
-reversed view of that storage, so that dot reads two contiguous arrays.
-The batches of one evaluation write their CDF ladders into one workspace
-and shift their arrays in one window buffer, which keeps the allocator from
-handing that memory back and faulting it in again for every batch. The
-public functions return the midpoint of the two bounds. For the exact
-route the bound covers the lattice rounding only, not the error of the
-side grid: its cells and its gain bins.
+per batch. The constant is the measured crossover of the two. Every batch
+steps one ladder, the inner law's CDF powers (convolution commutes with the
+cumulative sum, and a CDF is 0 below cell 0, so a CDF steps like a pmf). The
+quantized laws of one node share every gain on both sides and differ only in
+the masses of the zero level, g_0 and g_1, so on the lattice the outer law is
+the inner one plus a difference of at most three cells. Where a row differs so
+little, and its sum has few enough terms (_DELTA_CELLS, _DELTA_GROWTH,
+_DELTA_TERMS), the batch steps the inner ladder to power n_active-1, and
+expanding each outer power binomially around the inner law gives every order's
+CP as a fixed sum of those CDFs, read a few cells below the top
+(_difference_cp): n_active-1 steps in all. An order whose signed terms cancel
+too far for its CP to keep its relative accuracy, and every order of the other
+rows, such as the exact route's and the law pinned on the cell edge, walks the
+outer law's pmf powers instead; CP_kappa is then the dot product of the outer
+pmf power n_active-kappa with the inner CDF power kappa-1 read from the top
+down. The batches of one evaluation write their ladders into one workspace and
+shift their arrays in one window buffer, which keeps the allocator from
+handing that memory back and faulting it in again for every batch. The public
+functions return the midpoint of the two bounds. For the exact route the bound
+covers the lattice rounding only, not the error of the side grid: its cells
+and its gain bins.
 
 A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
 one builder. It checks the mode, then the user with geometry._pinned_user,
@@ -95,6 +92,7 @@ and 'mlap', and runs on the mlap laws.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -466,8 +464,8 @@ _LATTICE_CELLS = 1023
 _NFFT = 2 * (_LATTICE_CELLS + 1)
 # Focal nodes per lattice pass. One shift-and-add gather holds
 # rows x atoms x (L+1) doubles: 0.8 MB at 8 rows and M = 10, which fits a
-# 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. With one outer-
-# ladder workspace and one step table per side and bound for each
+# 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. With one ladder
+# workspace and one step table per side and bound for each
 # _lattice_cp call, a whole overall-analytic benchmark run (mlap and upper at
 # 9 thresholds, N = 256, 15 users) took 0.93 s at 4 rows, 0.81 s at 8,
 # 0.78 s at 12 and 0.85 s at 16 (medians of 6 rotated runs; Xeon, 2 MiB L2
@@ -483,13 +481,13 @@ _LATTICE_ROWS = 8
 # the exact route's binned histograms take the FFT.
 _SHIFT_ADD_ATOMS = 44
 # The difference path: a row whose outer step table differs from its inner
-# one on at most _DELTA_CELLS cells may step only the inner ladder. The
+# one on at most _DELTA_CELLS cells may skip the outer pmf walk. The
 # quantized laws of one node share every gain and differ only in the masses
 # of the zero level, g_0 and g_1, so they do. Its sums of signed terms can
 # multiply a CDF's rounding by up to (1 + sum |d|)^(n_active-1), which must
 # stay at most _DELTA_GROWTH (the baseline mlap laws read at most 1.46), and
 # each order's sum of the terms' magnitudes must stay within _DELTA_GROWTH
-# times its CP, or that order takes the two ladders.
+# times its CP, or that order walks the outer pmf.
 _DELTA_CELLS = 3
 _DELTA_GROWTH = 16.0
 # Most terms per row of the difference path, C(n_active - 1 + c, c) for a
@@ -519,11 +517,13 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     x = gains.ravel()[kept]
     x *= _LATTICE_CELLS / thr
     np.minimum((np.ceil if round_up else np.floor)(x, out=x), _LATTICE_CELLS, out=x)
-    # one key per row and cell: equal keys are one atom. Laws that fill a
-    # quarter of the cells or more, such as the exact side grids, are
-    # merged by one pass over every cell, sparser ones by sorting their
-    # keys; at 280 rows that took 2.3 ms against 3.2 ms by sorting at 30%
-    # fill, and 1.7 ms against 0.9 ms at 10%.
+    # one key per row and cell: equal keys are one atom. Laws that keep an
+    # atom per four cells or more are merged by one pass over every cell,
+    # sparser ones by sorting their keys. The real traffic lies far to either
+    # side (atoms per cell; one pass against sorting; Xeon): the baseline mlap
+    # anchors, 280 rows, 0.01, 1.6-1.8 ms against 0.21-0.26 ms; a pinned exact
+    # row at N = 256, 13.5, 0.28 against 0.51 ms; the N = 13 exact inner
+    # stack, 280 rows at 0 dB, 7.9, 52-56 ms against 99-109 ms.
     flat = np.floor_divide(kept, m, out=kept)
     flat *= width
     flat += x.astype(np.intp)
@@ -599,9 +599,10 @@ def _difference(table_in, table_out, n_active: int):
     (cells, masses, counts, usable) in the layout of _step_table. usable[r]
     tells whether row r may take the difference path: its difference has at
     most _DELTA_CELLS cells, (1 + sum |d|)^(n_active-1) is at most
-    _DELTA_GROWTH, and its terms are at most _DELTA_TERMS per step saved. A
-    row whose atom counts differ by more than _DELTA_CELLS, such as an exact
-    node's, is not compared."""
+    _DELTA_GROWTH, its terms are at most _DELTA_TERMS per step saved, and
+    their binomials C(n_active-kappa, k) are finite doubles (up to 1030
+    users). A row whose atom counts differ by more than _DELTA_CELLS, such as
+    an exact node's, is not compared."""
     width = _LATTICE_CELLS + 1
     near = np.flatnonzero(np.abs(table_out[2] - table_in[2]) <= _DELTA_CELLS)
     keys, masses = [], []
@@ -622,6 +623,7 @@ def _difference(table_in, table_out, n_active: int):
     usable &= (1.0 + np.abs(d).sum(axis=1)) ** (n_active - 1) <= _DELTA_GROWTH
     terms = np.array([math.comb(n_active - 1 + c, c) for c in range(_DELTA_CELLS + 1)])
     usable &= terms[np.minimum(counts, _DELTA_CELLS)] <= _DELTA_TERMS * (n_active - 1)
+    usable &= math.comb(n_active - 1, (n_active - 1) // 2) <= sys.float_info.max
     return cells, d, counts, usable
 
 
@@ -638,8 +640,10 @@ def _compositions(n_active: int, parts: int):
     multinomial = [math.factorial(kt) // math.prod(map(math.factorial, c))
                    for kt, c in zip(k, e)]
     k = np.array(k, np.intp)
-    binomial = [[math.comb(n_active - kappa, j) for j in range(n_active)]
-                for kappa in range(1, n_active + 1)]
+    # by Pascal's rule: a math.comb per entry took 1.6 s at 700 users
+    binomial = [[1] + [0] * (n_active - 1)]
+    for _ in range(n_active - 1):
+        binomial.insert(0, [a + b for a, b in zip(binomial[0], [0, *binomial[0][:-1]])])
     tables = (n_active - 1 - k, np.array(e, np.intp).reshape(-1, parts),
               np.array(multinomial, float), np.searchsorted(k, np.arange(n_active)),
               np.array(binomial, float))
@@ -655,29 +659,28 @@ def _splits(k: int, parts: int):
     return [(first, *rest) for first in range(k + 1) for rest in _splits(k - first, parts - 1)]
 
 
-def _difference_cp(rev, delta, batch: slice, n_active: int):
+def _difference_cp(cdf, delta, batch: slice, n_active: int):
     """P{I <= thr} of the lattice laws for every user order 1..n_active, and
-    whether each is sound, both shaped (rows, n_active), from rev, the inner
-    law's CDF powers 0..n_active-1 stored reversed, and the rows batch of
-    delta, the _difference of the outer law from the inner one. Rows that
-    may not take the difference path are read as if their laws were equal.
+    whether each is sound, both shaped (rows, n_active), from cdf, the inner
+    law's CDF powers 0..n_active-1, and the rows batch of delta, the
+    _difference of the outer law from the inner one. Rows that may not take
+    the difference path are read as if their laws were equal.
 
     With out = in + Delta, in^(kappa-1) * out^(n-kappa) is the sum over k of
     C(n-kappa, k) in^(n-1-k) * Delta^k, and Delta^k puts the mass
-    k!/prod(e_a!) prod(d_a^e_a) on the cell sum(e_a c_a) for each split e of
-    k over the cells of Delta. Each term reads the CDF of in^(n-1-k) at L
-    minus that cell, 0 below cell 0. The terms of each k are summed in a
+    k!/prod(e_a!) prod(d_a^e_a) on the cell sum(e_a c_a) for each split e of k
+    over the cells of Delta. Each term reads the CDF of in^(n-1-k) at L minus
+    that cell, 0 where the cell is past L. The terms of each k are summed in a
     fixed order and every order then takes one matrix product, so an order's
-    CP does not depend on which others are asked. The terms have both signs:
-    a CP is sound when the same sum of their magnitudes is at most
-    _DELTA_GROWTH times its own, so that it keeps its relative accuracy
-    however small it is."""
+    CP does not depend on which others are asked. The terms have both signs: a
+    CP is sound when the same sum of their magnitudes is at most _DELTA_GROWTH
+    times its own, so that it keeps its relative accuracy however small it is."""
     cells, d, counts, usable = delta
     usable = usable[batch]
     parts = int(counts[batch].max(initial=0, where=usable))
     if parts == 0:
         # the outer law is the inner one: every order reads in^(n-1)
-        return (np.repeat(rev[n_active - 1, :, :1], n_active, axis=1),
+        return (np.repeat(cdf[n_active - 1, :, -1:], n_active, axis=1),
                 np.ones((usable.size, n_active), bool))
     cells, d = cells[batch, :parts], np.where(usable[:, None], d[batch, :parts], 0.0)
     level, e, multinomial, starts, binomial = _compositions(n_active, parts)
@@ -691,7 +694,7 @@ def _difference_cp(rev, delta, batch: slice, n_active: int):
     for a in range(1, parts):
         terms *= powers[:, a, e[:, a]]
     terms[shift > _LATTICE_CELLS] = 0.0
-    terms *= rev[level, rows, np.minimum(shift, _LATTICE_CELLS)]
+    terms *= cdf[level, rows, np.maximum(_LATTICE_CELLS - shift, 0)]
     cp = np.add.reduceat(terms, starts, axis=1) @ binomial.T
     size = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1) @ binomial.T
     return cp, size <= _DELTA_GROWTH * np.abs(cp)
@@ -704,31 +707,29 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     side, shaped (m,) or (rows, m), one focal node per row. The bounds run
     one after the other, each with one _step_table per side for every row
     and their _difference, and the rows go _LATTICE_ROWS at a time, each
-    batch cutting its rows out of the bound's tables. A CDF ladder starts
-    from the CDF of zero interference, which is 1 on every cell, and each
-    step convolves it with one more law: convolution commutes with the
-    cumulative sum, and a CDF is 0 below cell 0. The ladder is stored
-    reversed and stepped through a reversed view, so each read of its top
-    cells is contiguous.
-    A batch with a row that may take the difference path steps the inner
-    law's CDF ladder to power n_active-1 and gets every order of every row
-    from _difference_cp, one sum for all orders, so an order's bounds do not
-    depend on the others asked. The orders that some row may not take from
-    that sum, because its law differs too much or the order's sum is not
-    sound, come from the two ladders: the outer law's CDF ladder to power
-    n_active minus the least of those orders, and the inner pmf walked up
-    the kappa ladder, so every order costs one dot product. Each row and
-    order keeps the first of the two that it may take.
-    Every batch writes its CDF ladder into one workspace and shifts its
+    batch cutting its rows out of the bound's tables. Each batch steps one
+    ladder, the inner law's CDF powers: it starts from the CDF of zero
+    interference, which is 1 on every cell, and each step convolves it with
+    one more inner law (convolution commutes with the cumulative sum, and a
+    CDF is 0 below cell 0). A batch with a row that may take the difference
+    path steps it to power n_active-1 and gets every order of every row from
+    _difference_cp, one sum for all orders, so an order's bounds do not
+    depend on the others asked; any other batch steps it to the largest
+    kappa-1. The orders that some row may not take from that sum, because
+    its law differs too much or the order's sum is not sound, walk the outer
+    law's pmf from power 0 to n_active minus the least of those orders, and
+    CP_kappa is the dot product of the outer pmf power n_active-kappa with
+    the inner CDF power kappa-1 read from the top down. Each row and order
+    keeps the first of the two that it may take.
+    Every batch writes its ladder into one workspace and shifts its
     arrays in one window buffer, both allocated once per call: taken afresh
     for every batch, they are large enough for the allocator to hand them
     back and fault them in again. Returns (lower, upper), each of shape
     (rows, len(kappas)).
     """
     kap = np.asarray(kappas, int)
-    width = _LATTICE_CELLS + 1
     rows = np.atleast_2d(outer[1]).shape[0]
-    ladder = np.empty((n_active, min(rows, _LATTICE_ROWS), width))
+    ladder = np.empty((n_active, min(rows, _LATTICE_ROWS), _LATTICE_CELLS + 1))
     windows = _windows(ladder.shape[1])
     bounds = np.empty((2, rows, kap.size))
 
@@ -739,31 +740,29 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
         delta = _difference(table_in, table_out, n_active)
         for lo in range(0, rows, _LATTICE_ROWS):
             batch = slice(lo, lo + _LATTICE_ROWS)
-            rev = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
-            cdf = rev[:, :, ::-1]
+            cdf = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
             law_in = _batch_law(table_in, batch)
-            cdf[0] = 1.0
             # the (row, order) pairs the difference path settles
-            done = np.zeros((rev.shape[1], kap.size), bool)
-            if delta[3][batch].any():
-                for j in range(n_active - 1):
-                    cdf[j + 1] = _lattice_step(cdf[j], law_in, windows)
-                got, sound = _difference_cp(rev, delta, batch, n_active)
+            done = np.zeros((cdf.shape[1], kap.size), bool)
+            usable = delta[3][batch].any()
+            cdf[0] = 1.0
+            for j in range(n_active - 1 if usable else int(kap.max()) - 1):
+                cdf[j + 1] = _lattice_step(cdf[j], law_in, windows)
+            if usable:
+                got, sound = _difference_cp(cdf, delta, batch, n_active)
                 cp[batch] = got[:, kap - 1]
                 done = delta[3][batch, None] & sound[:, kap - 1]
             left = ~done.all(axis=0)
             if not left.any():
                 continue
             law_out = _batch_law(table_out, batch)
-            for j in range(n_active - int(kap[left].min())):
-                cdf[j + 1] = _lattice_step(cdf[j], law_out, windows)
             pmf = np.zeros(cdf.shape[1:])
             pmf[:, 0] = 1.0
-            for k in range(1, int(kap[left].max()) + 1):
-                if k > 1:
-                    pmf = _lattice_step(pmf, law_in, windows)
+            for k in range(n_active, int(kap[left].min()) - 1, -1):
+                if k < n_active:
+                    pmf = _lattice_step(pmf, law_out, windows)
                 for q in np.flatnonzero(left & (kap == k)):
-                    np.copyto(cp[batch, q], np.einsum("rl,rl->r", pmf, rev[n_active - k]),
+                    np.copyto(cp[batch, q], np.einsum("rl,rl->r", pmf, cdf[k - 1, :, ::-1]),
                               where=~done[:, q])
 
     for round_up, cp in zip((True, False), bounds):

@@ -152,7 +152,7 @@ class TestSyntheticInversion:
 
 def _ladders(delta_growth):
     """Lattice batches that take the difference path up to delta_growth:
-    _DELTA_GROWTH gives the module's choice, 0 two ladders for every
+    _DELTA_GROWTH gives the module's choice, 0 the outer pmf walk for every
     batch."""
     return mock.patch.object(analysis, "_DELTA_GROWTH", delta_growth)
 
@@ -191,9 +191,9 @@ class TestDifferencePath:
            thr=st.floats(0.01, 2.0))
     def test_matches_two_ladders(self, rows, n_active, thr):
         # moves of at most 0.03 keep (1 + sum |d|)^(n_active-1) under the
-        # growth bound, so every batch steps one ladder; both bounds of
-        # every order must be those of the outer and inner ladders, also
-        # relative to a small CP
+        # growth bound, so every batch takes the difference path; both bounds
+        # of every order must be those of the outer pmf walk, also relative
+        # to a small CP
         gains, p_in, p_out = np.zeros((3, len(rows), max(g.size for g, _, _ in rows)))
         for r, (shares, inner, outer) in enumerate(rows):
             gains[r, :shares.size] = shares * thr
@@ -213,7 +213,7 @@ class TestDifferencePath:
         # the outer law moves all of the inner law's gain-0 mass to 0.6 thr,
         # so with two or more outer interferers CP is exactly 0; the signed
         # terms of those orders cancel to about 1e-25, which the soundness
-        # check hands to the two ladders
+        # check hands to the outer pmf walk
         law_in = np.array([0.0, 0.6]), np.array([0.02, 0.98])
         law_out = law_in[0], np.array([0.0, 1.0])
         n_active = 8
@@ -269,19 +269,24 @@ class TestLadderChoice:
         assert batches > 100
 
     def test_two_ladders(self, scn):
-        # laws that differ on many cells step both ladders: the exact side
+        # laws that differ on many cells walk the outer pmf: the exact side
         # grids of the location average and of a pinned user, and the mlap
         # law pinned on the cell edge, whose outer law sits at gain 0
         exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
-        for run in (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3]),
-                    lambda: _conditional_cp_bounds(10.0, 0.2, 20.0, 2, SMALL, "exact"),
-                    lambda: _conditional_cp_bounds(10.0, 0.1, scn.sector.cell_radius,
-                                                   scn.n_active, scn, "mlap")):
+        for run, steps in (
+                (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3]), None),
+                # a pinned user steps the inner CDF ladder to kappa-1 and the
+                # outer pmf to n_active-kappa, per bound
+                (lambda: _conditional_cp_bounds(10.0, 0.2, 20.0, 2, SMALL, "exact"),
+                 2 * ((2 - 1) + (SMALL.n_active - 2))),
+                (lambda: _conditional_cp_bounds(10.0, 0.1, scn.sector.cell_radius,
+                                                scn.n_active, scn, "mlap"), None)):
             with mock.patch.object(analysis, "_lattice_step",
                                    wraps=analysis._lattice_step) as step, \
                     _one_ladder() as one:
                 run()
             assert step.call_count > 0 and one.call_count == 0
+            assert steps is None or step.call_count == steps
         # so does a difference over the growth bound: (1 + 0.8)^(n_active-1)
         # is 10.5 at 5 users and 18.9 at 6
         law = np.array([0.0, 0.3]), np.array([0.5, 0.5])
@@ -302,8 +307,8 @@ class TestLadderChoice:
 
     def test_mixed_batch(self):
         # a batch with a row that may take the difference path and one that
-        # may not steps the inner CDF ladder for the first and both ladders
-        # for the second; each row matches the two-ladder path
+        # may not steps the inner CDF ladder for both and walks the outer
+        # pmf for the second; each row matches the outer pmf walk
         gains = np.array([0.0, 0.2, 0.35, 0.5, 0.7])
         p_in = np.array([[0.4, 0.2, 0.2, 0.1, 0.1], [0.4, 0.2, 0.2, 0.1, 0.1]])
         p_out = np.array([[0.39, 0.21, 0.2, 0.1, 0.1], [0.1, 0.1, 0.2, 0.2, 0.4]])
@@ -312,14 +317,31 @@ class TestLadderChoice:
         with _one_ladder() as one, mock.patch.object(
                 analysis, "_lattice_step", wraps=analysis._lattice_step) as step:
             got = _lattice_cp(1.0, *laws, n_active, kappas)
-        # per bound: n_active-1 inner CDF steps, n_active-1 outer CDF steps
-        # and n_active-1 inner pmf steps
+        # per bound: n_active-1 inner CDF steps and n_active-1 outer pmf steps
         assert one.call_count == 2
-        assert step.call_count == 2 * 3 * (n_active - 1)
+        assert step.call_count == 2 * 2 * (n_active - 1)
         with _ladders(0.0):
             want = _lattice_cp(1.0, *laws, n_active, kappas)
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b) <= 1e-13)
+
+    def test_binomials_past_doubles(self):
+        # C(n_active-1, k) passes the largest double from 1031 users, so a
+        # row whose one-cell difference would take the path there walks the
+        # outer pmf instead; either way it matches the outer pmf walk
+        gains = np.array([0.0, 0.01, 2.0])
+        law = gains, np.array([0.949, 0.05, 0.001])
+        moved = gains, np.array([0.949, 0.0501, 0.0009])
+        for n_active, calls in ((1030, 2), (1100, 0)):
+            kappas = [1, n_active // 2, n_active]
+            with _one_ladder() as one:
+                got = _lattice_cp(1.0, law, moved, n_active, kappas)
+            assert one.call_count == calls
+            with _ladders(0.0):
+                want = _lattice_cp(1.0, law, moved, n_active, kappas)
+            for a, b in zip(got, want):
+                assert np.all(a > 0.1)
+                assert np.all(np.abs(a - b) <= 1e-11 * b)
 
 
 _FAULTS_SCRIPT = """
@@ -340,7 +362,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                     reason="counts Linux minor page faults")
 def test_location_average_reuses_its_memory():
     # The mlap location average of the baseline scenario at 15 dB, every
-    # user order. An outer ladder of about 1 MB taken afresh for every
+    # user order. A CDF ladder of about 1 MB taken afresh for every
     # batch and bound made the allocator hand it back and fault it in
     # again: 16,592 minor faults for this call, against about 250 with one
     # ladder per call. With one ladder, four step tables and one window
