@@ -127,17 +127,18 @@ def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
     interferer lands on each of them.
 
     Only g_0, through the asymptotic gain, and the beam-depth edges depend on
-    the focal point; the first point's mlap_levels gives the other levels
-    and checks the configuration. Mainlobe levels combine the spatial-angle
-    mass of the first-null band with the conditional radial mass beyond /
-    inside the beam-depth interval; sidelobe levels use only the angle
-    bands, so they are side-independent. The zero level takes the rest.
+    the focal point; the first point's mlap_levels gives its g_0, the other
+    levels and checks the configuration. Mainlobe levels combine the
+    spatial-angle mass of the first-null band with the conditional radial
+    mass beyond / inside the beam-depth interval; sidelobe levels use only
+    the angle bands, so they are side-independent. The zero level takes the
+    rest.
     """
     n = array.n_antennas
     m = mlap.n_levels
     first = mlap_levels(array, mlap, PolarPoint(float(theta_k[0]), float(r_k[0])))
     g = np.tile(first.gains, (r_k.size, 1))
-    g[:, 0] = first.gains[1] * asymptotic_gain(array, theta_k, r_k)
+    g[1:, 0] = first.gains[1] * asymptotic_gain(array, theta_k[1:], r_k[1:])
     # an unbounded interval reaches past the cell, where both radial CDFs are 1
     depth = beam_depth(array, theta_k, r_k, mlap.beta_gamma)
     vk = 0.5 * np.sin(theta_k)
@@ -461,7 +462,6 @@ def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: st
 # Lattice cells on [0, 1/tau]. The bound width shrinks as 1/L; 2(L+1)-point
 # FFTs keep every product of two truncated laws free of wrap-around.
 _LATTICE_CELLS = 1023
-_NFFT = 2 * (_LATTICE_CELLS + 1)
 # Focal nodes per lattice pass. One shift-and-add gather holds
 # rows x atoms x (L+1) doubles: 0.8 MB at 8 rows and M = 10, which fits a
 # 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. With one ladder
@@ -566,7 +566,7 @@ def _batch_law(table, batch: slice):
         # a[r, s - c] is window width - c at s
         return row, width - cells, masses[:, None, :]
     pmf = np.bincount((row * width + cells).ravel(), masses.ravel(), row.size * width)
-    return np.fft.rfft(pmf.reshape(row.size, width), _NFFT)
+    return np.fft.rfft(pmf.reshape(row.size, width), 2 * width)
 
 
 def _windows(rows: int):
@@ -578,20 +578,23 @@ def _windows(rows: int):
                                                     axis=1, writeable=True)
 
 
-def _lattice_step(a, law, windows):
+def _lattice_step(a, law, windows, out):
     """a, shaped (rows, L+1), convolved with each row's law from _batch_law
-    and truncated to [0, L].
+    and truncated to [0, L], written into out, which may be a itself: both
+    forms read a before they write.
 
     A shift-and-add law sums shifted copies of the array read from windows
-    (see _windows, at least rows rows), new[r, s] = sum_i p[r, i]
+    (see _windows, at least rows rows), out[r, s] = sum_i p[r, i]
     a[r, s - c[r, i]], which is exact and never negative. A spectrum is
     multiplied by."""
+    width = _LATTICE_CELLS + 1
     if isinstance(law, tuple):
         row, start, p = law
-        windows[:row.size, _LATTICE_CELLS + 1] = a
-        return (p @ windows[row, start])[:, 0]
-    out = np.fft.irfft(np.fft.rfft(a, _NFFT) * law, _NFFT)
-    return np.maximum(out[:, :_LATTICE_CELLS + 1], 0.0)
+        windows[:row.size, width] = a
+        np.matmul(p, windows[row, start], out=out[:, None])
+        return
+    full = np.fft.irfft(np.fft.rfft(a, 2 * width) * law, 2 * width)
+    np.maximum(full[:, :width], 0.0, out=out)
 
 
 def _difference(table_in, table_out, n_active: int):
@@ -747,7 +750,7 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
             usable = delta[3][batch].any()
             cdf[0] = 1.0
             for j in range(n_active - 1 if usable else int(kap.max()) - 1):
-                cdf[j + 1] = _lattice_step(cdf[j], law_in, windows)
+                _lattice_step(cdf[j], law_in, windows, cdf[j + 1])
             if usable:
                 got, sound = _difference_cp(cdf, delta, batch, n_active)
                 cp[batch] = got[:, kap - 1]
@@ -760,7 +763,7 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
             pmf[:, 0] = 1.0
             for k in range(n_active, int(kap[left].min()) - 1, -1):
                 if k < n_active:
-                    pmf = _lattice_step(pmf, law_out, windows)
+                    _lattice_step(pmf, law_out, windows, pmf)
                 for q in np.flatnonzero(left & (kap == k)):
                     np.copyto(cp[batch, q], np.einsum("rl,rl->r", pmf, cdf[k - 1, :, ::-1]),
                               where=~done[:, q])
@@ -783,7 +786,8 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     tau = +inf before any law is built. Nodes where every interferer clears
     thr are covered for sure. Nodes with no gain in (0, thr] (the frozen
     region) are covered only when every interferer sits on gain 0, which is
-    the closed-form product. The rest go through one _lattice_cp call.
+    the closed-form product. The rest, if any, go through one _lattice_cp
+    call.
     Returns (lower, upper), each of shape (rows, len(kappas)).
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
@@ -801,6 +805,8 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
     frozen = ~(((g_in > 0) & (g_in <= thr)).any(axis=1)
                | ((g_out > 0) & (g_out <= thr)).any(axis=1))
     todo = np.flatnonzero(~(covered | frozen))
+    if todo.size == 0:
+        return lower, upper
     if todo.size == covered.size:
         # a slice keeps the laws as views; the padded exact stacks are tens
         # of MB

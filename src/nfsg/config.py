@@ -10,7 +10,8 @@ only on their own parameter; every scenario a sweep runs is built here. Each
 experiment takes only the modes it runs, and its default modes are those of
 the default list that it runs.
 Unknown keys and inputs outside the model are rejected with their path.
-The anchor is checked by geometry._pinned_user, the rule every route runs.
+The anchor, and the kappa of cond-cp and m-sweep, are checked by
+geometry._pinned_user, the rule every route runs.
 Noise is rejected where the experiment's metrics would drop it (_SIR_ONLY):
 only cond-cp and m-sweep read it.
 """
@@ -290,14 +291,15 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
     )
 
     kappa = _number(get("kappa"), "kappa", minimum=1, integer=True)
-    if kappa > scenario.n_active:
-        raise ConfigError("kappa", "exceeds n_active")
     # the user of cond-cp and m-sweep is checked as every route checks it;
-    # the other experiments only focus on the anchor, as for a lone user
+    # the other experiments read no kappa and only focus on the anchor, as
+    # for a lone user
     pinned = name in ("cond-cp", "m-sweep")
     try:
         _pinned_user(kappa if pinned else 1, anchor.theta, anchor.r,
                      scenario.n_active if pinned else 1, scenario.sector)
+    except InvalidArgumentError as exc:
+        raise ConfigError("kappa", str(exc)) from None
     except DomainError as exc:
         raise ConfigError("anchor", str(exc)) from None
 

@@ -218,6 +218,8 @@ def _fresnel_profile(beta):
 def _a_over(cfg: ArrayConfig, theta_focal, per):
     """A / per with A = N^2 d^2 (1-sin^2 theta_focal)/(2 lambda); theta_focal
     and per broadcast together."""
+    if not np.all(np.isfinite(theta_focal)):
+        raise DomainError("the focal angle must be finite")
     s2 = np.sin(theta_focal) ** 2
     return cfg.n_antennas**2 * cfg.spacing**2 * (1.0 - s2) / (2.0 * cfg.wavelength * per)
 

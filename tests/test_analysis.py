@@ -143,7 +143,6 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
     # 1023-cell lattice moves by up to 1.4e-4 inside its 8e-3 bracket when
     # the atoms move; 8191 cells keep that rounding out of the comparison.
     monkeypatch.setattr(analysis, "_LATTICE_CELLS", 8191)
-    monkeypatch.setattr(analysis, "_NFFT", 2 * 8192)
     small = scn.with_(array=replace(scn.array, n_antennas=n_antennas),
                       sector=replace(scn.sector, n_sectors=n_sectors),
                       mlap=replace(scn.mlap, n_levels=6))

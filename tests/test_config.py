@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nfsg import DomainError, InvalidArgumentError, conditional_cp, default_scenario
-from nfsg.config import ExperimentSpec, parse_config
+from nfsg.config import EXPERIMENTS, ExperimentSpec, parse_config
 from nfsg.errors import ConfigError
 
 FULL_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
@@ -88,8 +88,18 @@ def test_thresholds_must_convert(grid):
 
 
 def test_kappa_bounds():
-    with pytest.raises(ConfigError, match="kappa"):
-        parse_config(json.dumps({"kappa": 16}))
+    # only cond-cp and m-sweep read kappa, so only they reject one above
+    # n_active; the others parse scenarios with fewer users than the default
+    # kappa, 3
+    for name in EXPERIMENTS:
+        if name in ("cond-cp", "m-sweep"):
+            with pytest.raises(ConfigError, match="^kappa: "):
+                parse_config(json.dumps({"experiment": name, "kappa": 16}))
+            continue
+        for n_active in (1, 2):
+            spec = parse_config(json.dumps({"experiment": name,
+                                            "scenario": {"n_active": n_active}}))
+            assert spec.scenario.n_active == n_active and spec.kappa == 3
 
 
 def test_anchor_inside_sector():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from nfsg import DomainError, fresnel_integrals
 
@@ -55,8 +55,25 @@ def test_branch_continuity():
 
 
 def test_negative_rejected():
-    with pytest.raises(DomainError):
-        fresnel_integrals(-0.1)
+    # and every non-finite beta, alone or in an array
+    for beta in (-0.1, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            fresnel_integrals(beta)
+        with pytest.raises(DomainError):
+            fresnel_integrals(np.array([1.0, beta, 2.0]))
+
+
+def test_against_scipy_dense():
+    # scipy.special.fresnel returns (S, C). The grid is larger than 256 KiB,
+    # where numpy reuses temporaries, and every value must still equal the
+    # scalar call's
+    b = np.linspace(0.0, 100.0, 200_001)
+    c, s = fresnel_integrals(b)
+    s_ref, c_ref = special.fresnel(b)
+    assert np.abs(c - c_ref).max() < 5e-14
+    assert np.abs(s - s_ref).max() < 5e-14
+    for i in range(0, b.size, 997):
+        assert fresnel_integrals(float(b[i])) == (c[i], s[i])
 
 
 def test_array_input():

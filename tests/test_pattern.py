@@ -297,6 +297,11 @@ def test_focal_laws_array_and_scalar_forms(law, rng):
         if reads_r_obs:
             with pytest.raises(DomainError):
                 fn(theta, r_f, np.where(np.arange(theta.size) == 4, bad, r_o))
+    # a NaN focal angle, as an array entry and as a scalar
+    with pytest.raises(DomainError):
+        fn(np.where(np.arange(theta.size) == 4, np.nan, theta), r_f, r_o)
+    with pytest.raises(DomainError):
+        fn(math.nan, 30.0, 40.0)
 
 
 class TestSolveBetaGamma:
