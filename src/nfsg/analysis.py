@@ -45,10 +45,10 @@ with the mass above 1/tau dropped. Rounding every gain up gives a lower bound
 on CP and rounding it down an upper bound; atoms that land on one point are
 merged. Each side is raised to its power one convolution at a time,
 truncated to [0, L] after every step, which is exact for the rounded laws.
-One evaluation runs the bounds one after the other: each puts each side's
-laws on the lattice once, every node in one step table, and runs the nodes
-_LATTICE_ROWS at a time, each batch slicing its rows out of those two
-tables, which go before the other bound's. A step takes one of two forms,
+One evaluation runs the bounds one after the other: each puts a law on the
+lattice at most once, every node in one step table, and runs the nodes
+_LATTICE_ROWS at a time, each batch slicing its rows out of those tables,
+which go before the other bound's. A step takes one of two forms,
 chosen from the batch. When none of its rows keeps more than
 _SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
 weighted by the atoms' masses; the quantized laws have M+2 atoms before
@@ -58,20 +58,20 @@ per batch. The constant is the measured crossover of the two. Every batch
 steps one ladder, the inner law's CDF powers (convolution commutes with the
 cumulative sum, and a CDF is 0 below cell 0, so a CDF steps like a pmf). The
 quantized laws of one node share every gain on both sides and differ only in
-the masses of the zero level, g_0 and g_1, so on the lattice the outer law is
-the inner one plus a difference of at most three cells. Where a row differs so
-little, and its sum has few enough terms (_DELTA_CELLS, _DELTA_GROWTH,
-_DELTA_TERMS), the batch steps the inner ladder to power n_active-1, and
-expanding each outer power binomially around the inner law gives every order's
-CP as a fixed sum of those CDFs, read a few cells below the top
-(_difference_cp): n_active-1 steps in all. An order whose signed terms cancel
-too far for its CP to keep its relative accuracy, and every order of the other
-rows, such as the exact route's and the law pinned on the cell edge, walks the
-outer law's pmf powers instead; CP_kappa is then the dot product of the outer
-pmf power n_active-kappa with the inner CDF power kappa-1 read from the top
-down. The batches of one evaluation write their ladders into one workspace and
-shift their arrays in one window buffer, which keeps the allocator from
-handing that memory back and faulting it in again for every batch. The public
+the masses of the zero level, g_0 and g_1, so the outer law is the inner one
+plus the signed masses p_out - p_in, which go on the lattice like any law.
+Where a row's difference has few enough terms (_DELTA_TERMS), the batch steps
+the inner ladder to power n_active-1, and expanding each outer power
+binomially around the inner law gives every order's CP as a fixed sum of
+those CDFs, read a few cells below the top (_difference_cp): n_active-1 steps
+in all. An order whose signed terms cancel too far for its CP to keep its
+relative accuracy (_DELTA_GROWTH), and every order of the other rows, such as
+the exact route's, whose sides have gains of their own, walks the outer law's
+pmf powers instead; CP_kappa is then the dot product of the outer pmf power
+n_active-kappa with the inner CDF power kappa-1 read from the top down. The
+batches of one evaluation write their ladders into one workspace and shift
+their arrays in one window buffer, which keeps the allocator from handing
+that memory back and faulting it in again for every batch. The public
 functions return the midpoint of the two bounds. For the exact route the bound
 covers the lattice rounding only, not the error of the side grid: its cells
 and its gain bins.
@@ -480,15 +480,11 @@ _LATTICE_ROWS = 8
 # same machine). So mlap laws up to M = 42 shift and add, while M = 128 and
 # the exact route's binned histograms take the FFT.
 _SHIFT_ADD_ATOMS = 44
-# The difference path: a row whose outer step table differs from its inner
-# one on at most _DELTA_CELLS cells may skip the outer pmf walk. The
-# quantized laws of one node share every gain and differ only in the masses
-# of the zero level, g_0 and g_1, so they do. Its sums of signed terms can
-# multiply a CDF's rounding by up to (1 + sum |d|)^(n_active-1), which must
-# stay at most _DELTA_GROWTH (the baseline mlap laws read at most 1.46), and
-# each order's sum of the terms' magnitudes must stay within _DELTA_GROWTH
-# times its CP, or that order walks the outer pmf.
-_DELTA_CELLS = 3
+# The difference path: where both sides' laws share their gains, as the
+# quantized laws of one node do, a row may skip the outer pmf walk. Its sums
+# of signed terms can cancel, so each order's sum of the terms' magnitudes
+# must stay within _DELTA_GROWTH times its CP, or that order walks the outer
+# pmf.
 _DELTA_GROWTH = 16.0
 # Most terms per row of the difference path, C(n_active - 1 + c, c) for a
 # difference of c cells, per step it saves. A term costs about 25 ns a row
@@ -496,7 +492,7 @@ _DELTA_GROWTH = 16.0
 # row (8 rows, 7 to 10 atoms, 1024 cells; Xeon, 2 MiB L2 per core), so the
 # path breaks even near 160 terms a step; at 64 it costs about 40% of the
 # steps it saves. Three cells take it up to 17 users, two up to 125 and one
-# always.
+# always; 0 takes no row.
 _DELTA_TERMS = 64
 
 
@@ -505,13 +501,15 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     of (gains, probs), which broadcast to (rows, m): (cells, masses, counts).
 
     Mass above thr is dropped; the rest is rounded up (lower CP bound) or
-    down (upper), and the atoms that land on one cell are merged. Row r
-    holds its counts[r] merged atoms first, in rising cell order, then
-    zero-mass atoms at cell 0; cells and masses are (rows, counts.max())."""
+    down (upper), and the atoms that land on one cell are merged. The masses
+    may be signed, as those of a _difference are; a cell whose masses cancel
+    to 0 is dropped. Row r holds its counts[r] merged atoms first, in rising
+    cell order, then zero-mass atoms at cell 0; cells and masses are
+    (rows, counts.max())."""
     gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
     rows, m = gains.shape
     width = _LATTICE_CELLS + 1
-    kept = np.flatnonzero((gains <= thr) & (probs > 0))
+    kept = np.flatnonzero((gains <= thr) & (probs != 0))
     p = probs.ravel()[kept]
     # in place: the exact stacks keep millions of atoms
     x = gains.ravel()[kept]
@@ -534,15 +532,8 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     else:
         key, atom = np.unique(flat, return_inverse=True)
         mass = np.bincount(atom, p, key.size)
-    return _pack(key, mass, rows)
-
-
-def _pack(key, mass, rows: int):
-    """Atoms given by their rising keys row*(L+1) + cell and their masses,
-    as (cells, masses, counts): row r holds its counts[r] atoms first, in
-    rising cell order, then zero-mass atoms at cell 0; cells and masses are
-    (rows, counts.max())."""
-    row, cell = np.divmod(key, _LATTICE_CELLS + 1)
+        key, mass = key[mass != 0], mass[mass != 0]
+    row, cell = np.divmod(key, width)
     counts = np.bincount(row, minlength=rows)
     at = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
     cells = np.zeros((rows, counts.max(initial=0)), np.intp)
@@ -597,35 +588,21 @@ def _lattice_step(a, law, windows, out):
     np.maximum(full[:, :width], 0.0, out=out)
 
 
-def _difference(table_in, table_out, n_active: int):
-    """The cell-wise difference out - in of two step tables, row by row, as
-    (cells, masses, counts, usable) in the layout of _step_table. usable[r]
-    tells whether row r may take the difference path: its difference has at
-    most _DELTA_CELLS cells, (1 + sum |d|)^(n_active-1) is at most
-    _DELTA_GROWTH, its terms are at most _DELTA_TERMS per step saved, and
-    their binomials C(n_active-kappa, k) are finite doubles (up to 1030
-    users). A row whose atom counts differ by more than _DELTA_CELLS, such as
-    an exact node's, is not compared."""
-    width = _LATTICE_CELLS + 1
-    near = np.flatnonzero(np.abs(table_out[2] - table_in[2]) <= _DELTA_CELLS)
-    keys, masses = [], []
-    for (cells, mass, counts), sign in ((table_out, 1.0), (table_in, -1.0)):
-        # the compared rows' atoms, without their zero-mass padding
-        real = np.arange(cells.shape[1]) < counts[near, None]
-        keys.append((near[:, None] * width + cells[near])[real])
-        masses.append(sign * mass[near][real])
-    # an outer atom's mass, then minus the inner one's on its cell: the cells
-    # they share with equal masses come out exactly 0
-    key, atom = np.unique(np.concatenate(keys), return_inverse=True)
-    d = np.bincount(atom, np.concatenate(masses), key.size)
-    moved = d != 0
-    cells, d, counts = _pack(key[moved], d[moved], table_in[2].size)
-    usable = np.zeros(counts.size, bool)
-    usable[near] = True
-    usable &= counts <= _DELTA_CELLS
-    usable &= (1.0 + np.abs(d).sum(axis=1)) ** (n_active - 1) <= _DELTA_GROWTH
-    terms = np.array([math.comb(n_active - 1 + c, c) for c in range(_DELTA_CELLS + 1)])
-    usable &= terms[np.minimum(counts, _DELTA_CELLS)] <= _DELTA_TERMS * (n_active - 1)
+def _difference(thr: float, inner, outer, round_up: bool, n_active: int):
+    """The outer law less the inner one on the lattice, row by row, as
+    (cells, masses, counts, usable): the _step_table of the signed masses
+    p_out - p_in, or None where the two laws do not share their gains, as
+    the exact side grids do not. usable[r] tells whether row r may take the
+    difference path: its C(n_active - 1 + counts[r], counts[r]) terms are at
+    most _DELTA_TERMS per step saved, and their binomials C(n_active-kappa, k)
+    are finite doubles (up to 1030 users)."""
+    (g_in, p_in), (g_out, p_out) = inner, outer
+    if not np.array_equal(g_in, g_out):
+        return None
+    cells, d, counts = _step_table(thr, g_in, p_out - p_in, round_up)
+    fits = [math.comb(n_active - 1 + c, c) <= _DELTA_TERMS * (n_active - 1)
+            for c in range(counts.max(initial=0) + 1)]
+    usable = np.array(fits)[counts]
     usable &= math.comb(n_active - 1, (n_active - 1) // 2) <= sys.float_info.max
     return cells, d, counts, usable
 
@@ -708,9 +685,10 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
 
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (m,) or (rows, m), one focal node per row. The bounds run
-    one after the other, each with one _step_table per side for every row
-    and their _difference, and the rows go _LATTICE_ROWS at a time, each
-    batch cutting its rows out of the bound's tables. Each batch steps one
+    one after the other, each with the inner law's _step_table for every row
+    and the _difference of the outer law from it, and the rows go
+    _LATTICE_ROWS at a time, each batch cutting its rows out of the bound's
+    tables. Each batch steps one
     ladder, the inner law's CDF powers: it starts from the CDF of zero
     interference, which is 1 on every cell, and each step convolves it with
     one more inner law (convolution commutes with the cumulative sum, and a
@@ -719,11 +697,12 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     _difference_cp, one sum for all orders, so an order's bounds do not
     depend on the others asked; any other batch steps it to the largest
     kappa-1. The orders that some row may not take from that sum, because
-    its law differs too much or the order's sum is not sound, walk the outer
-    law's pmf from power 0 to n_active minus the least of those orders, and
-    CP_kappa is the dot product of the outer pmf power n_active-kappa with
-    the inner CDF power kappa-1 read from the top down. Each row and order
-    keeps the first of the two that it may take.
+    the row may not take the path or the order's sum is not sound, walk the
+    outer law's pmf from power 0 to n_active minus the least of those
+    orders, from the outer law's _step_table, built for the first such
+    batch; CP_kappa is the dot product of the outer pmf power n_active-kappa
+    with the inner CDF power kappa-1 read from the top down. Each row and
+    order keeps the first of the two that it may take.
     Every batch writes its ladder into one workspace and shifts its
     arrays in one window buffer, both allocated once per call: taken afresh
     for every batch, they are large enough for the allocator to hand them
@@ -737,17 +716,17 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     bounds = np.empty((2, rows, kap.size))
 
     def bound(round_up: bool, cp):
-        # its two step tables die on return, before the other bound's
+        # its step tables die on return, before the other bound's
         table_in = _step_table(thr, *inner, round_up)
-        table_out = _step_table(thr, *outer, round_up)
-        delta = _difference(table_in, table_out, n_active)
+        delta = _difference(thr, inner, outer, round_up, n_active)
+        table_out = None
         for lo in range(0, rows, _LATTICE_ROWS):
             batch = slice(lo, lo + _LATTICE_ROWS)
             cdf = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
             law_in = _batch_law(table_in, batch)
             # the (row, order) pairs the difference path settles
             done = np.zeros((cdf.shape[1], kap.size), bool)
-            usable = delta[3][batch].any()
+            usable = delta is not None and delta[3][batch].any()
             cdf[0] = 1.0
             for j in range(n_active - 1 if usable else int(kap.max()) - 1):
                 _lattice_step(cdf[j], law_in, windows, cdf[j + 1])
@@ -758,6 +737,8 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
             left = ~done.all(axis=0)
             if not left.any():
                 continue
+            if table_out is None:
+                table_out = _step_table(thr, *outer, round_up)
             law_out = _batch_law(table_out, batch)
             pmf = np.zeros(cdf.shape[1:])
             pmf[:, 0] = 1.0
@@ -857,8 +838,8 @@ def sinr_equivalent_threshold(tau: float, r_k: float,
     route reads coverage 0 there."""
     if not tau > 0:
         raise DomainError("tau must be positive")
-    if not r_k > 0:
-        raise DomainError("r_k must be positive")
+    if not 0 < r_k < math.inf:
+        raise DomainError("r_k must be positive and finite")
     noise = scenario.noise_term(r_k)
     if noise == 0.0:
         return tau

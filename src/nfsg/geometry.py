@@ -37,9 +37,10 @@ class SectorGeometry:
         # the spatial-angle law assumes |theta| <= pi/2, i.e. at least 2 sectors
         if self.n_sectors < 2 or int(self.n_sectors) != self.n_sectors:
             raise InvalidArgumentError("n_sectors must be an integer >= 2")
-        if not self.cell_radius > 0:
-            raise InvalidArgumentError("cell_radius must be positive")
-        if self.cell_radius > self.los_radius:
+        if not 0 < self.cell_radius < math.inf:
+            raise InvalidArgumentError("cell_radius must be positive and finite")
+        # an unbounded LoS ball is valid; NaN fails the comparison
+        if not self.cell_radius <= self.los_radius:
             raise InvalidArgumentError("cell_radius must not exceed los_radius")
 
     @property

@@ -50,8 +50,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_antennas < 3:
             raise InvalidArgumentError("n_antennas must be >= 3")
-        if not self.carrier_freq > 0:
-            raise InvalidArgumentError("carrier_freq must be positive")
+        if not 0 < self.carrier_freq < math.inf:
+            raise InvalidArgumentError("carrier_freq must be positive and finite")
 
     @property
     def wavelength(self) -> float:
@@ -94,8 +94,10 @@ class MlapConfig:
     def __post_init__(self):
         if self.n_levels < 1:
             raise InvalidArgumentError("n_levels must be >= 1")
-        if not self.beta_gamma > 0:
-            raise InvalidArgumentError("beta_gamma must be positive")
+        if not 0 < self.beta_gamma < math.inf:
+            raise InvalidArgumentError("beta_gamma must be positive and finite")
+        if not 0 < self.delta < math.inf:
+            raise InvalidArgumentError("delta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,8 @@ def array_response(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     as (n^2 d^2 - 2 r n d sin(theta)) / (r_n + r) to avoid cancellation at
     large r.
     """
-    if not p.r > 0:
-        raise DomainError("array_response requires r > 0")
+    if not (0 < p.r < math.inf and math.isfinite(p.theta)):
+        raise DomainError("array_response requires a finite angle and 0 < r < inf")
     n = cfg.element_offsets
     d = cfg.spacing
     a = n * n * d * d - 2.0 * p.r * n * d * math.sin(p.theta)
@@ -167,10 +169,13 @@ def array_response(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
 def exact_gain(cfg: ArrayConfig, theta_obs, r_obs, focal: PolarPoint):
     """Fresnel-phase pattern gain of a beam focused on `focal`, seen at the
     observation points (theta_obs, r_obs). The arguments broadcast together;
-    scalar input gives a float."""
-    r_obs = np.asarray(r_obs, float)
+    scalar input gives a float. An observation distance may be +inf, the
+    far-field limit."""
+    theta_obs, r_obs = np.asarray(theta_obs, float), np.asarray(r_obs, float)
     if not (focal.r > 0 and np.all(r_obs > 0)):
         raise DomainError("exact_gain requires r > 0 for every point")
+    if not (math.isfinite(focal.theta) and np.all(np.isfinite(theta_obs))):
+        raise DomainError("exact_gain requires finite angles")
     g = kernels.gain_pairs(theta_obs, r_obs, focal.theta, focal.r,
                            cfg.n_antennas, cfg.wavelength)
     return float(g) if g.ndim == 0 else g
@@ -330,9 +335,12 @@ def mlap_level_index(cfg: ArrayConfig, levels: MlapLevels, theta_obs, r_obs):
 
     The mainlobe |phi| <= 1/N maps to 0 beyond the beam-depth interval, 1
     inside it and M+1 below it; lobe m >= 2 covers (m-1)/N < |phi| <= m/N
-    and maps to m, or to M+1 past the last kept lobe."""
+    and maps to m, or to M+1 past the last kept lobe. An observation
+    distance may be +inf, the far-field limit."""
     theta, r = np.broadcast_arrays(np.asarray(theta_obs, float),
                                    np.asarray(r_obs, float))
+    if not (np.all(np.isfinite(theta)) and np.all(r > 0)):
+        raise DomainError("the multi-level pattern requires finite angles and r > 0")
     phi = np.abs(0.5 * (np.sin(theta) - math.sin(levels.focal.theta)))
     idx = _level_index(cfg.n_antennas, levels, phi, r)
     return int(idx) if idx.ndim == 0 else idx

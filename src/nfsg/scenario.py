@@ -27,12 +27,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_active < 1:
             raise InvalidArgumentError("n_active must be >= 1")
-        if self.pathloss_exponent < 2:
-            raise InvalidArgumentError("pathloss_exponent must be >= 2")
-        if not self.tx_power > 0:
-            raise InvalidArgumentError("tx_power must be positive")
-        if self.noise_power < 0:
-            raise InvalidArgumentError("noise_power must be >= 0")
+        # NaN fails every comparison, so each check rejects it
+        if not 2 <= self.pathloss_exponent < math.inf:
+            raise InvalidArgumentError("pathloss_exponent must be finite and >= 2")
+        if not 0 < self.tx_power < math.inf:
+            raise InvalidArgumentError("tx_power must be positive and finite")
+        if not 0 <= self.noise_power < math.inf:
+            raise InvalidArgumentError("noise_power must be finite and >= 0")
         if self.mlap.n_levels > self.array.n_antennas // 2:
             raise InvalidArgumentError("mlap.n_levels must not exceed floor(n_antennas/2)")
 

@@ -132,6 +132,30 @@ def two_level_sum_cdf(values, probs, counts, outer=None):
     return xs, np.cumsum(ps)
 
 
+def table_difference(table_in, table_out):
+    """The cell-wise difference out - in of two analysis._step_table tables,
+    row by row, as (cells, masses, counts) in their layout: every cell where
+    the two tables' masses differ. analysis._difference puts the signed
+    masses of two laws with shared gains on the lattice instead."""
+    width = analysis._LATTICE_CELLS + 1
+    keys, masses = [], []
+    for (cells, mass, counts), sign in ((table_out, 1.0), (table_in, -1.0)):
+        # each row's atoms, without their zero-mass padding
+        real = np.arange(cells.shape[1]) < counts[:, None]
+        keys.append((np.arange(counts.size)[:, None] * width + cells)[real])
+        masses.append(sign * mass[real])
+    key, atom = np.unique(np.concatenate(keys), return_inverse=True)
+    d = np.bincount(atom, np.concatenate(masses), key.size)
+    key, d = key[d != 0], d[d != 0]
+    row, cell = np.divmod(key, width)
+    counts = np.bincount(row, minlength=table_in[2].size)
+    at = np.arange(key.size) - (np.cumsum(counts) - counts)[row]
+    cells = np.zeros((counts.size, counts.max(initial=0)), np.intp)
+    diff = np.zeros(cells.shape)
+    cells[row, at] = cell
+    diff[row, at] = d
+    return cells, diff, counts
+
 
 def reference_side_grid(arr, sec, mlap, side, theta_k, r_k):
     """(g, w) of analysis._side_grid built the long way: one zero-padded

@@ -350,6 +350,8 @@ def test_rejection_names_its_key(doc, key):
 
 @pytest.mark.parametrize("changes", [
     {"n_active": 0}, {"pathloss_exponent": 1.5}, {"tx_power": 0.0}, {"noise_power": -1.0},
+    {"pathloss_exponent": math.nan}, {"pathloss_exponent": math.inf}, {"tx_power": math.inf},
+    {"tx_power": math.nan}, {"noise_power": math.nan}, {"noise_power": math.inf},
 ])
 def test_scenario_checks(changes):
     # the config keys' minimums keep these out of a document; a scenario

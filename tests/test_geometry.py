@@ -25,6 +25,11 @@ class TestSectorGeometry:
             SectorGeometry(3, -1.0, 150.0)
         with pytest.raises(InvalidArgumentError):
             SectorGeometry(3, 200.0, 150.0)  # cell larger than LoS ball
+        for cell, los in ((150.0, math.nan), (math.nan, 150.0), (math.inf, math.inf)):
+            with pytest.raises(InvalidArgumentError):
+                SectorGeometry(3, cell, los)
+        # an unbounded LoS ball is valid
+        assert SectorGeometry(3, 150.0, math.inf).cell_radius == 150.0
 
     def test_half_width(self):
         assert SECTOR.half_width == pytest.approx(math.pi / 3)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (mlap_interference_on_anchor, mlap_network_interference,
-                     two_level_sum_cdf)
+                     table_difference, two_level_sum_cdf)
 from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
                   MlapConfig, PolarPoint, ScenarioConfig, SectorGeometry, TrialPlan,
                   conditional_cp, conditional_cp_sinr, estimate_ase,
@@ -150,11 +150,11 @@ class TestSyntheticInversion:
             assert np.all(np.abs(a - b) <= ROUNDOFF)
 
 
-def _ladders(delta_growth):
-    """Lattice batches that take the difference path up to delta_growth:
-    _DELTA_GROWTH gives the module's choice, 0 the outer pmf walk for every
-    batch."""
-    return mock.patch.object(analysis, "_DELTA_GROWTH", delta_growth)
+def _ladders(delta_terms):
+    """Lattice batches that take the difference path up to delta_terms terms
+    per step saved: _DELTA_TERMS gives the module's choice, 0 the outer pmf
+    walk for every batch."""
+    return mock.patch.object(analysis, "_DELTA_TERMS", delta_terms)
 
 
 def _one_ladder():
@@ -168,9 +168,9 @@ def _moved_row(draw, shares=_SHARE, max_atoms=6):
     """One node's (gain shares of thr, inner probs, outer probs), the gain-0
     atom first. The outer law is the inner one with mass moved between at
     most three lattice cells: up to two atoms, anywhere on (0, 1.5], give
-    mass to or take it from the gain-0 atom. The last atom is the twin of
-    another, on its cell, so a move can change a cell that the twin shares
-    with an unmoved atom."""
+    mass to or take it from the gain-0 atom, a share of the giver's mass up
+    to all of it. The last atom is the twin of another, on its cell, so a
+    move can change a cell that the twin shares with an unmoved atom."""
     gains = [0.0] + draw(st.lists(shares, min_size=1, max_size=max_atoms))
     gains.append(gains[draw(st.integers(1, len(gains) - 1))])
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(gains),
@@ -178,22 +178,57 @@ def _moved_row(draw, shares=_SHARE, max_atoms=6):
     inner = weights / weights.sum()
     outer = inner.copy()
     for i in draw(st.lists(st.integers(1, len(gains) - 1), max_size=2, unique=True)):
-        moved = draw(st.floats(-1.0, 1.0)) * min(inner[i], 0.03)
+        share = draw(st.just(1.0) | st.floats(-1.0, 1.0))
+        moved = share * (outer[0] if share > 0 else outer[i])
         outer[i] += moved
         outer[0] -= moved
-    assume(outer[0] >= 0.0)
     return np.array(gains), inner, outer
+
+
+def _dense(table):
+    """A step table's masses on every lattice cell, one row per law."""
+    cells, masses, counts = table[:3]
+    out = np.zeros((counts.size, _LATTICE_CELLS + 1))
+    np.add.at(out, (np.arange(counts.size)[:, None], cells), masses)
+    return out
+
+
+def _assert_difference(thr, inner, outer, n_active):
+    # in both bounds, the difference put on the lattice from the signed
+    # masses holds the cell-wise difference of the two sides' step tables
+    for round_up in (True, False):
+        got = analysis._difference(thr, inner, outer, round_up, n_active)
+        want = table_difference(*(_step_table(thr, *law, round_up) for law in (inner, outer)))
+        assert np.max(np.abs(_dense(got) - _dense(want)), initial=0.0) <= 1e-15
 
 
 class TestDifferencePath:
     @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(_moved_row(), min_size=1, max_size=3), thr=st.floats(0.01, 2.0))
+    def test_difference_matches_tables(self, rows, thr):
+        gains, p_in, p_out = np.zeros((3, len(rows), max(g.size for g, _, _ in rows)))
+        for r, (shares, inner, outer) in enumerate(rows):
+            gains[r, :shares.size] = shares * thr
+            p_in[r, :shares.size], p_out[r, :shares.size] = inner, outer
+        _assert_difference(thr, (gains, p_in), (gains, p_out), 16)
+
+    def test_baseline_difference_matches_tables(self, scn):
+        # the mlap location average at every default overall threshold; the
+        # exact side grids have gains of their own and get no difference
+        laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+        for db_val in EXPERIMENTS["overall"][0]:
+            _assert_difference(10.0 ** (-db_val / 10.0), *laws, scn.n_active)
+        exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
+        assert analysis._difference(1.0, *exact, True, SMALL.n_active) is None
+
+    @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(_moved_row(), min_size=1, max_size=3), n_active=st.integers(2, 16),
            thr=st.floats(0.01, 2.0))
     def test_matches_two_ladders(self, rows, n_active, thr):
-        # moves of at most 0.03 keep (1 + sum |d|)^(n_active-1) under the
-        # growth bound, so every batch takes the difference path; both bounds
-        # of every order must be those of the outer pmf walk, also relative
-        # to a small CP
+        # a difference of at most three cells has few enough terms up to 17
+        # users, so every batch takes the difference path, however far the
+        # moves make its signed terms cancel; both bounds of every order must
+        # be those of the outer pmf walk, also relative to a small CP
         gains, p_in, p_out = np.zeros((3, len(rows), max(g.size for g, _, _ in rows)))
         for r, (shares, inner, outer) in enumerate(rows):
             gains[r, :shares.size] = shares * thr
@@ -202,7 +237,7 @@ class TestDifferencePath:
         with _one_ladder() as one:
             got = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas)
         assert one.call_count == 2
-        with _ladders(0.0), _one_ladder() as one:
+        with _ladders(0), _one_ladder() as one:
             want = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas)
         assert one.call_count == 0
         for a, b in zip(got, want):
@@ -275,9 +310,10 @@ class TestLadderChoice:
         assert batches > 100 and skipped == 2
 
     def test_two_ladders(self, scn):
-        # laws that differ on many cells walk the outer pmf: the exact side
-        # grids of the location average and of a pinned user, and the mlap
-        # law pinned on the cell edge, whose outer law sits at gain 0
+        # laws with gains of their own walk the outer pmf: the exact side
+        # grids of the location average and of a pinned user. So does the
+        # mlap law pinned on the cell edge, whose outer law sits at gain 0:
+        # its difference has too many cells
         exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
         for run, steps in (
                 (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3]), None),
@@ -293,17 +329,9 @@ class TestLadderChoice:
                 run()
             assert step.call_count > 0 and one.call_count == 0
             assert steps is None or step.call_count == steps
-        # so does a difference over the growth bound: (1 + 0.8)^(n_active-1)
-        # is 10.5 at 5 users and 18.9 at 6
-        law = np.array([0.0, 0.3]), np.array([0.5, 0.5])
-        moved = law[0], np.array([0.9, 0.1])
-        for n_active, calls in ((5, 2), (6, 0)):
-            with _one_ladder() as one:
-                _lattice_cp(1.0, law, moved, n_active, range(1, n_active + 1))
-            assert one.call_count == calls
-        # and one with more terms than _DELTA_TERMS per step saved: a
-        # difference of three cells has C(n_active+2, 3) terms, 969 at 17
-        # users (64 x 16 = 1024) and 1140 at 18 (64 x 17 = 1088)
+        # so does a difference with more terms than _DELTA_TERMS per step
+        # saved: a difference of three cells has C(n_active+2, 3) terms, 969
+        # at 17 users (64 x 16 = 1024) and 1140 at 18 (64 x 17 = 1088)
         law = np.array([0.0, 0.3, 0.5]), np.array([0.5, 0.25, 0.25])
         moved = law[0], np.array([0.49, 0.255, 0.255])
         for n_active, calls in ((17, 2), (18, 0)):
@@ -326,7 +354,7 @@ class TestLadderChoice:
         # per bound: n_active-1 inner CDF steps and n_active-1 outer pmf steps
         assert one.call_count == 2
         assert step.call_count == 2 * 2 * (n_active - 1)
-        with _ladders(0.0):
+        with _ladders(0):
             want = _lattice_cp(1.0, *laws, n_active, kappas)
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b) <= 1e-13)
@@ -343,7 +371,7 @@ class TestLadderChoice:
             with _one_ladder() as one:
                 got = _lattice_cp(1.0, law, moved, n_active, kappas)
             assert one.call_count == calls
-            with _ladders(0.0):
+            with _ladders(0):
                 want = _lattice_cp(1.0, law, moved, n_active, kappas)
             for a, b in zip(got, want):
                 assert np.all(a > 0.1)
@@ -526,7 +554,8 @@ class TestSinr:
         assert a == b  # identical code path when noise is zero
 
     @pytest.mark.parametrize("tau,r_k", [(0.0, 30.0), (-1.0, 30.0), (math.nan, 30.0),
-                                         (10.0, 0.0), (10.0, -5.0)])
+                                         (10.0, 0.0), (10.0, -5.0), (10.0, math.inf),
+                                         (10.0, math.nan)])
     def test_arguments_checked(self, scn, tau, r_k):
         with pytest.raises(DomainError):
             sinr_equivalent_threshold(tau, r_k, scn)

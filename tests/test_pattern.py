@@ -33,6 +33,9 @@ class TestArrayConfig:
             ArrayConfig(2, 28e9)
         with pytest.raises(InvalidArgumentError):
             ArrayConfig(16, 0.0)
+        for freq in (math.inf, math.nan):
+            with pytest.raises(InvalidArgumentError):
+                ArrayConfig(256, freq)
 
     def test_even_offsets_symmetric(self):
         off = CFG.element_offsets
@@ -423,7 +426,30 @@ class TestMStar:
     (lambda: beam_depth(CFG, 0.0, 30.0, 0.0), DomainError),
     (lambda: m_star(CFG, MLAP, 0.0), DomainError),
     (lambda: m_star(CFG, MLAP, -1.0), DomainError),
-], ids=["mlap-beta-gamma", "beam-depth-beta-gamma", "m-star-zero", "m-star-negative"])
+    (lambda: MlapConfig(n_levels=10, delta=math.nan), InvalidArgumentError),
+    (lambda: MlapConfig(n_levels=10, beta_gamma=math.inf), InvalidArgumentError),
+    (lambda: exact_gain(CFG, math.nan, 30.0, PolarPoint(0.0, 30.0)), DomainError),
+    (lambda: exact_gain(CFG, 0.0, 30.0, PolarPoint(math.inf, 30.0)), DomainError),
+    (lambda: mlap_gain(CFG, mlap_levels(CFG, MLAP, PolarPoint(0.0, 30.0)), 0.1, math.nan),
+     DomainError),
+    (lambda: mlap_gain(CFG, mlap_levels(CFG, MLAP, PolarPoint(0.0, 30.0)), math.nan, 30.0),
+     DomainError),
+    (lambda: array_response(CFG, PolarPoint(0.1, math.inf)), DomainError),
+    (lambda: array_response(CFG, PolarPoint(math.nan, 30.0)), DomainError),
+], ids=["mlap-beta-gamma", "beam-depth-beta-gamma", "m-star-zero", "m-star-negative",
+        "mlap-delta-nan", "mlap-beta-gamma-inf", "exact-gain-nan-angle",
+        "exact-gain-inf-focal-angle", "mlap-gain-nan-distance", "mlap-gain-nan-angle",
+        "array-response-inf-distance", "array-response-nan-angle"])
 def test_arguments_checked(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_far_field_distance_accepted():
+    # an observation distance of +inf is the far-field limit of each law
+    f = PolarPoint(0.0, 30.0)
+    levels = mlap_levels(CFG, MLAP, f)
+    assert exact_gain(CFG, 0.1, math.inf, f) == pytest.approx(exact_gain(CFG, 0.1, 1e12, f))
+    assert mlap_gain(CFG, levels, 0.0, math.inf) == levels.gains[0]
+    assert distance_gain(CFG, 0.0, 30.0, math.inf) == pytest.approx(
+        asymptotic_gain(CFG, 0.0, 30.0))
