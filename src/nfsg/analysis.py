@@ -41,25 +41,29 @@ Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
 nonnegative, so P{I <= 1/tau} depends only on each side's gain law on
 [0, 1/tau]: that law is put on the L+1 lattice points k*h, h = 1/(tau*L),
-with the mass above 1/tau dropped. Rounding every gain up gives a lower bound
-on CP and rounding it down an upper bound; atoms that land on one point are
-merged. Each side is raised to its power one convolution at a time,
+with the mass above 1/tau dropped. The callers size the lattice by route:
+L = 255 for the quantized laws, whose error then lies below that of the
+location quadrature, and L = 1023 for the exact route's side grids, whose
+bracket is wider (_MLAP_CELLS, _EXACT_CELLS). Rounding every gain up gives a
+lower bound on CP and rounding it down an upper bound; atoms that land on one
+point are merged. Each side is raised to its power one convolution at a time,
 truncated to [0, L] after every step, which is exact for the rounded laws.
 One evaluation runs the bounds one after the other: each puts a law on the
-lattice at most once, every node in one step table, and runs the nodes
-_LATTICE_ROWS at a time, each batch slicing its rows out of those tables,
-which go before the other bound's. A step takes one of two forms,
+lattice at most once, every node in one step table, and runs the nodes in
+batches of _BATCH_CELLS // (L+1), each batch slicing its rows out of those
+tables, which go before the other bound's. A step takes one of two forms,
 chosen from the batch. When none of its rows keeps more than
 _SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
 weighted by the atoms' masses; the quantized laws have M+2 atoms before
-merging, so mlap up to M = 42 goes this way. Denser laws, such as the exact
-route's binned histograms, multiply 2(L+1)-point FFT spectra, taken once
-per batch. The constant is the measured crossover of the two. Every batch
-steps one ladder, the inner law's CDF powers (convolution commutes with the
-cumulative sum, and a CDF is 0 below cell 0, so a CDF steps like a pmf). The
-quantized laws of one node share every gain on both sides and differ only in
-the masses of the zero level, g_0 and g_1, so the outer law is the inner one
-plus the signed masses p_out - p_in, which go on the lattice like any law.
+merging, so mlap up to M = 24 always goes this way. Denser laws, such as
+the exact route's binned histograms, multiply 2(L+1)-point FFT spectra,
+taken once per batch. The constant's comment gives the measured costs of
+both. Every batch steps one ladder, the inner law's CDF powers (convolution
+commutes with the cumulative sum, and a CDF is 0 below cell 0, so a CDF steps
+like a pmf). The quantized laws of one node share every gain on both sides
+and differ only in the masses of the zero level, g_0 and g_1, so the outer
+law is the inner one plus the signed masses p_out - p_in, which go on the
+lattice like any law.
 Where a row's difference has few enough terms (_DELTA_TERMS), the batch steps
 the inner ladder to power n_active-1, and expanding each outer power
 binomially around the inner law gives every order's CP as a fixed sum of
@@ -82,6 +86,9 @@ which Monte Carlo's conditional sampler runs too: order, sector (NaN lies
 outside), supports (a side that holds an interferer needs room for it, so
 r_k = 0 is rejected with inner interferers and the cell edge with outer
 ones), then the focus (a beam focused on the array has no beam depth).
+Neither side's law depends on the threshold: the quantized laws, like the
+side grids, are built once per focal point and pattern, while the checks run
+on every call.
 
 The closed-form upper bound is the probability that every interferer's
 quantized gain stays below 1/tau, one factor per interferer. It is the third
@@ -196,19 +203,33 @@ def _pinned_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfi
     """(inner, outer) gain laws (g, p) of one interferer, each shaped (1, m),
     for user kappa fixed at (theta_k, r_k): side grids for 'exact', quantized
     laws otherwise. An exact side with no interferer gets the all-zero law
-    and no grid. On the cell edge the quantized outer law is 0/0; that side
-    then holds no interferer, so its mass is parked on the zero level."""
+    and no grid. The user is checked on every call, before any cached law is
+    handed out."""
     inner, outer = _pinned_sides(theta_k, r_k, kappa, scenario, mode)
     key = scenario.array, scenario.sector, scenario.mlap
     if mode == "exact":
         sides = [_side_grid(*key, side, theta_k, r_k) if used else _EMPTY_SIDE
                  for side, used in (("inner", inner), ("outer", outer))]
         return tuple((g[None], w[None]) for g, w in sides)
+    return _pinned_level_laws(*key, float(theta_k), float(r_k))
+
+
+@lru_cache(maxsize=32)
+def _pinned_level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
+                       theta_k: float, r_k: float):
+    """The quantized (inner, outer) laws of _pinned_laws, read-only. They
+    depend on neither the threshold nor the user order, so one build serves
+    every threshold of a pinned user. On the cell edge the outer law is 0/0;
+    that side then holds no interferer, so its mass is parked on the zero
+    level."""
     with np.errstate(invalid="ignore"):
-        g, p_in, p_out = _level_laws(*key, np.array([theta_k]), np.array([r_k]))
-    if r_k == scenario.sector.cell_radius:
+        g, p_in, p_out = _level_laws(array, sector, mlap, np.array([theta_k]),
+                                     np.array([r_k]))
+    if r_k == sector.cell_radius:
         p_out = np.zeros_like(p_out)
         p_out[:, -1] = 1.0
+    for a in (g, p_in, p_out):
+        a.flags.writeable = False
     return (g, p_in), (g, p_out)
 
 
@@ -218,7 +239,7 @@ def level_probabilities(theta_k: float, r_k: float, kappa: int,
     on each quantized gain level g_0..g_{M+1} of the beam focused on
     (theta_k, r_k)."""
     (_, p_in), (_, p_out) = _pinned_laws(theta_k, r_k, kappa, scenario, "mlap")
-    return p_in[0], p_out[0]
+    return p_in[0].copy(), p_out[0].copy()
 
 
 def tau_star(levels: MlapLevels) -> float:
@@ -459,27 +480,44 @@ def _side_grid(arr: ArrayConfig, sec: SectorGeometry, mlap: MlapConfig, side: st
 # ---------------------------------------------------------------------------
 # Truncated lattice convolution
 
-# Lattice cells on [0, 1/tau]. The bound width shrinks as 1/L; 2(L+1)-point
-# FFTs keep every product of two truncated laws free of wrap-around.
-_LATTICE_CELLS = 1023
-# Focal nodes per lattice pass. One shift-and-add gather holds
-# rows x atoms x (L+1) doubles: 0.8 MB at 8 rows and M = 10, which fits a
-# 2 MiB L2 cache, and 2.8 MB at 28 rows, which does not. With one ladder
-# workspace and one step table per side and bound for each
-# _lattice_cp call, a whole overall-analytic benchmark run (mlap and upper at
-# 9 thresholds, N = 256, 15 users) took 0.93 s at 4 rows, 0.81 s at 8,
-# 0.78 s at 12 and 0.85 s at 16 (medians of 6 rotated runs; Xeon, 2 MiB L2
-# per core). 12 rows is within the spread of 8 and takes a ladder half as
-# large again.
-_LATTICE_ROWS = 8
+# Lattice cells L on [0, 1/tau], one size per route, which the callers pick
+# from the mode. The bound width shrinks as 1/L; 2(L+1)-point FFTs keep every
+# product of two truncated laws free of wrap-around.
+# The quantized laws: against L = 16383, which lies within 2.2e-7 of
+# L = 65535, the largest error of the baseline overall_cp in mlap over its 15
+# orders and the 9 default thresholds is 1.57e-3 at L = 127, 5.65e-5 at 255
+# and 5.24e-5 at 511 and 1023; the largest half-width of an overall_cp
+# bracket, the node brackets weighed as the location average weighs them, is
+# 9.4e-5 at 255 and 5.2e-5 at 1023. L = 255 takes about 0.09 s for that
+# location average in mlap and upper, L = 1023 about 0.26 s.
+_MLAP_CELLS = 255
+# The exact side grids: at L = 255 the exact CP of kappa = 3 at (0 rad, 30 m),
+# 5 dB, lies 2.43e-3 from its Monte Carlo value, outside the 2.05e-3 that the
+# agreement test allows; at L = 1023 it lies inside.
+_EXACT_CELLS = 1023
+# Lattice cells per batch: a batch runs _BATCH_CELLS // (L+1) focal nodes, 8
+# at 1024 cells and 32 at 256. Its shift-and-add gather holds
+# rows x atoms x (L+1) doubles, 0.7 MB at M = 10 either way, which fits a
+# 2 MiB L2 cache. The baseline mlap and upper location average at the 9
+# default thresholds, in process at 256 cells, took 0.098-0.100 s at 16 rows,
+# 0.091-0.093 s at 32, 0.093-0.098 s at 64 and 0.115-0.138 s at 128 (medians
+# of 7 calls in three rotated rounds; Xeon, 2 MiB L2 per core). At 1024 cells
+# the budget keeps the 8 rows that the exact route ran before.
+_BATCH_CELLS = 8 * 1024
 # Most merged atoms per row for which a shift-and-add step beats a
-# 2(L+1)-point FFT round trip, a measured crossover. One _lattice_cp call of
-# 8 rows, n_active = 15, atoms on distinct cells: 12 atoms 4.4 ms against
-# 17.8 ms by FFT, 28 atoms 9.7 against 17.7, 40 atoms 17.3 against 19.5, 44
-# atoms 19.1 against 19.3, 48 atoms 20.6 against 19.3 (medians of 7 calls,
-# same machine). So mlap laws up to M = 42 shift and add, while M = 128 and
-# the exact route's binned histograms take the FFT.
-_SHIFT_ADD_ATOMS = 44
+# 2(L+1)-point FFT round trip. One _lattice_cp call, n_active = 15, every
+# order, atoms on distinct cells (medians of 15 calls, same machine): at 256
+# cells and 32 rows, 20 atoms 6.2 ms against 8.2 ms by FFT, 24 atoms 7.8
+# against 8.3, 28 atoms 10.3 against 8.8, 44 atoms 17.9 against 8.7; at 1024
+# cells and 8 rows, 32 atoms 9.2 against 10.7, 36 atoms 11.5 against 10.9.
+# On 256 cells the quantized laws at the 9 default thresholds keep at most
+# 11 atoms at the baseline M = 10, 32 at M = 42 and 45 at M = 64. Their
+# location average took 0.086 s at M = 10 with this constant at 26 or 44;
+# at M = 42 it took 0.193 s at 26 against 0.210 s at 44, and at M = 64
+# 0.205 s against 0.243 s (medians of 8 calls in four rotated rounds). The
+# exact route's binned histograms keep hundreds of atoms and take the FFT
+# either way.
+_SHIFT_ADD_ATOMS = 26
 # The difference path: where both sides' laws share their gains, as the
 # quantized laws of one node do, a row may skip the outer pmf walk. Its sums
 # of signed terms can cancel, so each order's sum of the terms' magnitudes
@@ -487,18 +525,23 @@ _SHIFT_ADD_ATOMS = 44
 # pmf.
 _DELTA_GROWTH = 16.0
 # Most terms per row of the difference path, C(n_active - 1 + c, c) for a
-# difference of c cells, per step it saves. A term costs about 25 ns a row
-# to gather and sum with its magnitude, a shift-and-add step about 4 us a
-# row (8 rows, 7 to 10 atoms, 1024 cells; Xeon, 2 MiB L2 per core), so the
-# path breaks even near 160 terms a step; at 64 it costs about 40% of the
-# steps it saves. Three cells take it up to 17 users, two up to 125 and one
-# always; 0 takes no row.
+# difference of c cells, per step it saves. A term costs about 24 ns a row
+# to gather and sum with its magnitude, a shift-and-add step about 1.3 us a
+# row (32 rows, 10 atoms, 256 cells; Xeon, 2 MiB L2 per core), so the path
+# breaks even near 55 terms a step. The baseline's differences have one to
+# three cells, 15 to 680 terms for 14 steps saved (three in 18 of its 126
+# batches of 32 rows), and its location average in mlap and upper at the 9
+# default thresholds took 0.086-0.090 s at 64, 0.091-0.098 s at 16, which
+# sends the three-cell rows to the pmf walk, and 0.15-0.16 s with the path
+# off (0). Three cells take it up to 17 users, two up to 125 and one always;
+# 0 takes no row.
 _DELTA_TERMS = 64
 
 
-def _step_table(thr: float, gains, probs, round_up: bool):
-    """One interferer's gain law put on the lattice k*thr/L, one law per row
-    of (gains, probs), which broadcast to (rows, m): (cells, masses, counts).
+def _step_table(thr: float, gains, probs, round_up: bool, n_cells: int):
+    """One interferer's gain law put on the lattice k*thr/L, L = n_cells, one
+    law per row of (gains, probs), which broadcast to (rows, m): (cells,
+    masses, counts).
 
     Mass above thr is dropped; the rest is rounded up (lower CP bound) or
     down (upper), and the atoms that land on one cell are merged. The masses
@@ -508,13 +551,13 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     (rows, counts.max())."""
     gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
     rows, m = gains.shape
-    width = _LATTICE_CELLS + 1
+    width = n_cells + 1
     kept = np.flatnonzero((gains <= thr) & (probs != 0))
     p = probs.ravel()[kept]
     # in place: the exact stacks keep millions of atoms
     x = gains.ravel()[kept]
-    x *= _LATTICE_CELLS / thr
-    np.minimum((np.ceil if round_up else np.floor)(x, out=x), _LATTICE_CELLS, out=x)
+    x *= n_cells / thr
+    np.minimum((np.ceil if round_up else np.floor)(x, out=x), n_cells, out=x)
     # one key per row and cell: equal keys are one atom. Laws that keep an
     # atom per four cells or more are merged by one pass over every cell,
     # sparser ones by sorting their keys. The real traffic lies far to either
@@ -543,15 +586,15 @@ def _step_table(thr: float, gains, probs, round_up: bool):
     return cells, masses, counts
 
 
-def _batch_law(table, batch: slice):
-    """The rows batch of a _step_table, cut to their own atom count, as the
-    law of a _lattice_step: (rows, window starts, masses) to shift and add,
-    or, with more than _SHIFT_ADD_ATOMS atoms in a row, the 2(L+1)-point
-    spectrum to multiply by."""
+def _batch_law(table, batch: slice, n_cells: int):
+    """The rows batch of a _step_table on n_cells cells, cut to their own
+    atom count, as the law of a _lattice_step: (rows, window starts, masses)
+    to shift and add, or, with more than _SHIFT_ADD_ATOMS atoms in a row, the
+    2(L+1)-point spectrum to multiply by."""
     cells, masses, counts = table
     m = int(counts[batch].max())
     cells, masses = cells[batch, :m], masses[batch, :m]
-    width = _LATTICE_CELLS + 1
+    width = n_cells + 1
     row = np.arange(cells.shape[0])[:, None]
     if m <= _SHIFT_ADD_ATOMS:
         # a[r, s - c] is window width - c at s
@@ -560,25 +603,25 @@ def _batch_law(table, batch: slice):
     return np.fft.rfft(pmf.reshape(row.size, width), 2 * width)
 
 
-def _windows(rows: int):
-    """The windows of width L+1 of a zeroed (rows, 2(L+1)) buffer: a step
-    writes its array into window L+1, the right half, and the left half
-    stays zero, the cells below 0."""
-    width = _LATTICE_CELLS + 1
+def _windows(rows: int, n_cells: int):
+    """The windows of width L+1, L = n_cells, of a zeroed (rows, 2(L+1))
+    buffer: a step writes its array into window L+1, the right half, and the
+    left half stays zero, the cells below 0."""
+    width = n_cells + 1
     return np.lib.stride_tricks.sliding_window_view(np.zeros((rows, 2 * width)), width,
                                                     axis=1, writeable=True)
 
 
-def _lattice_step(a, law, windows, out):
-    """a, shaped (rows, L+1), convolved with each row's law from _batch_law
-    and truncated to [0, L], written into out, which may be a itself: both
-    forms read a before they write.
+def _lattice_step(a, law, windows, out, n_cells: int):
+    """a, shaped (rows, L+1), L = n_cells, convolved with each row's law
+    from _batch_law and truncated to [0, L], written into out, which may be a
+    itself: both forms read a before they write.
 
     A shift-and-add law sums shifted copies of the array read from windows
     (see _windows, at least rows rows), out[r, s] = sum_i p[r, i]
     a[r, s - c[r, i]], which is exact and never negative. A spectrum is
     multiplied by."""
-    width = _LATTICE_CELLS + 1
+    width = n_cells + 1
     if isinstance(law, tuple):
         row, start, p = law
         windows[:row.size, width] = a
@@ -588,18 +631,18 @@ def _lattice_step(a, law, windows, out):
     np.maximum(full[:, :width], 0.0, out=out)
 
 
-def _difference(thr: float, inner, outer, round_up: bool, n_active: int):
-    """The outer law less the inner one on the lattice, row by row, as
-    (cells, masses, counts, usable): the _step_table of the signed masses
-    p_out - p_in, or None where the two laws do not share their gains, as
-    the exact side grids do not. usable[r] tells whether row r may take the
+def _difference(thr: float, inner, outer, round_up: bool, n_active: int, n_cells: int):
+    """The outer law less the inner one on the lattice of n_cells cells, row
+    by row, as (cells, masses, counts, usable): the _step_table of the signed
+    masses p_out - p_in, or None where the two laws do not share their gains,
+    as the exact side grids do not. usable[r] tells whether row r may take the
     difference path: its C(n_active - 1 + counts[r], counts[r]) terms are at
     most _DELTA_TERMS per step saved, and their binomials C(n_active-kappa, k)
     are finite doubles (up to 1030 users)."""
     (g_in, p_in), (g_out, p_out) = inner, outer
     if not np.array_equal(g_in, g_out):
         return None
-    cells, d, counts = _step_table(thr, g_in, p_out - p_in, round_up)
+    cells, d, counts = _step_table(thr, g_in, p_out - p_in, round_up, n_cells)
     fits = [math.comb(n_active - 1 + c, c) <= _DELTA_TERMS * (n_active - 1)
             for c in range(counts.max(initial=0) + 1)]
     usable = np.array(fits)[counts]
@@ -639,7 +682,7 @@ def _splits(k: int, parts: int):
     return [(first, *rest) for first in range(k + 1) for rest in _splits(k - first, parts - 1)]
 
 
-def _difference_cp(cdf, delta, batch: slice, n_active: int):
+def _difference_cp(cdf, delta, batch: slice, n_active: int, n_cells: int):
     """P{I <= thr} of the lattice laws for every user order 1..n_active, and
     whether each is sound, both shaped (rows, n_active), from cdf, the inner
     law's CDF powers 0..n_active-1, and the rows batch of delta, the
@@ -649,12 +692,13 @@ def _difference_cp(cdf, delta, batch: slice, n_active: int):
     With out = in + Delta, in^(kappa-1) * out^(n-kappa) is the sum over k of
     C(n-kappa, k) in^(n-1-k) * Delta^k, and Delta^k puts the mass
     k!/prod(e_a!) prod(d_a^e_a) on the cell sum(e_a c_a) for each split e of k
-    over the cells of Delta. Each term reads the CDF of in^(n-1-k) at L minus
-    that cell, 0 where the cell is past L. The terms of each k are summed in a
-    fixed order and every order then takes one matrix product, so an order's
-    CP does not depend on which others are asked. The terms have both signs: a
-    CP is sound when the same sum of their magnitudes is at most _DELTA_GROWTH
-    times its own, so that it keeps its relative accuracy however small it is."""
+    over the cells of Delta. Each term reads the CDF of in^(n-1-k) at
+    L = n_cells minus that cell, 0 where the cell is past L. The terms of
+    each k are summed in a fixed order and every order then takes one matrix
+    product, so an order's CP does not depend on which others are asked. The
+    terms have both signs: a CP is sound when the same sum of their
+    magnitudes is at most _DELTA_GROWTH times its own, so that it keeps its
+    relative accuracy however small it is."""
     cells, d, counts, usable = delta
     usable = usable[batch]
     parts = int(counts[batch].max(initial=0, where=usable))
@@ -673,26 +717,27 @@ def _difference_cp(cdf, delta, batch: slice, n_active: int):
     terms = multinomial * powers[:, 0, e[:, 0]]
     for a in range(1, parts):
         terms *= powers[:, a, e[:, a]]
-    terms[shift > _LATTICE_CELLS] = 0.0
-    terms *= cdf[level, rows, np.maximum(_LATTICE_CELLS - shift, 0)]
+    terms[shift > n_cells] = 0.0
+    terms *= cdf[level, rows, np.maximum(n_cells - shift, 0)]
     cp = np.add.reduceat(terms, starts, axis=1) @ binomial.T
     size = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1) @ binomial.T
     return cp, size <= _DELTA_GROWTH * np.abs(cp)
 
 
-def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
-    """Lower and upper bounds on P{I <= thr} for each user order in kappas.
+def _lattice_cp(thr: float, inner, outer, n_active: int, kappas, n_cells: int):
+    """Lower and upper bounds on P{I <= thr} for each user order in kappas,
+    on a lattice of L = n_cells cells.
 
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (m,) or (rows, m), one focal node per row. The bounds run
     one after the other, each with the inner law's _step_table for every row
     and the _difference of the outer law from it, and the rows go
-    _LATTICE_ROWS at a time, each batch cutting its rows out of the bound's
-    tables. Each batch steps one
-    ladder, the inner law's CDF powers: it starts from the CDF of zero
-    interference, which is 1 on every cell, and each step convolves it with
-    one more inner law (convolution commutes with the cumulative sum, and a
-    CDF is 0 below cell 0). A batch with a row that may take the difference
+    _BATCH_CELLS // (L+1) at a time, but at least one, each batch cutting its
+    rows out of the bound's tables. Each batch steps one ladder, the inner
+    law's CDF powers: it starts from the CDF of zero interference, which is
+    1 on every cell, and each step convolves it with one more inner law
+    (convolution commutes with the cumulative sum, and a CDF is 0 below cell
+    0). A batch with a row that may take the difference
     path steps it to power n_active-1 and gets every order of every row from
     _difference_cp, one sum for all orders, so an order's bounds do not
     depend on the others asked; any other batch steps it to the largest
@@ -711,40 +756,41 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     """
     kap = np.asarray(kappas, int)
     rows = np.atleast_2d(outer[1]).shape[0]
-    ladder = np.empty((n_active, min(rows, _LATTICE_ROWS), _LATTICE_CELLS + 1))
-    windows = _windows(ladder.shape[1])
+    size = max(1, _BATCH_CELLS // (n_cells + 1))
+    ladder = np.empty((n_active, min(rows, size), n_cells + 1))
+    windows = _windows(ladder.shape[1], n_cells)
     bounds = np.empty((2, rows, kap.size))
 
     def bound(round_up: bool, cp):
         # its step tables die on return, before the other bound's
-        table_in = _step_table(thr, *inner, round_up)
-        delta = _difference(thr, inner, outer, round_up, n_active)
+        table_in = _step_table(thr, *inner, round_up, n_cells)
+        delta = _difference(thr, inner, outer, round_up, n_active, n_cells)
         table_out = None
-        for lo in range(0, rows, _LATTICE_ROWS):
-            batch = slice(lo, lo + _LATTICE_ROWS)
-            cdf = ladder[:, :min(rows - lo, _LATTICE_ROWS)]
-            law_in = _batch_law(table_in, batch)
+        for lo in range(0, rows, size):
+            batch = slice(lo, lo + size)
+            cdf = ladder[:, :min(rows - lo, size)]
+            law_in = _batch_law(table_in, batch, n_cells)
             # the (row, order) pairs the difference path settles
             done = np.zeros((cdf.shape[1], kap.size), bool)
             usable = delta is not None and delta[3][batch].any()
             cdf[0] = 1.0
             for j in range(n_active - 1 if usable else int(kap.max()) - 1):
-                _lattice_step(cdf[j], law_in, windows, cdf[j + 1])
+                _lattice_step(cdf[j], law_in, windows, cdf[j + 1], n_cells)
             if usable:
-                got, sound = _difference_cp(cdf, delta, batch, n_active)
+                got, sound = _difference_cp(cdf, delta, batch, n_active, n_cells)
                 cp[batch] = got[:, kap - 1]
                 done = delta[3][batch, None] & sound[:, kap - 1]
             left = ~done.all(axis=0)
             if not left.any():
                 continue
             if table_out is None:
-                table_out = _step_table(thr, *outer, round_up)
-            law_out = _batch_law(table_out, batch)
+                table_out = _step_table(thr, *outer, round_up, n_cells)
+            law_out = _batch_law(table_out, batch, n_cells)
             pmf = np.zeros(cdf.shape[1:])
             pmf[:, 0] = 1.0
             for k in range(n_active, int(kap[left].min()) - 1, -1):
                 if k < n_active:
-                    _lattice_step(pmf, law_out, windows, pmf)
+                    _lattice_step(pmf, law_out, windows, pmf, n_cells)
                 for q in np.flatnonzero(left & (kap == k)):
                     np.copyto(cp[batch, q], np.einsum("rl,rl->r", pmf, cdf[k - 1, :, ::-1]),
                               where=~done[:, q])
@@ -755,10 +801,10 @@ def _lattice_cp(thr: float, inner, outer, n_active: int, kappas):
     return bounds[0], bounds[1]
 
 
-def _node_cp(thr: float, inner, outer, n_active: int, kappas,
+def _node_cp(thr: float, inner, outer, n_active: int, kappas, n_cells: int,
              closed_form: bool = False):
     """Lower and upper bounds on P{I <= thr} for each user order in kappas at
-    each focal node.
+    each focal node, from a lattice of n_cells cells where one is needed.
 
     inner and outer are the (gains, probs) laws of one interferer on each
     side, shaped (rows, m), one node per row. closed_form gives the 'upper'
@@ -793,7 +839,7 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas,
         # of MB
         todo = slice(None)
     lower[todo], upper[todo] = _lattice_cp(
-        thr, (g_in[todo], p_in[todo]), (g_out[todo], p_out[todo]), n_active, kap)
+        thr, (g_in[todo], p_in[todo]), (g_out[todo], p_out[todo]), n_active, kap, n_cells)
     return lower, upper
 
 
@@ -814,6 +860,7 @@ def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
         return 0.0, 0.0
     inner, outer = _pinned_laws(theta_k, r_k, kappa, scenario, mode)
     lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa],
+                            _EXACT_CELLS if mode == "exact" else _MLAP_CELLS,
                             closed_form=mode == "upper")
     return float(lower[0, 0]), float(upper[0, 0])
 
@@ -894,6 +941,7 @@ def overall_cp(tau: float, kappa, scenario: ScenarioConfig, mode: str = "mlap"):
         th, w_th, r, w_r = _anchor_nodes(sec)
         laws = _anchor_laws(scenario.array, sec, scenario.mlap, mode == "exact")
         lower, upper = _node_cp(1.0 / tau, *laws, n_active, orders,
+                                _EXACT_CELLS if mode == "exact" else _MLAP_CELLS,
                                 closed_form=mode == "upper")
         cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, orders.size)
         _, pdf = ordered_distance_dist(orders[:, None], r, n_active, sec)

@@ -108,7 +108,11 @@ def db_to_linear(db: float) -> float:
 
 
 def thermal_noise_power(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Receiver noise power in watts: -174 dBm/Hz + 10 log10(B) + F."""
+    """Receiver noise power in watts: -174 dBm/Hz + 10 log10(B) + F, for a
+    positive, finite bandwidth B and a finite noise figure F."""
+    if not (0 < bandwidth_hz < math.inf and math.isfinite(noise_figure_db)):
+        raise InvalidArgumentError("thermal_noise_power requires 0 < bandwidth_hz < inf "
+                                   "and a finite noise_figure_db")
     dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
     return db_to_linear(dbm - 30.0)
 

@@ -258,11 +258,12 @@ def beam_depth(cfg: ArrayConfig, theta_focal, r_focal,
     The interval endpoints satisfy |1/r_focal - 1/r_end| = beta_gamma^2 / A
     with A = N^2 d^2 (1-sin^2 theta)/(2 lambda), so the depth scale is
     A / beta_gamma^2; unbounded on the right once r_focal reaches it. The
-    focal arguments broadcast together; scalar input gives float fields.
+    focal arguments broadcast together; scalar input gives float fields. A
+    beam focused at infinity has no beam depth, so r_focal must be finite.
     """
     r_focal = np.asarray(r_focal, float)
-    if not np.all(r_focal > 0):
-        raise DomainError("beam_depth requires r_focal > 0")
+    if not np.all((r_focal > 0) & (r_focal < np.inf)):
+        raise DomainError("beam_depth requires 0 < r_focal < inf")
     if not beta_gamma > 0:
         raise DomainError("beam_depth requires beta_gamma > 0")
     limit = _a_over(cfg, theta_focal, beta_gamma**2)

@@ -139,10 +139,10 @@ class TestTauStar:
 @pytest.mark.parametrize("n_antennas", [13, 16])
 def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
     # at n_sectors = 2 the end columns reach v = 1/2, where 1 - 4 v^2 is 0
-    # and every distance maps to one beta. The CP midpoint of the default
-    # 1023-cell lattice moves by up to 1.4e-4 inside its 8e-3 bracket when
-    # the atoms move; 8191 cells keep that rounding out of the comparison.
-    monkeypatch.setattr(analysis, "_LATTICE_CELLS", 8191)
+    # and every distance maps to one beta. The CP midpoint of the exact
+    # route's 1023-cell lattice (_EXACT_CELLS) moves by up to 1.4e-4 inside
+    # its 8e-3 bracket when the atoms move; 8191 cells keep that rounding out
+    # of the comparison.
     small = scn.with_(array=replace(scn.array, n_antennas=n_antennas),
                       sector=replace(scn.sector, n_sectors=n_sectors),
                       mlap=replace(scn.mlap, n_levels=6))
@@ -157,8 +157,10 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
                                            theta, r)
                 assert abs(w.sum() - 1.0) < 1e-12
                 assert np.all(np.isfinite(g)) and np.all(w > 0)
-        return np.array([[conditional_cp(t, theta, r, 3, small, "exact") for t in taus]
-                         for theta, r in focals])
+        laws = [analysis._pinned_laws(theta, r, 3, small, "exact") for theta, r in focals]
+        bounds = np.array([[analysis._node_cp(1.0 / t, *law, small.n_active, [3], 8191)
+                            for t in taus] for law in laws])
+        return bounds.mean(axis=2)
 
     try:
         coarse = cps()
@@ -267,9 +269,9 @@ def test_side_grid_matches_long_transform(scn, n_antennas, n_sectors):
         for db in (0.0, 10.0, 20.0):
             thr = 10.0 ** (-db / 10.0)
             got = analysis._node_cp(thr, laws["inner"][0], laws["outer"][0],
-                                    small.n_active, kappas)
+                                    small.n_active, kappas, analysis._EXACT_CELLS)
             want = analysis._node_cp(thr, laws["inner"][1], laws["outer"][1],
-                                     small.n_active, kappas)
+                                     small.n_active, kappas, analysis._EXACT_CELLS)
             for a, b in zip(got, want):
                 assert np.max(np.abs(a - b)) < 1e-12
 

@@ -128,6 +128,19 @@ class TestExperiments:
         mc = [r for r in rows if r.mode == "montecarlo"]
         assert all(r.std_error is not None for r in mc)
 
+    def test_cond_cp_builds_levels_once(self):
+        # the pinned user's quantized laws do not depend on the threshold:
+        # the default grid's nine thresholds build them once, and they are
+        # handed out read-only
+        spec = parse_config(json.dumps({"experiment": "cond-cp", "modes": ["mlap"]}))
+        analysis._pinned_level_laws.cache_clear()
+        with mock.patch.object(analysis, "_level_laws", wraps=analysis._level_laws) as build:
+            rows = run_experiment(spec)
+        assert build.call_count == 1 and len(rows) == len(spec.tau_grid_db) == 9
+        f = spec.anchor
+        for g, p in analysis._pinned_laws(f.theta, f.r, spec.kappa, spec.scenario, "mlap"):
+            assert not (g.flags.writeable or p.flags.writeable)
+
     def test_cond_cp_noise_rows(self):
         noisy = {**SMALL_SCENARIO, "noise_power_w": 1e-8}
         modes = ["exact", "mlap", "upper", "montecarlo"]

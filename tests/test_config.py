@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nfsg import DomainError, InvalidArgumentError, conditional_cp, default_scenario
-from nfsg.config import EXPERIMENTS, ExperimentSpec, parse_config
+from nfsg.config import EXPERIMENTS, ExperimentSpec, parse_config, thermal_noise_power
 from nfsg.errors import ConfigError
 
 FULL_GRID = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
@@ -114,6 +114,18 @@ def test_thermal_noise_pair():
     assert spec.scenario.noise_power == pytest.approx(7.962e-12, rel=1e-3)
     with pytest.raises(ConfigError):
         parse_config(json.dumps({"scenario": {"noise_bandwidth_hz": 200e6}}))
+
+
+@pytest.mark.parametrize("bandwidth_hz, noise_figure_db", [
+    (math.nan, 10.0), (math.inf, 10.0), (0.0, 10.0), (-200e6, 10.0),
+    (200e6, math.nan), (200e6, math.inf), (200e6, -math.inf)],
+    ids=["bandwidth-nan", "bandwidth-inf", "bandwidth-zero", "bandwidth-negative",
+         "figure-nan", "figure-inf", "figure-minus-inf"])
+def test_thermal_noise_checked(bandwidth_hz, noise_figure_db):
+    # a direct call gets what a scenario built from these values gets: an
+    # error, not NaN or inf
+    with pytest.raises(InvalidArgumentError):
+        thermal_noise_power(bandwidth_hz, noise_figure_db)
 
 
 @pytest.mark.parametrize("noise", [{"noise_power_w": 1e-10},

@@ -24,10 +24,11 @@ from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgum
 from nfsg.config import EXPERIMENTS
 from nfsg.pattern import beam_depth
 from nfsg import analysis
-from nfsg.analysis import (_LATTICE_CELLS, _LATTICE_ROWS, _SHIFT_ADD_ATOMS, _anchor_laws,
-                           _anchor_nodes, _conditional_cp_bounds, _lattice_cp, _level_laws,
-                           _node_cp, _side_grid, _step_table)
-from nfsg.geometry import sample_conditional_arrays, sample_user_arrays
+from nfsg.analysis import (_BATCH_CELLS, _EXACT_CELLS, _MLAP_CELLS, _SHIFT_ADD_ATOMS,
+                           _anchor_laws, _anchor_nodes, _conditional_cp_bounds, _lattice_cp,
+                           _level_laws, _node_cp, _side_grid, _step_table)
+from nfsg.geometry import (ordered_distance_dist, sample_conditional_arrays,
+                           sample_user_arrays)
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
@@ -57,7 +58,7 @@ def _lattice_brackets(vals, probs, counts, kappa, w, shift_add_atoms=_SHIFT_ADD_
     exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, w, side="right")])
     law = vals, probs
     with _steps(shift_add_atoms):
-        lower, upper = _lattice_cp(w, law, law, counts + 1, [kappa])
+        lower, upper = _lattice_cp(w, law, law, counts + 1, [kappa], _MLAP_CELLS)
     return float(lower[0, 0]), exact, float(upper[0, 0])
 
 
@@ -76,7 +77,7 @@ def _law_rows(atoms, thr):
 
 # gain shares of thr: exactly at thr, above it, in the top cell (cell L
 # rounded up, L-1 rounded down) and anywhere on (0, 1]
-_SHARE = st.sampled_from([1.0, 1.5, 1.0 - 0.3 / _LATTICE_CELLS]) | st.floats(1e-6, 1.0)
+_SHARE = st.sampled_from([1.0, 1.5, 1.0 - 0.3 / _MLAP_CELLS]) | st.floats(1e-6, 1.0)
 _ATOM = st.tuples(_SHARE, st.floats(0.01, 1.0))
 _ROWS = st.lists(st.lists(_ATOM, min_size=1, max_size=10), min_size=1, max_size=3)
 
@@ -128,8 +129,8 @@ class TestSyntheticInversion:
         assert kept(few) <= _SHIFT_ADD_ATOMS < kept(many)
         kappas = [1, n_active]
         with _steps(0):
-            fft = _lattice_cp(thr, *many, n_active, kappas)
-        for a, b in zip(_lattice_cp(thr, *few, n_active, kappas), fft):
+            fft = _lattice_cp(thr, *many, n_active, kappas, _MLAP_CELLS)
+        for a, b in zip(_lattice_cp(thr, *few, n_active, kappas, _MLAP_CELLS), fft):
             assert np.all(np.abs(a - b) <= ROUNDOFF)
 
     @pytest.mark.parametrize("shift_add_atoms", [_SHIFT_ADD_ATOMS, 0],
@@ -141,11 +142,11 @@ class TestSyntheticInversion:
         law = np.array([0.0, 0.12, 0.3, 0.55]), np.array([0.4, 0.3, 0.2, 0.1])
         split = np.array([0.0, 0.12, 0.3, 0.3, 0.55]), np.array([0.4, 0.3, 0.15, 0.05, 0.1])
         for round_up in (True, False):
-            assert np.array_equal(_step_table(0.9, *split, round_up)[2],
-                                  _step_table(0.9, *law, round_up)[2])
+            assert np.array_equal(_step_table(0.9, *split, round_up, _MLAP_CELLS)[2],
+                                  _step_table(0.9, *law, round_up, _MLAP_CELLS)[2])
         kappas = [1, 3, 6]
         with _steps(shift_add_atoms):
-            bounds = [_lattice_cp(0.9, x, x, 6, kappas) for x in (law, split)]
+            bounds = [_lattice_cp(0.9, x, x, 6, kappas, _MLAP_CELLS) for x in (law, split)]
         for a, b in zip(*bounds):
             assert np.all(np.abs(a - b) <= ROUNDOFF)
 
@@ -186,9 +187,10 @@ def _moved_row(draw, shares=_SHARE, max_atoms=6):
 
 
 def _dense(table):
-    """A step table's masses on every lattice cell, one row per law."""
+    """A step table's masses on every cell of the quantized laws' lattice,
+    one row per law."""
     cells, masses, counts = table[:3]
-    out = np.zeros((counts.size, _LATTICE_CELLS + 1))
+    out = np.zeros((counts.size, _MLAP_CELLS + 1))
     np.add.at(out, (np.arange(counts.size)[:, None], cells), masses)
     return out
 
@@ -197,8 +199,9 @@ def _assert_difference(thr, inner, outer, n_active):
     # in both bounds, the difference put on the lattice from the signed
     # masses holds the cell-wise difference of the two sides' step tables
     for round_up in (True, False):
-        got = analysis._difference(thr, inner, outer, round_up, n_active)
-        want = table_difference(*(_step_table(thr, *law, round_up) for law in (inner, outer)))
+        got = analysis._difference(thr, inner, outer, round_up, n_active, _MLAP_CELLS)
+        want = table_difference(*(_step_table(thr, *law, round_up, _MLAP_CELLS)
+                                  for law in (inner, outer)), _MLAP_CELLS)
         assert np.max(np.abs(_dense(got) - _dense(want)), initial=0.0) <= 1e-15
 
 
@@ -219,7 +222,7 @@ class TestDifferencePath:
         for db_val in EXPERIMENTS["overall"][0]:
             _assert_difference(10.0 ** (-db_val / 10.0), *laws, scn.n_active)
         exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
-        assert analysis._difference(1.0, *exact, True, SMALL.n_active) is None
+        assert analysis._difference(1.0, *exact, True, SMALL.n_active, _EXACT_CELLS) is None
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(_moved_row(), min_size=1, max_size=3), n_active=st.integers(2, 16),
@@ -235,10 +238,12 @@ class TestDifferencePath:
             p_in[r, :shares.size], p_out[r, :shares.size] = inner, outer
         kappas = range(1, n_active + 1)
         with _one_ladder() as one:
-            got = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas)
+            got = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas,
+                              _MLAP_CELLS)
         assert one.call_count == 2
         with _ladders(0), _one_ladder() as one:
-            want = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas)
+            want = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas,
+                               _MLAP_CELLS)
         assert one.call_count == 0
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b) <= 1e-13)
@@ -253,7 +258,8 @@ class TestDifferencePath:
         law_out = law_in[0], np.array([0.0, 1.0])
         n_active = 8
         with _one_ladder() as one:
-            got = _lattice_cp(1.0, law_in, law_out, n_active, range(1, n_active + 1))
+            got = _lattice_cp(1.0, law_in, law_out, n_active, range(1, n_active + 1),
+                              _MLAP_CELLS)
         assert one.call_count == 2
         # with one outer interferer every inner one sits on gain 0; with
         # none, at most one of the n_active-1 inner ones is at 0.6
@@ -277,7 +283,7 @@ class TestDifferencePath:
         exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, thr, side="right")])
         with _one_ladder() as one:
             lower, upper = _lattice_cp(thr, (shares * thr, inner), (shares * thr, outer),
-                                       n_active, [kappa])
+                                       n_active, [kappa], _MLAP_CELLS)
         assert one.call_count == 2
         assert lower[0, 0] - ROUNDOFF <= exact <= upper[0, 0] + ROUNDOFF
 
@@ -296,14 +302,14 @@ class TestLadderChoice:
                                       wraps=analysis._lattice_step) as step, \
                     _one_ladder() as one:
                 _node_cp(10.0 ** (-db_val / 10.0), *laws, scn.n_active,
-                         range(1, scn.n_active + 1))
+                         range(1, scn.n_active + 1), _MLAP_CELLS)
             if lattice.call_count == 0:
                 assert step.call_count == one.call_count == 0
                 skipped += 1
                 continue
             rows = lattice.call_args.args[1][1].shape[0]
             assert rows > 0
-            calls = 2 * -(-rows // _LATTICE_ROWS)
+            calls = 2 * -(-rows // (_BATCH_CELLS // (_MLAP_CELLS + 1)))
             assert one.call_count == calls
             assert step.call_count == calls * (scn.n_active - 1)
             batches += calls
@@ -316,7 +322,7 @@ class TestLadderChoice:
         # its difference has too many cells
         exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
         for run, steps in (
-                (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3]), None),
+                (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3], _EXACT_CELLS), None),
                 # a pinned user steps the inner CDF ladder to kappa-1 and the
                 # outer pmf to n_active-kappa, per bound
                 (lambda: _conditional_cp_bounds(10.0, 0.2, 20.0, 2, SMALL, "exact"),
@@ -336,7 +342,7 @@ class TestLadderChoice:
         moved = law[0], np.array([0.49, 0.255, 0.255])
         for n_active, calls in ((17, 2), (18, 0)):
             with _one_ladder() as one:
-                _lattice_cp(1.0, law, moved, n_active, [1, n_active])
+                _lattice_cp(1.0, law, moved, n_active, [1, n_active], _MLAP_CELLS)
             assert one.call_count == calls
 
     def test_mixed_batch(self):
@@ -350,12 +356,12 @@ class TestLadderChoice:
         n_active, kappas = 6, range(1, 7)
         with _one_ladder() as one, mock.patch.object(
                 analysis, "_lattice_step", wraps=analysis._lattice_step) as step:
-            got = _lattice_cp(1.0, *laws, n_active, kappas)
+            got = _lattice_cp(1.0, *laws, n_active, kappas, _MLAP_CELLS)
         # per bound: n_active-1 inner CDF steps and n_active-1 outer pmf steps
         assert one.call_count == 2
         assert step.call_count == 2 * 2 * (n_active - 1)
         with _ladders(0):
-            want = _lattice_cp(1.0, *laws, n_active, kappas)
+            want = _lattice_cp(1.0, *laws, n_active, kappas, _MLAP_CELLS)
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b) <= 1e-13)
 
@@ -369,10 +375,10 @@ class TestLadderChoice:
         for n_active, calls in ((1030, 2), (1100, 0)):
             kappas = [1, n_active // 2, n_active]
             with _one_ladder() as one:
-                got = _lattice_cp(1.0, law, moved, n_active, kappas)
+                got = _lattice_cp(1.0, law, moved, n_active, kappas, _MLAP_CELLS)
             assert one.call_count == calls
             with _ladders(0):
-                want = _lattice_cp(1.0, law, moved, n_active, kappas)
+                want = _lattice_cp(1.0, law, moved, n_active, kappas, _MLAP_CELLS)
             for a, b in zip(got, want):
                 assert np.all(a > 0.1)
                 assert np.all(np.abs(a - b) <= 1e-11 * b)
@@ -384,7 +390,7 @@ sys.path.insert(0, sys.argv[1])
 from nfsg import analysis, default_scenario
 scn = default_scenario()
 laws = analysis._anchor_laws(scn.array, scn.sector, scn.mlap, False)
-args = (10.0 ** -1.5, *laws, scn.n_active, range(1, scn.n_active + 1))
+args = (10.0 ** -1.5, *laws, scn.n_active, range(1, scn.n_active + 1), analysis._MLAP_CELLS)
 analysis._node_cp(*args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 analysis._node_cp(*args)
@@ -633,9 +639,55 @@ def test_one_step_table_per_side_and_bound(scn, monkeypatch):
 
     monkeypatch.setattr(analysis, "_step_table", spy)
     inner, outer = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
-    assert inner[0].shape[0] > 2 * _LATTICE_ROWS
-    _node_cp(0.1, inner, outer, scn.n_active, range(1, scn.n_active + 1))
+    assert inner[0].shape[0] > 2 * (_BATCH_CELLS // (_MLAP_CELLS + 1))
+    _node_cp(0.1, inner, outer, scn.n_active, range(1, scn.n_active + 1), _MLAP_CELLS)
     assert len(tables) == 4
+
+
+# A lattice fine enough to stand in for the lattice-free CP of the baseline
+# mlap location average: at L = 16383 it lies within 2.2e-7 of L = 65535.
+_FINE_CELLS = 16383
+
+
+@pytest.fixture(scope="module")
+def fine_nodes(scn):
+    """(tau, lower, upper) of every node of the baseline mlap location
+    average at each default overall threshold, for every order, on
+    _FINE_CELLS cells."""
+    laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+    kappas = range(1, scn.n_active + 1)
+    return [(tau, *_node_cp(1.0 / tau, *laws, scn.n_active, kappas, _FINE_CELLS))
+            for tau in (10.0 ** (d / 10.0) for d in EXPERIMENTS["overall"][0])]
+
+
+class TestLatticeSize:
+    def test_mlap_overall_near_fine_lattice(self, scn, fine_nodes):
+        # overall_cp on the quantized laws' lattice (_MLAP_CELLS) against the
+        # fine lattice's node midpoints, weighed as the location average
+        # weighs them; at L = 255 the largest gap reads 5.65e-5
+        th, w_th, r, w_r = _anchor_nodes(scn.sector)
+        kappas = np.arange(1, scn.n_active + 1)
+        _, pdf = ordered_distance_dist(kappas[:, None], r, scn.n_active, scn.sector)
+        w = w_r * pdf
+        w /= w.sum(axis=1, keepdims=True)
+        for tau, lower, upper in fine_nodes:
+            mid = (0.5 * (lower + upper)).reshape(th.size, r.size, kappas.size)
+            fine = np.einsum("i,irk,kr->k", w_th, mid, w)
+            got = overall_cp(tau, kappas, scn, "mlap")
+            assert np.max(np.abs(got - fine)) <= 6e-5, tau
+
+    def test_mlap_brackets_hold_fine_midpoint(self, scn, fine_nodes):
+        # both lattices bracket the lattice-free CP, so every node's bracket
+        # on _MLAP_CELLS holds the fine midpoint once widened by the fine
+        # half-width; the location average weighs the nodes with positive
+        # weights, so every overall row's bracket holds it too
+        laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+        kappas = range(1, scn.n_active + 1)
+        for tau, fine_lower, fine_upper in fine_nodes:
+            lower, upper = _node_cp(1.0 / tau, *laws, scn.n_active, kappas, _MLAP_CELLS)
+            mid, half = 0.5 * (fine_lower + fine_upper), 0.5 * (fine_upper - fine_lower)
+            assert np.all(lower - half - ROUNDOFF <= mid), tau
+            assert np.all(mid <= upper + half + ROUNDOFF), tau
 
 
 class TestOverall:
@@ -709,7 +761,8 @@ class TestOverall:
         inner, outer = _anchor_laws(many.array, many.sector, many.mlap, False)
         kappas = np.arange(1, many.n_active + 1)
         for tau in (3.0, 100.0):
-            lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, kappas)
+            lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, kappas,
+                                    _MLAP_CELLS)
             assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
             assert np.all(lower <= upper + ROUNDOFF)
             cps = overall_cp(tau, kappas, many, "mlap")
@@ -776,7 +829,8 @@ class TestOverall:
             assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
         kappas = range(1, model.n_active + 1)
         thrs = [10.0 ** (-d / 10.0) for d in db_vals]
-        stacked = [_node_cp(thr, inner, outer, model.n_active, kappas) for thr in thrs]
+        cells = _EXACT_CELLS if mode == "exact" else _MLAP_CELLS
+        stacked = [_node_cp(thr, inner, outer, model.n_active, kappas, cells) for thr in thrs]
         th, _, r, _ = _anchor_nodes(model.sector)
         for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
             if mode == "exact":
@@ -786,6 +840,6 @@ class TestOverall:
             else:
                 own = [(g[row:row + 1], p[row:row + 1]) for g, p in (inner, outer)]
             for thr, (lower, upper) in zip(thrs, stacked):
-                lo, up = _node_cp(thr, *own, model.n_active, kappas)
+                lo, up = _node_cp(thr, *own, model.n_active, kappas, cells)
                 assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12
                 assert np.max(np.abs(upper[row] - up[0])) <= 1e-12

@@ -436,10 +436,16 @@ class TestMStar:
      DomainError),
     (lambda: array_response(CFG, PolarPoint(0.1, math.inf)), DomainError),
     (lambda: array_response(CFG, PolarPoint(math.nan, 30.0)), DomainError),
+    # a beam focused at infinity has no beam depth; RuntimeWarnings are errors
+    (lambda: beam_depth(CFG, 0.0, math.inf, 1.3), DomainError),
+    (lambda: beam_depth(CFG, [0.0, 0.1], [30.0, math.inf], 1.3), DomainError),
+    (lambda: mlap_levels(CFG, MLAP, PolarPoint(0.0, math.inf)), DomainError),
 ], ids=["mlap-beta-gamma", "beam-depth-beta-gamma", "m-star-zero", "m-star-negative",
         "mlap-delta-nan", "mlap-beta-gamma-inf", "exact-gain-nan-angle",
         "exact-gain-inf-focal-angle", "mlap-gain-nan-distance", "mlap-gain-nan-angle",
-        "array-response-inf-distance", "array-response-nan-angle"])
+        "array-response-inf-distance", "array-response-nan-angle",
+        "beam-depth-inf-focal-distance", "beam-depth-inf-focal-distance-array",
+        "mlap-levels-inf-focal-distance"])
 def test_arguments_checked(call, error):
     with pytest.raises(error):
         call()
