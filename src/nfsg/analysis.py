@@ -26,59 +26,61 @@ are implemented:
           the focal point, and both laws take arrays of focal points); they
           do not depend on tau.
 
-One per-node evaluator turns the side laws into CP for every route at a
-finite tau (at tau = +inf conditional CP is 0 before any law is built): 1
-where every interferer clears 1/tau, the all-interferers-at-zero probability
-where no gain falls in (0, 1/tau] (the frozen region), the closed-form
-product for the upper bound, and the lattice bounds below for the rest. The
-location average runs it on the quadrature nodes once per threshold for all
-the user orders asked, in every mode on the node laws of _anchor_laws (the
-quantized laws or the side grids, built once per array, sector and pattern),
-and weighs the orders with one broadcast call of the order-statistic law; an
-order's CP does not depend on the other orders of the call.
+One per-node evaluator, _node_cp, turns the side laws into the CP bounds of
+every user order at a finite tau (at tau = +inf conditional CP is 0 before
+any law is built), the mode picking the route: 1 where every interferer
+clears 1/tau, the all-interferers-at-zero probability where no gain falls in
+(0, 1/tau] (the frozen region), the closed-form product for the upper bound,
+and the lattice bounds below for the rest. A pinned user reads its own order
+from it. The location average runs it on the quadrature nodes once per
+threshold, in every mode on the node laws of _anchor_laws (the quantized
+laws or the side grids, built once per array, sector and pattern), and
+weighs the orders asked with one broadcast call of the order-statistic law.
+Every call gives every order, so an order's CP cannot depend on the others
+asked.
 
 Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
 nonnegative, so P{I <= 1/tau} depends only on each side's gain law on
 [0, 1/tau]: that law is put on the L+1 lattice points k*h, h = 1/(tau*L),
-with the mass above 1/tau dropped. The callers size the lattice by route:
-L = 255 for the quantized laws, whose error then lies below that of the
-location quadrature, and L = 1023 for the exact route's side grids, whose
-bracket is wider (_MLAP_CELLS, _EXACT_CELLS). Rounding every gain up gives a
-lower bound on CP and rounding it down an upper bound; atoms that land on one
-point are merged. Each side is raised to its power one convolution at a time,
+with the mass above 1/tau dropped. The lattice is sized by route: L = 255
+for the quantized laws, whose error then lies below that of the location
+quadrature, and L = 1023 for the exact route's side grids, whose bracket is
+wider (_MLAP_CELLS, _EXACT_CELLS). Rounding every gain up gives a lower bound
+on CP and rounding it down an upper bound; atoms that land on one point are
+merged. Each side is raised to its power one convolution at a time,
 truncated to [0, L] after every step, which is exact for the rounded laws.
-One evaluation runs the bounds one after the other: each puts a law on the
-lattice at most once, every node in one step table, and runs the nodes in
-batches of _BATCH_CELLS // (L+1), each batch slicing its rows out of those
-tables, which go before the other bound's. A step takes one of two forms,
-chosen from the batch. When none of its rows keeps more than
-_SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the array,
-weighted by the atoms' masses; the quantized laws have M+2 atoms before
-merging, so mlap up to M = 24 always goes this way. Denser laws, such as
-the exact route's binned histograms, multiply 2(L+1)-point FFT spectra,
+One evaluation puts each law on the lattice once for both bounds: a step
+table holds every node's law rounded up in its first half of rows and
+rounded down in its second, and those rows run in batches of
+_BATCH_CELLS // (L+1), each batch slicing its rows out of the tables. A step
+takes one of two forms, chosen from the batch. When none of its rows keeps
+more than _SHIFT_ADD_ATOMS atoms, it adds that many shifted copies of the
+array, weighted by the atoms' masses; the quantized laws have M+2 atoms
+before merging, so mlap up to M = 24 always goes this way. Denser laws, such
+as the exact route's binned histograms, multiply 2(L+1)-point FFT spectra,
 taken once per batch. The constant's comment gives the measured costs of
-both. Every batch steps one ladder, the inner law's CDF powers (convolution
-commutes with the cumulative sum, and a CDF is 0 below cell 0, so a CDF steps
-like a pmf). The quantized laws of one node share every gain on both sides
-and differ only in the masses of the zero level, g_0 and g_1, so the outer
-law is the inner one plus the signed masses p_out - p_in, which go on the
-lattice like any law.
-Where a row's difference has few enough terms (_DELTA_TERMS), the batch steps
-the inner ladder to power n_active-1, and expanding each outer power
-binomially around the inner law gives every order's CP as a fixed sum of
-those CDFs, read a few cells below the top (_difference_cp): n_active-1 steps
-in all. An order whose signed terms cancel too far for its CP to keep its
-relative accuracy (_DELTA_GROWTH), and every order of the other rows, such as
-the exact route's, whose sides have gains of their own, walks the outer law's
+both. Every batch steps one ladder, the inner law's CDF powers to
+n_active-1 (convolution commutes with the cumulative sum, and a CDF is 0
+below cell 0, so a CDF steps like a pmf). The quantized laws of one node
+share every gain on both sides and differ only in the masses of the zero
+level, g_0 and g_1, so the outer law is the inner one plus the signed masses
+p_out - p_in, which go on the lattice like any law. Where a row's difference
+has few enough terms (_DELTA_TERMS), expanding each outer power binomially
+around the inner law gives every order's CP as a fixed sum of those CDFs,
+read a few cells below the top (_difference_cp): n_active-1 steps in all. An
+order whose signed terms cancel too far for its CP to keep its relative
+accuracy (_DELTA_GROWTH), and every order of the other rows, such as the
+exact route's, whose sides have gains of their own, walks the outer law's
 pmf powers instead; CP_kappa is then the dot product of the outer pmf power
 n_active-kappa with the inner CDF power kappa-1 read from the top down. The
 batches of one evaluation write their ladders into one workspace and shift
 their arrays in one window buffer, which keeps the allocator from handing
 that memory back and faulting it in again for every batch. The public
-functions return the midpoint of the two bounds. For the exact route the bound
-covers the lattice rounding only, not the error of the side grid: its cells
-and its gain bins.
+functions return the midpoint of the two bounds. For the exact route the
+bracket covers the lattice rounding and the inner mass that the side grid
+puts at gain 0, not the other errors of the side grid: its cells and its
+gain bins.
 
 A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
 one builder. It checks the mode, then the user with geometry._pinned_user,
@@ -538,26 +540,27 @@ _DELTA_GROWTH = 16.0
 _DELTA_TERMS = 64
 
 
-def _step_table(thr: float, gains, probs, round_up: bool, n_cells: int):
-    """One interferer's gain law put on the lattice k*thr/L, L = n_cells, one
-    law per row of (gains, probs), which broadcast to (rows, m): (cells,
-    masses, counts).
+def _step_table(thr: float, gains, probs, n_cells: int):
+    """One interferer's gain law put on the lattice k*thr/L, L = n_cells, for
+    both bounds, one law per row of (gains, probs), which broadcast to
+    (R, m): (cells, masses, counts), 2R rows.
 
-    Mass above thr is dropped; the rest is rounded up (lower CP bound) or
-    down (upper), and the atoms that land on one cell are merged. The masses
-    may be signed, as those of a _difference are; a cell whose masses cancel
-    to 0 is dropped. Row r holds its counts[r] merged atoms first, in rising
-    cell order, then zero-mass atoms at cell 0; cells and masses are
-    (rows, counts.max())."""
+    Mass above thr is dropped. Rows 0..R-1 round the rest up (lower CP
+    bound), rows R..2R-1 round it down (upper), and the atoms that land on
+    one cell are merged. The masses may be signed, as those of a _difference
+    are; a cell whose masses cancel to 0 is dropped. Row r holds its
+    counts[r] merged atoms first, in rising cell order, then zero-mass atoms
+    at cell 0; cells and masses are (2R, counts.max())."""
     gains, probs = np.broadcast_arrays(np.atleast_2d(gains), np.atleast_2d(probs))
     rows, m = gains.shape
     width = n_cells + 1
     kept = np.flatnonzero((gains <= thr) & (probs != 0))
-    p = probs.ravel()[kept]
+    p = np.tile(probs.ravel()[kept], 2)
     # in place: the exact stacks keep millions of atoms
     x = gains.ravel()[kept]
     x *= n_cells / thr
-    np.minimum((np.ceil if round_up else np.floor)(x, out=x), n_cells, out=x)
+    cell = np.concatenate([np.ceil(x), np.floor(x, out=x)])
+    np.minimum(cell, n_cells, out=cell)
     # one key per row and cell: equal keys are one atom. Laws that keep an
     # atom per four cells or more are merged by one pass over every cell,
     # sparser ones by sorting their keys. The real traffic lies far to either
@@ -565,9 +568,9 @@ def _step_table(thr: float, gains, probs, round_up: bool, n_cells: int):
     # anchors, 280 rows, 0.01, 1.6-1.8 ms against 0.21-0.26 ms; a pinned exact
     # row at N = 256, 13.5, 0.28 against 0.51 ms; the N = 13 exact inner
     # stack, 280 rows at 0 dB, 7.9, 52-56 ms against 99-109 ms.
-    flat = np.floor_divide(kept, m, out=kept)
-    flat *= width
-    flat += x.astype(np.intp)
+    row = np.floor_divide(kept, m, out=kept)
+    flat = np.concatenate([row, row + rows]) * width + cell.astype(np.intp)
+    rows *= 2
     if 4 * flat.size >= rows * width:
         mass = np.bincount(flat, p, rows * width)
         key = np.flatnonzero(mass)
@@ -631,23 +634,24 @@ def _lattice_step(a, law, windows, out, n_cells: int):
     np.maximum(full[:, :width], 0.0, out=out)
 
 
-def _difference(thr: float, inner, outer, round_up: bool, n_active: int, n_cells: int):
+def _difference(thr: float, inner, outer, n_active: int, n_cells: int):
     """The outer law less the inner one on the lattice of n_cells cells, row
-    by row, as (cells, masses, counts, usable): the _step_table of the signed
-    masses p_out - p_in, or None where the two laws do not share their gains,
-    as the exact side grids do not. usable[r] tells whether row r may take the
-    difference path: its C(n_active - 1 + counts[r], counts[r]) terms are at
-    most _DELTA_TERMS per step saved, and their binomials C(n_active-kappa, k)
-    are finite doubles (up to 1030 users)."""
+    by row and for both bounds, as (cells, masses, counts, usable): the
+    _step_table of the signed masses p_out - p_in. usable[r] tells whether
+    row r may take the difference path: its C(n_active - 1 + counts[r],
+    counts[r]) terms are at most _DELTA_TERMS per step saved, and their
+    binomials C(n_active-kappa, k) are finite doubles (up to 1030 users).
+    None where no row may, as where the two laws do not share their gains,
+    like the exact side grids."""
     (g_in, p_in), (g_out, p_out) = inner, outer
     if not np.array_equal(g_in, g_out):
         return None
-    cells, d, counts = _step_table(thr, g_in, p_out - p_in, round_up, n_cells)
+    cells, d, counts = _step_table(thr, g_in, p_out - p_in, n_cells)
     fits = [math.comb(n_active - 1 + c, c) <= _DELTA_TERMS * (n_active - 1)
             for c in range(counts.max(initial=0) + 1)]
     usable = np.array(fits)[counts]
     usable &= math.comb(n_active - 1, (n_active - 1) // 2) <= sys.float_info.max
-    return cells, d, counts, usable
+    return (cells, d, counts, usable) if usable.any() else None
 
 
 @lru_cache(maxsize=8)
@@ -684,10 +688,10 @@ def _splits(k: int, parts: int):
 
 def _difference_cp(cdf, delta, batch: slice, n_active: int, n_cells: int):
     """P{I <= thr} of the lattice laws for every user order 1..n_active, and
-    whether each is sound, both shaped (rows, n_active), from cdf, the inner
-    law's CDF powers 0..n_active-1, and the rows batch of delta, the
-    _difference of the outer law from the inner one. Rows that may not take
-    the difference path are read as if their laws were equal.
+    where it is done, both shaped (rows, n_active), from cdf, the inner law's
+    CDF powers 0..n_active-1, and the rows batch of delta, the _difference of
+    the outer law from the inner one. A row that may not take the difference
+    path is done nowhere.
 
     With out = in + Delta, in^(kappa-1) * out^(n-kappa) is the sum over k of
     C(n-kappa, k) in^(n-1-k) * Delta^k, and Delta^k puts the mass
@@ -695,17 +699,16 @@ def _difference_cp(cdf, delta, batch: slice, n_active: int, n_cells: int):
     over the cells of Delta. Each term reads the CDF of in^(n-1-k) at
     L = n_cells minus that cell, 0 where the cell is past L. The terms of
     each k are summed in a fixed order and every order then takes one matrix
-    product, so an order's CP does not depend on which others are asked. The
-    terms have both signs: a CP is sound when the same sum of their
-    magnitudes is at most _DELTA_GROWTH times its own, so that it keeps its
-    relative accuracy however small it is."""
+    product. The terms have both signs: an order is done where the same sum
+    of their magnitudes is at most _DELTA_GROWTH times its CP, so that it
+    keeps its relative accuracy however small it is."""
     cells, d, counts, usable = delta
     usable = usable[batch]
     parts = int(counts[batch].max(initial=0, where=usable))
     if parts == 0:
         # the outer law is the inner one: every order reads in^(n-1)
         return (np.repeat(cdf[n_active - 1, :, -1:], n_active, axis=1),
-                np.ones((usable.size, n_active), bool))
+                np.repeat(usable[:, None], n_active, axis=1))
     cells, d = cells[batch, :parts], np.where(usable[:, None], d[batch, :parts], 0.0)
     level, e, multinomial, starts, binomial = _compositions(n_active, parts)
     rows = np.arange(cells.shape[0])[:, None]
@@ -721,110 +724,92 @@ def _difference_cp(cdf, delta, batch: slice, n_active: int, n_cells: int):
     terms *= cdf[level, rows, np.maximum(n_cells - shift, 0)]
     cp = np.add.reduceat(terms, starts, axis=1) @ binomial.T
     size = np.add.reduceat(np.abs(terms, out=terms), starts, axis=1) @ binomial.T
-    return cp, size <= _DELTA_GROWTH * np.abs(cp)
+    return cp, usable[:, None] & (size <= _DELTA_GROWTH * np.abs(cp))
 
 
-def _lattice_cp(thr: float, inner, outer, n_active: int, kappas, n_cells: int):
-    """Lower and upper bounds on P{I <= thr} for each user order in kappas,
-    on a lattice of L = n_cells cells.
+def _lattice_cp(thr: float, inner, outer, n_active: int, n_cells: int):
+    """Lower and upper bounds on P{I <= thr} for every user order
+    1..n_active, on a lattice of L = n_cells cells.
 
     inner and outer are the (gains, probs) laws of one interferer on each
-    side, shaped (m,) or (rows, m), one focal node per row. The bounds run
-    one after the other, each with the inner law's _step_table for every row
-    and the _difference of the outer law from it, and the rows go
-    _BATCH_CELLS // (L+1) at a time, but at least one, each batch cutting its
-    rows out of the bound's tables. Each batch steps one ladder, the inner
-    law's CDF powers: it starts from the CDF of zero interference, which is
-    1 on every cell, and each step convolves it with one more inner law
-    (convolution commutes with the cumulative sum, and a CDF is 0 below cell
-    0). A batch with a row that may take the difference
-    path steps it to power n_active-1 and gets every order of every row from
-    _difference_cp, one sum for all orders, so an order's bounds do not
-    depend on the others asked; any other batch steps it to the largest
-    kappa-1. The orders that some row may not take from that sum, because
-    the row may not take the path or the order's sum is not sound, walk the
-    outer law's pmf from power 0 to n_active minus the least of those
-    orders, from the outer law's _step_table, built for the first such
-    batch; CP_kappa is the dot product of the outer pmf power n_active-kappa
-    with the inner CDF power kappa-1 read from the top down. Each row and
-    order keeps the first of the two that it may take.
-    Every batch writes its ladder into one workspace and shifts its
-    arrays in one window buffer, both allocated once per call: taken afresh
-    for every batch, they are large enough for the allocator to hand them
-    back and fault them in again. Returns (lower, upper), each of shape
-    (rows, len(kappas)).
+    side, shaped (m,) or (R, m), one focal node per row. The inner law's
+    _step_table and the _difference of the outer law from it hold both
+    bounds, 2R rows, which go _BATCH_CELLS // (L+1) at a time, but at least
+    one, each batch cutting its rows out of those tables. Each batch steps
+    one ladder, the inner law's CDF powers 0..n_active-1: it starts from the
+    CDF of zero interference, which is 1 on every cell, and each step
+    convolves it with one more inner law (convolution commutes with the
+    cumulative sum, and a CDF is 0 below cell 0). Where a difference exists,
+    _difference_cp gives every order of the batch's rows from that ladder.
+    The (row, order) pairs it leaves undone walk the outer law's pmf powers
+    0..n_active-1 from its _step_table, built for the first such batch;
+    CP_kappa is the dot product of the outer pmf power n_active-kappa with
+    the inner CDF power kappa-1 read from the top down.
+    Every batch writes its ladder into one workspace and shifts its arrays
+    in one window buffer, both allocated once per call: taken afresh for
+    every batch, they are large enough for the allocator to hand them back
+    and fault them in again. Returns (lower, upper), each of shape
+    (R, n_active).
     """
-    kap = np.asarray(kappas, int)
-    rows = np.atleast_2d(outer[1]).shape[0]
+    rows = 2 * np.atleast_2d(outer[1]).shape[0]
     size = max(1, _BATCH_CELLS // (n_cells + 1))
     ladder = np.empty((n_active, min(rows, size), n_cells + 1))
     windows = _windows(ladder.shape[1], n_cells)
-    bounds = np.empty((2, rows, kap.size))
-
-    def bound(round_up: bool, cp):
-        # its step tables die on return, before the other bound's
-        table_in = _step_table(thr, *inner, round_up, n_cells)
-        delta = _difference(thr, inner, outer, round_up, n_active, n_cells)
-        table_out = None
-        for lo in range(0, rows, size):
-            batch = slice(lo, lo + size)
-            cdf = ladder[:, :min(rows - lo, size)]
-            law_in = _batch_law(table_in, batch, n_cells)
-            # the (row, order) pairs the difference path settles
-            done = np.zeros((cdf.shape[1], kap.size), bool)
-            usable = delta is not None and delta[3][batch].any()
-            cdf[0] = 1.0
-            for j in range(n_active - 1 if usable else int(kap.max()) - 1):
-                _lattice_step(cdf[j], law_in, windows, cdf[j + 1], n_cells)
-            if usable:
-                got, sound = _difference_cp(cdf, delta, batch, n_active, n_cells)
-                cp[batch] = got[:, kap - 1]
-                done = delta[3][batch, None] & sound[:, kap - 1]
-            left = ~done.all(axis=0)
-            if not left.any():
-                continue
-            if table_out is None:
-                table_out = _step_table(thr, *outer, round_up, n_cells)
-            law_out = _batch_law(table_out, batch, n_cells)
-            pmf = np.zeros(cdf.shape[1:])
-            pmf[:, 0] = 1.0
-            for k in range(n_active, int(kap[left].min()) - 1, -1):
-                if k < n_active:
-                    _lattice_step(pmf, law_out, windows, pmf, n_cells)
-                for q in np.flatnonzero(left & (kap == k)):
-                    np.copyto(cp[batch, q], np.einsum("rl,rl->r", pmf, cdf[k - 1, :, ::-1]),
-                              where=~done[:, q])
-
-    for round_up, cp in zip((True, False), bounds):
-        bound(round_up, cp)
-    np.clip(bounds, 0.0, 1.0, out=bounds)
-    return bounds[0], bounds[1]
+    table_in = _step_table(thr, *inner, n_cells)
+    delta = _difference(thr, inner, outer, n_active, n_cells)
+    table_out = None
+    cp = np.empty((rows, n_active))
+    for lo in range(0, rows, size):
+        batch = slice(lo, lo + size)
+        cdf = ladder[:, :min(rows - lo, size)]
+        law_in = _batch_law(table_in, batch, n_cells)
+        cdf[0] = 1.0
+        for j in range(n_active - 1):
+            _lattice_step(cdf[j], law_in, windows, cdf[j + 1], n_cells)
+        done = np.zeros((cdf.shape[1], n_active), bool)
+        if delta is not None:
+            cp[batch], done = _difference_cp(cdf, delta, batch, n_active, n_cells)
+        if done.all():
+            continue
+        if table_out is None:
+            table_out = _step_table(thr, *outer, n_cells)
+        law_out = _batch_law(table_out, batch, n_cells)
+        pmf = np.zeros(cdf.shape[1:])
+        pmf[:, 0] = 1.0
+        for k in range(n_active, 0, -1):
+            if k < n_active:
+                _lattice_step(pmf, law_out, windows, pmf, n_cells)
+            np.copyto(cp[batch, k - 1], np.einsum("rl,rl->r", pmf, cdf[k - 1, :, ::-1]),
+                      where=~done[:, k - 1])
+    np.clip(cp, 0.0, 1.0, out=cp)
+    return cp[:rows // 2], cp[rows // 2:]
 
 
-def _node_cp(thr: float, inner, outer, n_active: int, kappas, n_cells: int,
-             closed_form: bool = False):
-    """Lower and upper bounds on P{I <= thr} for each user order in kappas at
-    each focal node, from a lattice of n_cells cells where one is needed.
+def _node_cp(thr: float, inner, outer, n_active: int, mode: str):
+    """Lower and upper bounds on the route's P{I <= thr} at each focal node
+    for every user order 1..n_active, each shaped (rows, n_active).
 
     inner and outer are the (gains, probs) laws of one interferer on each
-    side, shaped (rows, m), one node per row. closed_form gives the 'upper'
-    route instead: every interferer's gain must stay below thr on its own,
-    returned as both bounds. thr = 1/tau is positive: the callers settle
-    tau = +inf before any law is built. Nodes where every interferer clears
-    thr are covered for sure. Nodes with no gain in (0, thr] (the frozen
-    region) are covered only when every interferer sits on gain 0, which is
-    the closed-form product. The rest, if any, go through one _lattice_cp
-    call.
-    Returns (lower, upper), each of shape (rows, len(kappas)).
+    side, shaped (rows, m), one node per row: side grids for 'exact',
+    quantized laws otherwise. 'upper' gives the closed form as both bounds:
+    every interferer's gain must stay below thr on its own. thr = 1/tau is
+    positive: the callers settle tau = +inf before any law is built. Nodes
+    where every interferer clears thr are covered for sure. Nodes with no
+    gain in (0, thr] (the frozen region) are covered only when every
+    interferer sits on gain 0, which is the closed-form product. The rest,
+    if any, go through one _lattice_cp call, on _EXACT_CELLS cells for
+    'exact' and _MLAP_CELLS for 'mlap'. The side grids put the inner mass
+    inside r_k sqrt(_INNER_MASS_TOL) at gain 0, so the exact lower bound
+    takes off the chance 1 - (1 - _INNER_MASS_TOL)^(kappa-1) that an inner
+    interferer lies there, wherever its gain.
     """
     (g_in, p_in), (g_out, p_out) = inner, outer
-    kap = np.asarray(kappas, int)
     # an exponent per node and order: numpy squares for a broadcast exponent
     # 2 but calls pow for varying ones, a last bit apart
-    k = np.tile(kap, (g_in.shape[0], 1))
+    k = np.tile(np.arange(1, n_active + 1), (g_in.shape[0], 1))
     closed = (((p_in * (g_in < thr)).sum(axis=1)[:, None] ** (k - 1))
               * ((p_out * (g_out < thr)).sum(axis=1)[:, None] ** (n_active - k)))
-    if closed_form:
+    if mode == "upper":
         return closed, closed
     lower, upper = closed.copy(), closed.copy()
     covered = thr > (n_active - 1) * np.maximum(g_in.max(axis=1), g_out.max(axis=1))
@@ -832,14 +817,16 @@ def _node_cp(thr: float, inner, outer, n_active: int, kappas, n_cells: int,
     frozen = ~(((g_in > 0) & (g_in <= thr)).any(axis=1)
                | ((g_out > 0) & (g_out <= thr)).any(axis=1))
     todo = np.flatnonzero(~(covered | frozen))
-    if todo.size == 0:
-        return lower, upper
-    if todo.size == covered.size:
+    if todo.size:
         # a slice keeps the laws as views; the padded exact stacks are tens
         # of MB
-        todo = slice(None)
-    lower[todo], upper[todo] = _lattice_cp(
-        thr, (g_in[todo], p_in[todo]), (g_out[todo], p_out[todo]), n_active, kap, n_cells)
+        rows = slice(None) if todo.size == covered.size else todo
+        lower[rows], upper[rows] = _lattice_cp(
+            thr, (g_in[rows], p_in[rows]), (g_out[rows], p_out[rows]), n_active,
+            _EXACT_CELLS if mode == "exact" else _MLAP_CELLS)
+    if mode == "exact":
+        lower += np.expm1((k[0] - 1) * math.log1p(-_INNER_MASS_TOL))
+        np.maximum(lower, 0.0, out=lower)
     return lower, upper
 
 
@@ -859,10 +846,8 @@ def _conditional_cp_bounds(tau: float, theta_k: float, r_k: float, kappa: int,
         _pinned_sides(theta_k, r_k, kappa, scenario, mode)
         return 0.0, 0.0
     inner, outer = _pinned_laws(theta_k, r_k, kappa, scenario, mode)
-    lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, [kappa],
-                            _EXACT_CELLS if mode == "exact" else _MLAP_CELLS,
-                            closed_form=mode == "upper")
-    return float(lower[0, 0]), float(upper[0, 0])
+    lower, upper = _node_cp(1.0 / tau, inner, outer, scenario.n_active, mode)
+    return float(lower[0, kappa - 1]), float(upper[0, kappa - 1])
 
 
 def conditional_cp(tau: float, theta_k: float, r_k: float, kappa: int,
@@ -940,10 +925,9 @@ def overall_cp(tau: float, kappa, scenario: ScenarioConfig, mode: str = "mlap"):
         orders = kap.ravel()
         th, w_th, r, w_r = _anchor_nodes(sec)
         laws = _anchor_laws(scenario.array, sec, scenario.mlap, mode == "exact")
-        lower, upper = _node_cp(1.0 / tau, *laws, n_active, orders,
-                                _EXACT_CELLS if mode == "exact" else _MLAP_CELLS,
-                                closed_form=mode == "upper")
-        cp_nodes = (0.5 * (lower + upper)).reshape(th.size, r.size, orders.size)
+        lower, upper = _node_cp(1.0 / tau, *laws, n_active, mode)
+        cp_nodes = (0.5 * (lower + upper))[:, orders - 1].reshape(th.size, r.size,
+                                                                  orders.size)
         _, pdf = ordered_distance_dist(orders[:, None], r, n_active, sec)
         w = w_r * pdf
         w /= w.sum(axis=1, keepdims=True)

@@ -12,11 +12,14 @@ re-runs its base experiment's row builder at each value and keeps one metric.
 Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
 std_error). All thresholds cross the CLI boundary in dB and are converted to
-linear here, with `config.db_to_linear`. NFSG_THREADS sets the worker count
-of the Monte Carlo block pool (`montecarlo._map_blocks`), which runs the
-trial blocks of each Monte Carlo estimate; the points of an ASE sweep run
-one after another. The output does not depend on the count; a value that is
-not a positive integer is a config error.
+linear here, with `config.db_to_linear`. `run` writes one stderr line for
+each mlap or upper threshold, per sweep point, that lies in the quantized
+pattern's frozen regime (`_frozen`); the table does not change.
+NFSG_THREADS sets the worker count of the Monte Carlo block pool
+(`montecarlo._map_blocks`), which runs the trial blocks of each Monte Carlo
+estimate; the points of an ASE sweep run one after another. The output does
+not depend on the count; a value that is not a positive integer is a config
+error.
 """
 
 from __future__ import annotations
@@ -187,6 +190,27 @@ _EXPERIMENTS = {
 }
 
 
+def _frozen(spec: ExperimentSpec) -> list[tuple]:
+    """(sweep value, mode, tau_db, lobes needed, lobes kept) for every mlap
+    or upper threshold, per sweep point, that needs more lobes (m_star) than
+    the pattern keeps. The lobes beyond the kept ones have gain 0, so there
+    the quantized route reports its frozen regime, little more than the
+    chance that every interferer sits on gain 0. pattern-cut and
+    polar-heatmap rows have no threshold."""
+    modes = [m for m in spec.modes if m in ("mlap", "upper")]
+    if not modes or spec.name in ("pattern-cut", "polar-heatmap"):
+        return []
+    points = (zip(spec.sweep.values, spec.sweep.scenarios) if spec.sweep
+              else [(None, spec.scenario)])
+    flags = []
+    for value, scn in points:
+        need = [(d, m_star(scn.array, scn.mlap, db_to_linear(d)).m)
+                for d in spec.tau_grid_db]
+        flags += [(value, mode, d, m, scn.mlap.n_levels) for mode in modes
+                  for d, m in need if m > scn.mlap.n_levels]
+    return flags
+
+
 def run_experiment(spec: ExperimentSpec) -> list[Row]:
     """Execute a named experiment and return its rows."""
     return _EXPERIMENTS[spec.name](spec)
@@ -263,6 +287,10 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"ok: experiment={spec.name} modes={','.join(spec.modes)}")
         return 0
+    for value, mode, d, need, kept in _frozen(spec):
+        at = "" if value is None else f" at {spec.sweep.param}={value:g}"
+        print(f"warning: {mode} at {d:g} dB{at} is in the frozen regime: the threshold "
+              f"needs {need} lobes, the pattern keeps {kept}", file=sys.stderr)
     table = run_experiment(spec)
     try:
         emit_results(table, spec.output_path, spec.fmt)

@@ -134,9 +134,10 @@ def two_level_sum_cdf(values, probs, counts, outer=None):
 
 def table_difference(table_in, table_out, n_cells):
     """The cell-wise difference out - in of two analysis._step_table tables
-    on n_cells cells, row by row, as (cells, masses, counts) in their layout:
-    every cell where the two tables' masses differ. analysis._difference puts
-    the signed masses of two laws with shared gains on the lattice instead."""
+    on n_cells cells, row by row (both bounds' rows), as (cells, masses,
+    counts) in their layout: every cell where the two tables' masses differ.
+    analysis._difference puts the signed masses of two laws with shared gains
+    on the lattice instead."""
     width = n_cells + 1
     keys, masses = [], []
     for (cells, mass, counts), sign in ((table_out, 1.0), (table_in, -1.0)):

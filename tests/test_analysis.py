@@ -143,6 +143,7 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
     # route's 1023-cell lattice (_EXACT_CELLS) moves by up to 1.4e-4 inside
     # its 8e-3 bracket when the atoms move; 8191 cells keep that rounding out
     # of the comparison.
+    monkeypatch.setattr(analysis, "_EXACT_CELLS", 8191)
     small = scn.with_(array=replace(scn.array, n_antennas=n_antennas),
                       sector=replace(scn.sector, n_sectors=n_sectors),
                       mlap=replace(scn.mlap, n_levels=6))
@@ -158,7 +159,8 @@ def test_side_grid_converges(scn, monkeypatch, n_antennas, n_sectors):
                 assert abs(w.sum() - 1.0) < 1e-12
                 assert np.all(np.isfinite(g)) and np.all(w > 0)
         laws = [analysis._pinned_laws(theta, r, 3, small, "exact") for theta, r in focals]
-        bounds = np.array([[analysis._node_cp(1.0 / t, *law, small.n_active, [3], 8191)
+        bounds = np.array([[[b[0, 2] for b in analysis._node_cp(1.0 / t, *law,
+                                                                 small.n_active, "exact")]
                             for t in taus] for law in laws])
         return bounds.mean(axis=2)
 
@@ -255,7 +257,6 @@ def test_side_grid_matches_long_transform(scn, n_antennas, n_sectors):
     small = scn.with_(array=replace(scn.array, n_antennas=n_antennas),
                       sector=replace(scn.sector, n_sectors=n_sectors),
                       mlap=replace(scn.mlap, n_levels=6))
-    kappas = np.arange(1, small.n_active + 1)
     for theta, r in [(0.3, 20.0), (-0.9, 130.0)]:
         laws = {}
         for side in ("inner", "outer"):
@@ -269,9 +270,9 @@ def test_side_grid_matches_long_transform(scn, n_antennas, n_sectors):
         for db in (0.0, 10.0, 20.0):
             thr = 10.0 ** (-db / 10.0)
             got = analysis._node_cp(thr, laws["inner"][0], laws["outer"][0],
-                                    small.n_active, kappas, analysis._EXACT_CELLS)
+                                    small.n_active, "exact")
             want = analysis._node_cp(thr, laws["inner"][1], laws["outer"][1],
-                                     small.n_active, kappas, analysis._EXACT_CELLS)
+                                     small.n_active, "exact")
             for a, b in zip(got, want):
                 assert np.max(np.abs(a - b)) < 1e-12
 

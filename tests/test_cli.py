@@ -8,11 +8,11 @@ import pytest
 
 from helpers import fresnel_phase_gain
 from nfsg import TrialPlan, analysis, conditional_cp, sinr_equivalent_threshold
-from nfsg.cli import COLUMNS, Row, emit_results, main, run_experiment
+from nfsg.cli import COLUMNS, Row, _frozen, emit_results, main, run_experiment
 from nfsg.config import db_to_linear, parse_config
 from nfsg.errors import ConfigError
 from nfsg.montecarlo import conditional_interference_samples
-from nfsg.pattern import mlap_gain, mlap_levels
+from nfsg.pattern import m_star, mlap_gain, mlap_levels
 
 SMALL_SCENARIO = {
     "n_antennas": 32, "n_active": 5, "cell_radius_m": 60.0,
@@ -377,6 +377,46 @@ class TestMain:
 
     def test_missing_config_file(self):
         assert main(["run", "--config", "/no/such/file.json"]) == 2
+
+    def test_run_flags_frozen_rows_per_sweep_point(self, tmp_path, capsys):
+        # one stderr line per sweep point, quantized mode and threshold whose
+        # m_star passes the lobes kept; the table is the one run_experiment
+        # gives
+        doc = {"scenario": SMALL_SCENARIO, "experiment": "m-sweep",
+               "tau_grid_db": [5.0, 30.0], "sweep": {"param": "n_levels", "values": [1, 6]}}
+        cfg, out = tmp_path / "c.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps(doc))
+        spec = parse_config(json.dumps(doc))
+        need = [m_star(spec.scenario.array, spec.scenario.mlap, db_to_linear(d)).m
+                for d in (5.0, 30.0)]
+        assert need[0] <= 1 < 6 < need[1]
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: mlap at 30 dB at n_levels={m} is in the frozen regime: the "
+            f"threshold needs {need[1]} lobes, the pattern keeps {m}" for m in (1, 6)]
+        table = tmp_path / "t.csv"
+        emit_results(run_experiment(spec), str(table))
+        assert out.read_bytes() == table.read_bytes()
+
+
+class TestFrozenRegime:
+    def test_default_overall(self):
+        # at the baseline's 10 lobes, 35 and 40 dB need 12 and 20: every
+        # quantized route is frozen there, and nowhere else
+        spec = parse_config(json.dumps({"experiment": "overall",
+                                        "modes": ["exact", "mlap", "upper", "montecarlo"]}))
+        assert [(value, mode, d) for value, mode, d, *_ in _frozen(spec)] == [
+            (None, mode, d) for mode in ("mlap", "upper") for d in (35.0, 40.0)]
+
+    def test_criterion_9_grid(self):
+        # criterion 9 runs its quantized half at the lobe count m_star gives
+        # its largest threshold, so none of its thresholds is frozen
+        taus_db = [1e-3, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
+        spec = parse_config(json.dumps({"experiment": "overall", "modes": ["mlap", "upper"],
+                                        "tau_grid_db": taus_db,
+                                        "scenario": {"n_levels": 20}}))
+        assert m_star(spec.scenario.array, spec.scenario.mlap, db_to_linear(40.0)).m == 20
+        assert _frozen(spec) == []
 
 
 def test_overall_mlap_vs_mc_gap(tmp_path):

@@ -58,8 +58,8 @@ def _lattice_brackets(vals, probs, counts, kappa, w, shift_add_atoms=_SHIFT_ADD_
     exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, w, side="right")])
     law = vals, probs
     with _steps(shift_add_atoms):
-        lower, upper = _lattice_cp(w, law, law, counts + 1, [kappa], _MLAP_CELLS)
-    return float(lower[0, 0]), exact, float(upper[0, 0])
+        lower, upper = _lattice_cp(w, law, law, counts + 1, _MLAP_CELLS)
+    return float(lower[0, kappa - 1]), exact, float(upper[0, kappa - 1])
 
 
 def _law_rows(atoms, thr):
@@ -127,11 +127,11 @@ class TestSyntheticInversion:
             return max(np.count_nonzero((g <= thr) & (p > 0), axis=1).max()
                        for g, p in laws)
         assert kept(few) <= _SHIFT_ADD_ATOMS < kept(many)
-        kappas = [1, n_active]
+        orders = [0, n_active - 1]
         with _steps(0):
-            fft = _lattice_cp(thr, *many, n_active, kappas, _MLAP_CELLS)
-        for a, b in zip(_lattice_cp(thr, *few, n_active, kappas, _MLAP_CELLS), fft):
-            assert np.all(np.abs(a - b) <= ROUNDOFF)
+            fft = _lattice_cp(thr, *many, n_active, _MLAP_CELLS)
+        for a, b in zip(_lattice_cp(thr, *few, n_active, _MLAP_CELLS), fft):
+            assert np.all(np.abs(a[:, orders] - b[:, orders]) <= ROUNDOFF)
 
     @pytest.mark.parametrize("shift_add_atoms", [_SHIFT_ADD_ATOMS, 0],
                              ids=["shift_add", "fft"])
@@ -141,14 +141,14 @@ class TestSyntheticInversion:
         # gives the bounds of the unsplit law
         law = np.array([0.0, 0.12, 0.3, 0.55]), np.array([0.4, 0.3, 0.2, 0.1])
         split = np.array([0.0, 0.12, 0.3, 0.3, 0.55]), np.array([0.4, 0.3, 0.15, 0.05, 0.1])
-        for round_up in (True, False):
-            assert np.array_equal(_step_table(0.9, *split, round_up, _MLAP_CELLS)[2],
-                                  _step_table(0.9, *law, round_up, _MLAP_CELLS)[2])
-        kappas = [1, 3, 6]
+        # in the rows of both bounds
+        assert np.array_equal(_step_table(0.9, *split, _MLAP_CELLS)[2],
+                              _step_table(0.9, *law, _MLAP_CELLS)[2])
+        orders = [0, 2, 5]
         with _steps(shift_add_atoms):
-            bounds = [_lattice_cp(0.9, x, x, 6, kappas, _MLAP_CELLS) for x in (law, split)]
+            bounds = [_lattice_cp(0.9, x, x, 6, _MLAP_CELLS) for x in (law, split)]
         for a, b in zip(*bounds):
-            assert np.all(np.abs(a - b) <= ROUNDOFF)
+            assert np.all(np.abs(a[:, orders] - b[:, orders]) <= ROUNDOFF)
 
 
 def _ladders(delta_terms):
@@ -159,8 +159,8 @@ def _ladders(delta_terms):
 
 
 def _one_ladder():
-    """A spy on the difference path: one call per batch and bound that
-    takes it."""
+    """A spy on the difference path: one call per batch that takes it, its
+    rows those of both bounds."""
     return mock.patch.object(analysis, "_difference_cp", wraps=analysis._difference_cp)
 
 
@@ -196,13 +196,13 @@ def _dense(table):
 
 
 def _assert_difference(thr, inner, outer, n_active):
-    # in both bounds, the difference put on the lattice from the signed
-    # masses holds the cell-wise difference of the two sides' step tables
-    for round_up in (True, False):
-        got = analysis._difference(thr, inner, outer, round_up, n_active, _MLAP_CELLS)
-        want = table_difference(*(_step_table(thr, *law, round_up, _MLAP_CELLS)
-                                  for law in (inner, outer)), _MLAP_CELLS)
-        assert np.max(np.abs(_dense(got) - _dense(want)), initial=0.0) <= 1e-15
+    # in the rows of both bounds, the difference put on the lattice from the
+    # signed masses holds the cell-wise difference of the two sides' step
+    # tables
+    got = analysis._difference(thr, inner, outer, n_active, _MLAP_CELLS)
+    want = table_difference(*(_step_table(thr, *law, _MLAP_CELLS)
+                              for law in (inner, outer)), _MLAP_CELLS)
+    assert np.max(np.abs(_dense(got) - _dense(want)), initial=0.0) <= 1e-15
 
 
 class TestDifferencePath:
@@ -222,7 +222,7 @@ class TestDifferencePath:
         for db_val in EXPERIMENTS["overall"][0]:
             _assert_difference(10.0 ** (-db_val / 10.0), *laws, scn.n_active)
         exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
-        assert analysis._difference(1.0, *exact, True, SMALL.n_active, _EXACT_CELLS) is None
+        assert analysis._difference(1.0, *exact, SMALL.n_active, _EXACT_CELLS) is None
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(_moved_row(), min_size=1, max_size=3), n_active=st.integers(2, 16),
@@ -236,14 +236,11 @@ class TestDifferencePath:
         for r, (shares, inner, outer) in enumerate(rows):
             gains[r, :shares.size] = shares * thr
             p_in[r, :shares.size], p_out[r, :shares.size] = inner, outer
-        kappas = range(1, n_active + 1)
         with _one_ladder() as one:
-            got = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas,
-                              _MLAP_CELLS)
-        assert one.call_count == 2
+            got = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, _MLAP_CELLS)
+        assert one.call_count == 1
         with _ladders(0), _one_ladder() as one:
-            want = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, kappas,
-                               _MLAP_CELLS)
+            want = _lattice_cp(thr, (gains, p_in), (gains, p_out), n_active, _MLAP_CELLS)
         assert one.call_count == 0
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b) <= 1e-13)
@@ -258,9 +255,8 @@ class TestDifferencePath:
         law_out = law_in[0], np.array([0.0, 1.0])
         n_active = 8
         with _one_ladder() as one:
-            got = _lattice_cp(1.0, law_in, law_out, n_active, range(1, n_active + 1),
-                              _MLAP_CELLS)
-        assert one.call_count == 2
+            got = _lattice_cp(1.0, law_in, law_out, n_active, _MLAP_CELLS)
+        assert one.call_count == 1
         # with one outer interferer every inner one sits on gain 0; with
         # none, at most one of the n_active-1 inner ones is at 0.6
         exact = [0.0] * (n_active - 2) + [0.02 ** 6, 0.02 ** 7 + 7 * 0.98 * 0.02 ** 6]
@@ -283,17 +279,17 @@ class TestDifferencePath:
         exact = float(np.concatenate([[0.0], cdf])[np.searchsorted(xs, thr, side="right")])
         with _one_ladder() as one:
             lower, upper = _lattice_cp(thr, (shares * thr, inner), (shares * thr, outer),
-                                       n_active, [kappa], _MLAP_CELLS)
-        assert one.call_count == 2
-        assert lower[0, 0] - ROUNDOFF <= exact <= upper[0, 0] + ROUNDOFF
+                                       n_active, _MLAP_CELLS)
+        assert one.call_count == 1
+        assert lower[0, kappa - 1] - ROUNDOFF <= exact <= upper[0, kappa - 1] + ROUNDOFF
 
 
 class TestLadderChoice:
     def test_baseline_steps_one_ladder(self, scn):
         # every lattice batch of the baseline mlap location average, at every
         # default overall threshold, steps the inner ladder alone: n_active-1
-        # steps per batch and bound. Where every node is covered or frozen
-        # (35 and 40 dB) no lattice call is made
+        # steps per batch, its rows those of both bounds. Where every node is
+        # covered or frozen (35 and 40 dB) no lattice call is made
         laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
         batches = skipped = 0
         for db_val in EXPERIMENTS["overall"][0]:
@@ -301,15 +297,14 @@ class TestLadderChoice:
                     mock.patch.object(analysis, "_lattice_step",
                                       wraps=analysis._lattice_step) as step, \
                     _one_ladder() as one:
-                _node_cp(10.0 ** (-db_val / 10.0), *laws, scn.n_active,
-                         range(1, scn.n_active + 1), _MLAP_CELLS)
+                _node_cp(10.0 ** (-db_val / 10.0), *laws, scn.n_active, "mlap")
             if lattice.call_count == 0:
                 assert step.call_count == one.call_count == 0
                 skipped += 1
                 continue
             rows = lattice.call_args.args[1][1].shape[0]
             assert rows > 0
-            calls = 2 * -(-rows // (_BATCH_CELLS // (_MLAP_CELLS + 1)))
+            calls = -(-2 * rows // (_BATCH_CELLS // (_MLAP_CELLS + 1)))
             assert one.call_count == calls
             assert step.call_count == calls * (scn.n_active - 1)
             batches += calls
@@ -322,11 +317,12 @@ class TestLadderChoice:
         # its difference has too many cells
         exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
         for run, steps in (
-                (lambda: _node_cp(1.0, *exact, SMALL.n_active, [1, 2, 3], _EXACT_CELLS), None),
-                # a pinned user steps the inner CDF ladder to kappa-1 and the
-                # outer pmf to n_active-kappa, per bound
+                (lambda: _node_cp(1.0, *exact, SMALL.n_active, "exact"), None),
+                # a pinned user's two rows, one per bound, make one batch: it
+                # steps the inner CDF ladder and the outer pmf to power
+                # n_active-1 each
                 (lambda: _conditional_cp_bounds(10.0, 0.2, 20.0, 2, SMALL, "exact"),
-                 2 * ((2 - 1) + (SMALL.n_active - 2))),
+                 SMALL.n_active - 1),
                 (lambda: _conditional_cp_bounds(10.0, 0.1, scn.sector.cell_radius,
                                                 scn.n_active, scn, "mlap"), None)):
             with mock.patch.object(analysis, "_lattice_step",
@@ -334,15 +330,17 @@ class TestLadderChoice:
                     _one_ladder() as one:
                 run()
             assert step.call_count > 0 and one.call_count == 0
-            assert steps is None or step.call_count == steps
+            # the outer pmf steps in place
+            walk = sum(c.args[0] is c.args[3] for c in step.call_args_list)
+            assert steps is None or (step.call_count - walk, walk) == (steps, steps)
         # so does a difference with more terms than _DELTA_TERMS per step
         # saved: a difference of three cells has C(n_active+2, 3) terms, 969
         # at 17 users (64 x 16 = 1024) and 1140 at 18 (64 x 17 = 1088)
         law = np.array([0.0, 0.3, 0.5]), np.array([0.5, 0.25, 0.25])
         moved = law[0], np.array([0.49, 0.255, 0.255])
-        for n_active, calls in ((17, 2), (18, 0)):
+        for n_active, calls in ((17, 1), (18, 0)):
             with _one_ladder() as one:
-                _lattice_cp(1.0, law, moved, n_active, [1, n_active], _MLAP_CELLS)
+                _lattice_cp(1.0, law, moved, n_active, _MLAP_CELLS)
             assert one.call_count == calls
 
     def test_mixed_batch(self):
@@ -353,15 +351,16 @@ class TestLadderChoice:
         p_in = np.array([[0.4, 0.2, 0.2, 0.1, 0.1], [0.4, 0.2, 0.2, 0.1, 0.1]])
         p_out = np.array([[0.39, 0.21, 0.2, 0.1, 0.1], [0.1, 0.1, 0.2, 0.2, 0.4]])
         laws = ((np.tile(gains, (2, 1)), p_in), (np.tile(gains, (2, 1)), p_out))
-        n_active, kappas = 6, range(1, 7)
+        n_active = 6
         with _one_ladder() as one, mock.patch.object(
                 analysis, "_lattice_step", wraps=analysis._lattice_step) as step:
-            got = _lattice_cp(1.0, *laws, n_active, kappas, _MLAP_CELLS)
-        # per bound: n_active-1 inner CDF steps and n_active-1 outer pmf steps
-        assert one.call_count == 2
-        assert step.call_count == 2 * 2 * (n_active - 1)
+            got = _lattice_cp(1.0, *laws, n_active, _MLAP_CELLS)
+        # one batch of both bounds' rows: n_active-1 inner CDF steps and
+        # n_active-1 outer pmf steps
+        assert one.call_count == 1
+        assert step.call_count == 2 * (n_active - 1)
         with _ladders(0):
-            want = _lattice_cp(1.0, *laws, n_active, kappas, _MLAP_CELLS)
+            want = _lattice_cp(1.0, *laws, n_active, _MLAP_CELLS)
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b) <= 1e-13)
 
@@ -372,14 +371,15 @@ class TestLadderChoice:
         gains = np.array([0.0, 0.01, 2.0])
         law = gains, np.array([0.949, 0.05, 0.001])
         moved = gains, np.array([0.949, 0.0501, 0.0009])
-        for n_active, calls in ((1030, 2), (1100, 0)):
-            kappas = [1, n_active // 2, n_active]
+        for n_active, calls in ((1030, 1), (1100, 0)):
+            orders = [0, n_active // 2 - 1, n_active - 1]
             with _one_ladder() as one:
-                got = _lattice_cp(1.0, law, moved, n_active, kappas, _MLAP_CELLS)
+                got = _lattice_cp(1.0, law, moved, n_active, _MLAP_CELLS)
             assert one.call_count == calls
             with _ladders(0):
-                want = _lattice_cp(1.0, law, moved, n_active, kappas, _MLAP_CELLS)
+                want = _lattice_cp(1.0, law, moved, n_active, _MLAP_CELLS)
             for a, b in zip(got, want):
+                a, b = a[:, orders], b[:, orders]
                 assert np.all(a > 0.1)
                 assert np.all(np.abs(a - b) <= 1e-11 * b)
 
@@ -390,7 +390,7 @@ sys.path.insert(0, sys.argv[1])
 from nfsg import analysis, default_scenario
 scn = default_scenario()
 laws = analysis._anchor_laws(scn.array, scn.sector, scn.mlap, False)
-args = (10.0 ** -1.5, *laws, scn.n_active, range(1, scn.n_active + 1), analysis._MLAP_CELLS)
+args = (10.0 ** -1.5, *laws, scn.n_active, "mlap")
 analysis._node_cp(*args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 analysis._node_cp(*args)
@@ -406,8 +406,10 @@ def test_location_average_reuses_its_memory():
     # batch and bound made the allocator hand it back and fault it in
     # again: 16,592 minor faults for this call, against about 250 with one
     # ladder per call. With one ladder, four step tables and one window
-    # buffer per call it takes about 230 when the buffer holds two lattice
-    # widths per row and about 255 when it held three. A fresh interpreter
+    # buffer per call it took about 230 when the buffer held two lattice
+    # widths per row and about 255 when it held three. With two step tables,
+    # each holding both bounds, it takes about 253, against 241 with one
+    # table per side and bound on the same lattice. A fresh interpreter
     # keeps other tests' allocations out of the count.
     src = str(Path(analysis.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, src],
@@ -518,6 +520,25 @@ class TestConditionalCp:
                 cp = conditional_cp(tau, anchor.theta, anchor.r, kappa, scn, "exact")
                 assert abs(cp - mc) < 0.02, (kappa, db_val, cp, mc)
 
+    def test_exact_lower_bound_wherever_the_inner_mass_lies(self):
+        # the inner side grid puts the mass inside r_k sqrt(_INNER_MASS_TOL)
+        # into its gain-0 bin. Moved above thr, where it uncovers the user,
+        # that mass gives the least lattice lower bound that the grid allows,
+        # and the route's own lower bound must not exceed it, at every order
+        g, w = _side_grid(SMALL.array, SMALL.sector, SMALL.mlap, "inner", 0.2, 20.0)
+        outer = [a[None] for a in _side_grid(SMALL.array, SMALL.sector, SMALL.mlap,
+                                             "outer", 0.2, 20.0)]
+        tol = analysis._INNER_MASS_TOL
+        assert g[0] <= analysis._CLUSTER_ABS and w[0] > tol
+        for db_val in (0.0, 10.0, 20.0):
+            thr = 10.0 ** (-db_val / 10.0)
+            moved = np.append(g, 2.0 * thr), np.append(w, tol)
+            moved[0][0], moved[1][0] = g[0] * w[0] / (w[0] - tol), w[0] - tol
+            least, _ = _lattice_cp(thr, [a[None] for a in moved], outer, SMALL.n_active,
+                                   _EXACT_CELLS)
+            lower, _ = _node_cp(thr, (g[None], w[None]), outer, SMALL.n_active, "exact")
+            assert np.all(lower <= least + ROUNDOFF), db_val
+
     def test_many_users_against_model_sampling(self, scn, rng):
         # n_active = 64: 63 quantized interferer gains per trial, checked with
         # the confidence interval of the exact-route agreement test
@@ -626,8 +647,9 @@ class TestSinr:
 
 def test_one_step_table_per_side_and_bound(scn, monkeypatch):
     # the location average of the baseline scenario runs its 280 nodes in
-    # many lattice batches, all cut from one table per side and bound; one
-    # bound's two tables are gone before the other bound builds its own
+    # many lattice batches, all cut from one table per side, which holds
+    # both bounds: the inner law's and the difference's, and no other table
+    # is alive when either is built
     tables = []
     build = analysis._step_table
 
@@ -640,8 +662,8 @@ def test_one_step_table_per_side_and_bound(scn, monkeypatch):
     monkeypatch.setattr(analysis, "_step_table", spy)
     inner, outer = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
     assert inner[0].shape[0] > 2 * (_BATCH_CELLS // (_MLAP_CELLS + 1))
-    _node_cp(0.1, inner, outer, scn.n_active, range(1, scn.n_active + 1), _MLAP_CELLS)
-    assert len(tables) == 4
+    _node_cp(0.1, inner, outer, scn.n_active, "mlap")
+    assert len(tables) == 2
 
 
 # A lattice fine enough to stand in for the lattice-free CP of the baseline
@@ -655,9 +677,9 @@ def fine_nodes(scn):
     average at each default overall threshold, for every order, on
     _FINE_CELLS cells."""
     laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
-    kappas = range(1, scn.n_active + 1)
-    return [(tau, *_node_cp(1.0 / tau, *laws, scn.n_active, kappas, _FINE_CELLS))
-            for tau in (10.0 ** (d / 10.0) for d in EXPERIMENTS["overall"][0])]
+    with mock.patch.object(analysis, "_MLAP_CELLS", _FINE_CELLS):
+        return [(tau, *_node_cp(1.0 / tau, *laws, scn.n_active, "mlap"))
+                for tau in (10.0 ** (d / 10.0) for d in EXPERIMENTS["overall"][0])]
 
 
 class TestLatticeSize:
@@ -682,9 +704,8 @@ class TestLatticeSize:
         # half-width; the location average weighs the nodes with positive
         # weights, so every overall row's bracket holds it too
         laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
-        kappas = range(1, scn.n_active + 1)
         for tau, fine_lower, fine_upper in fine_nodes:
-            lower, upper = _node_cp(1.0 / tau, *laws, scn.n_active, kappas, _MLAP_CELLS)
+            lower, upper = _node_cp(1.0 / tau, *laws, scn.n_active, "mlap")
             mid, half = 0.5 * (fine_lower + fine_upper), 0.5 * (fine_upper - fine_lower)
             assert np.all(lower - half - ROUNDOFF <= mid), tau
             assert np.all(mid <= upper + half + ROUNDOFF), tau
@@ -761,8 +782,7 @@ class TestOverall:
         inner, outer = _anchor_laws(many.array, many.sector, many.mlap, False)
         kappas = np.arange(1, many.n_active + 1)
         for tau in (3.0, 100.0):
-            lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, kappas,
-                                    _MLAP_CELLS)
+            lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, "mlap")
             assert np.all(lower >= 0.0) and np.all(upper <= 1.0)
             assert np.all(lower <= upper + ROUNDOFF)
             cps = overall_cp(tau, kappas, many, "mlap")
@@ -827,10 +847,8 @@ class TestOverall:
         inner, outer = _anchor_laws(model.array, model.sector, model.mlap, mode == "exact")
         if mode == "exact":
             assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
-        kappas = range(1, model.n_active + 1)
         thrs = [10.0 ** (-d / 10.0) for d in db_vals]
-        cells = _EXACT_CELLS if mode == "exact" else _MLAP_CELLS
-        stacked = [_node_cp(thr, inner, outer, model.n_active, kappas, cells) for thr in thrs]
+        stacked = [_node_cp(thr, inner, outer, model.n_active, mode) for thr in thrs]
         th, _, r, _ = _anchor_nodes(model.sector)
         for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
             if mode == "exact":
@@ -840,6 +858,6 @@ class TestOverall:
             else:
                 own = [(g[row:row + 1], p[row:row + 1]) for g, p in (inner, outer)]
             for thr, (lower, upper) in zip(thrs, stacked):
-                lo, up = _node_cp(thr, *own, model.n_active, kappas, cells)
+                lo, up = _node_cp(thr, *own, model.n_active, mode)
                 assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12
                 assert np.max(np.abs(upper[row] - up[0])) <= 1e-12
