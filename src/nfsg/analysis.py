@@ -31,13 +31,14 @@ every user order at a finite tau (at tau = +inf conditional CP is 0 before
 any law is built), the mode picking the route: 1 where every interferer
 clears 1/tau, the all-interferers-at-zero probability where no gain falls in
 (0, 1/tau] (the frozen region), the closed-form product for the upper bound,
-and the lattice bounds below for the rest. A pinned user reads its own order
-from it. The location average runs it on the quadrature nodes once per
-threshold, in every mode on the node laws of _anchor_laws (the quantized
-laws or the side grids, built once per array, sector and pattern), and
-weighs the orders asked with one broadcast call of the order-statistic law.
-Every call gives every order, so an order's CP cannot depend on the others
-asked.
+and the lattice bounds below for the rest. Its node laws come from one
+cached builder, _node_laws: the quantized laws, or the side grids for
+'exact', of a tuple of focal nodes, built once per array, sector, pattern
+and nodes. A pinned user is a one-node call and reads its own order. The
+location average makes one call with its quadrature nodes, runs _node_cp on
+them once per threshold and weighs the orders asked with one broadcast call
+of the order-statistic law. Every call gives every order, so an order's CP
+cannot depend on the others asked.
 
 Both routes recover the CDF with one truncated lattice convolution (the
 compound-sum technique of Panjer recursion and FFT aggregation). Gains are
@@ -82,15 +83,15 @@ bracket covers the lattice rounding and the inner mass that the side grid
 puts at gain 0, not the other errors of the side grid: its cells and its
 gain bins.
 
-A user pinned at (theta_k, r_k) gets both sides' laws, in every mode, from
-one builder. It checks the mode, then the user with geometry._pinned_user,
-which Monte Carlo's conditional sampler runs too: order, sector (NaN lies
-outside), supports (a side that holds an interferer needs room for it, so
-r_k = 0 is rejected with inner interferers and the cell edge with outer
-ones), then the focus (a beam focused on the array has no beam depth).
-Neither side's law depends on the threshold: the quantized laws, like the
-side grids, are built once per focal point and pattern, while the checks run
-on every call.
+A user pinned at (theta_k, r_k) is checked on every call, before the
+builder hands out its cached laws: the mode, then the user with
+geometry._pinned_user, which Monte Carlo's conditional sampler runs too:
+order, sector (NaN lies outside), supports (a side that holds an interferer
+needs room for it, so r_k = 0 is rejected with inner interferers and the
+cell edge with outer ones), then the focus (a beam focused on the array has
+no beam depth). In every mode a side that holds no interferer has all its
+mass at gain 0 (the zero level g_{M+1} of the quantized laws), and nothing
+is built for it.
 
 The closed-form upper bound is the probability that every interferer's
 quantized gain stays below 1/tau, one factor per interferer. It is the third
@@ -129,11 +130,12 @@ def _pinned_sides(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConf
 
 
 def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
-                theta_k, r_k) -> tuple[np.ndarray, ...]:
+                theta_k, r_k, sides: tuple[bool, bool]) -> tuple[np.ndarray, ...]:
     """Quantized laws (g, p_in, p_out) of the beams focused on the points
     (theta_k, r_k), two equal-length arrays, each shaped (rows, M+2): the
     levels g_0..g_{M+1} and the probability that one inner / outer
-    interferer lands on each of them.
+    interferer lands on each of them. A side that sides marks as holding no
+    interferer has all its mass on the zero level g_{M+1}.
 
     Only g_0, through the asymptotic gain, and the beam-depth edges depend on
     the focal point; the first point's mlap_levels gives its g_0, the other
@@ -158,7 +160,9 @@ def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
     # lobe i >= 2 covers the band (i-1)/N..i/N on either side of vk
     a_side = band[:, m + 1:] + band[:, :m - 1][:, ::-1]
 
-    def law(side):
+    def law(side, used):
+        if not used:
+            return np.tile(np.eye(m + 2)[-1], (r_k.size, 1))
         f_left = conditional_cdf_extended(side, depth.d_left, r_k, sector)
         f_right = conditional_cdf_extended(side, depth.d_right, r_k, sector)
         p = np.clip(np.column_stack([a_main * (1.0 - f_right),
@@ -166,25 +170,24 @@ def _level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
         rest = np.maximum(0.0, 1.0 - np.cumsum(p, axis=1)[:, -1])
         return np.column_stack([p, rest])
 
-    return g, law("inner"), law("outer")
+    return g, law("inner", sides[0]), law("outer", sides[1])
 
 
-@lru_cache(maxsize=8)
-def _anchor_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
-                 exact: bool):
-    """(inner, outer) gain laws (g, p) of one interferer at the location-average
-    nodes, angle-major, each shaped (nodes, m): each node's side grids if
-    exact, its quantized laws otherwise. They depend on neither the threshold
-    nor the user count, so one build serves every call on an array, sector
-    and pattern. The side grids differ in length; each row is padded to the
-    widest of its side with zero-mass atoms at gain 0, which change no
-    bound."""
-    th, _, r, _ = _anchor_nodes(sector)
-    theta_k, r_k = np.repeat(th, r.size), np.tile(r, th.size)
+@lru_cache(maxsize=32)
+def _node_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig, exact: bool,
+               theta_k: tuple, r_k: tuple, sides: tuple[bool, bool]):
+    """(inner, outer) gain laws (g, p) of one interferer at the focal nodes
+    (theta_k, r_k), read-only, each shaped (nodes, m): each node's side grids
+    if exact, its quantized laws otherwise. A side that sides marks as
+    holding no interferer gets all its mass at gain 0, and nothing is built
+    for it. The laws depend on neither the threshold nor the user count, so
+    one build serves every call on an array, sector, pattern and nodes. The
+    side grids differ in length; each row is padded to the widest of its side
+    with zero-mass atoms at gain 0, which change no bound."""
     if exact:
         laws = []
-        for side in ("inner", "outer"):
-            grids = [_side_grid(array, sector, mlap, side, float(t), float(d))
+        for side, used in zip(("inner", "outer"), sides):
+            grids = [_side_grid(array, sector, mlap, side, t, d) if used else _EMPTY_SIDE
                      for t, d in zip(theta_k, r_k)]
             g = np.zeros((len(grids), max(gains.size for gains, _ in grids)))
             p = np.zeros_like(g)
@@ -192,7 +195,8 @@ def _anchor_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
                 g[row, :gains.size], p[row, :gains.size] = gains, w
             laws.append((g, p))
     else:
-        g, p_in, p_out = _level_laws(array, sector, mlap, theta_k, r_k)
+        g, p_in, p_out = _level_laws(array, sector, mlap, np.array(theta_k), np.array(r_k),
+                                     sides)
         laws = [(g, p_in), (g, p_out)]
     for law in laws:
         for a in law:
@@ -202,44 +206,21 @@ def _anchor_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
 
 def _pinned_laws(theta_k: float, r_k: float, kappa: int, scenario: ScenarioConfig,
                  mode: str):
-    """(inner, outer) gain laws (g, p) of one interferer, each shaped (1, m),
-    for user kappa fixed at (theta_k, r_k): side grids for 'exact', quantized
-    laws otherwise. An exact side with no interferer gets the all-zero law
-    and no grid. The user is checked on every call, before any cached law is
-    handed out."""
-    inner, outer = _pinned_sides(theta_k, r_k, kappa, scenario, mode)
-    key = scenario.array, scenario.sector, scenario.mlap
-    if mode == "exact":
-        sides = [_side_grid(*key, side, theta_k, r_k) if used else _EMPTY_SIDE
-                 for side, used in (("inner", inner), ("outer", outer))]
-        return tuple((g[None], w[None]) for g, w in sides)
-    return _pinned_level_laws(*key, float(theta_k), float(r_k))
-
-
-@lru_cache(maxsize=32)
-def _pinned_level_laws(array: ArrayConfig, sector: SectorGeometry, mlap: MlapConfig,
-                       theta_k: float, r_k: float):
-    """The quantized (inner, outer) laws of _pinned_laws, read-only. They
-    depend on neither the threshold nor the user order, so one build serves
-    every threshold of a pinned user. On the cell edge the outer law is 0/0;
-    that side then holds no interferer, so its mass is parked on the zero
-    level."""
-    with np.errstate(invalid="ignore"):
-        g, p_in, p_out = _level_laws(array, sector, mlap, np.array([theta_k]),
-                                     np.array([r_k]))
-    if r_k == sector.cell_radius:
-        p_out = np.zeros_like(p_out)
-        p_out[:, -1] = 1.0
-    for a in (g, p_in, p_out):
-        a.flags.writeable = False
-    return (g, p_in), (g, p_out)
+    """The _node_laws of user kappa fixed at (theta_k, r_k), each shaped
+    (1, m): side grids for 'exact', quantized laws otherwise. The user is
+    checked on every call, before any cached law is handed out."""
+    sides = _pinned_sides(theta_k, r_k, kappa, scenario, mode)
+    return _node_laws(scenario.array, scenario.sector, scenario.mlap, mode == "exact",
+                      (float(theta_k),), (float(r_k),), sides)
 
 
 def level_probabilities(theta_k: float, r_k: float, kappa: int,
                         scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(p_in, p_out): the probability that one inner / outer interferer lands
     on each quantized gain level g_0..g_{M+1} of the beam focused on
-    (theta_k, r_k)."""
+    (theta_k, r_k). A side that holds no interferer, the inner one of
+    kappa = 1 or the outer one of the last user on the cell edge, has all
+    its mass on the zero level g_{M+1}."""
     (_, p_in), (_, p_out) = _pinned_laws(theta_k, r_k, kappa, scenario, "mlap")
     return p_in[0].copy(), p_out[0].copy()
 
@@ -911,7 +892,7 @@ def _anchor_nodes(sec: SectorGeometry):
 def overall_cp(tau: float, kappa, scenario: ScenarioConfig, mode: str = "mlap"):
     """Coverage averaged over the kappa-th user's ordered location law: a
     float for one order, an array of kappa's shape for an array of orders.
-    The node laws come from `_anchor_laws`, and one `_node_cp` and one
+    The node laws come from `_node_laws`, and one `_node_cp` and one
     `ordered_distance_dist` call serve every order. tau = +inf has no finite
     rate and is rejected."""
     if not 0 < tau < math.inf:
@@ -924,7 +905,9 @@ def overall_cp(tau: float, kappa, scenario: ScenarioConfig, mode: str = "mlap"):
     if n_active > 1:
         orders = kap.ravel()
         th, w_th, r, w_r = _anchor_nodes(sec)
-        laws = _anchor_laws(scenario.array, sec, scenario.mlap, mode == "exact")
+        laws = _node_laws(scenario.array, sec, scenario.mlap, mode == "exact",
+                          tuple(np.repeat(th, r.size).tolist()),
+                          tuple(np.tile(r, th.size).tolist()), (True, True))
         lower, upper = _node_cp(1.0 / tau, *laws, n_active, mode)
         cp_nodes = (0.5 * (lower + upper))[:, orders - 1].reshape(th.size, r.size,
                                                                   orders.size)

@@ -13,8 +13,9 @@ Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
 std_error). All thresholds cross the CLI boundary in dB and are converted to
 linear here, with `config.db_to_linear`. `run` writes one stderr line for
-each mlap or upper threshold, per sweep point, that lies in the quantized
-pattern's frozen regime (`_frozen`); the table does not change.
+each finite threshold that an mlap or upper row evaluates, per sweep point,
+that lies in the quantized pattern's frozen regime (`_frozen`), naming a
+cp_sinr row's SINR-equivalent threshold; the table does not change.
 NFSG_THREADS sets the worker count of the Monte Carlo block pool
 (`montecarlo._map_blocks`), which runs the trial blocks of each Monte Carlo
 estimate; the points of an ASE sweep run one after another. The output does
@@ -111,15 +112,20 @@ def _rows_polar_heatmap(spec: ExperimentSpec) -> list[Row]:
     return rows
 
 
+def _cond_cp_thresholds(spec: ExperimentSpec, scn) -> list[tuple[str, float, float]]:
+    """(metric, tau_db, threshold) of every cond-cp row at scn, one grid for
+    every route: each tau, then, with noise, its SINR-equivalent threshold,
+    since the pinned user's noise term is a constant; it is +inf, never met,
+    where the noise alone uses up 1/tau."""
+    metrics = ("cp", "cp_sinr") if scn.noise_power > 0 else ("cp",)
+    return [(m, d, db_to_linear(d) if m == "cp" else analysis.sinr_equivalent_threshold(
+        db_to_linear(d), spec.anchor.r, scn)) for d in spec.tau_grid_db for m in metrics]
+
+
 def _cond_cp_rows(spec: ExperimentSpec, scn) -> list[Row]:
     f = spec.anchor
-    # one threshold grid for every route: each tau, then, with noise, its
-    # SINR-equivalent threshold, since the pinned user's noise term is a
-    # constant; it is +inf, never met, where the noise alone uses up 1/tau
-    metrics = ("cp", "cp_sinr") if scn.noise_power > 0 else ("cp",)
-    keys = [(m, d) for d in spec.tau_grid_db for m in metrics]
-    grid = [db_to_linear(d) if m == "cp" else
-            analysis.sinr_equivalent_threshold(db_to_linear(d), f.r, scn) for m, d in keys]
+    keys = _cond_cp_thresholds(spec, scn)
+    grid = [t for _, _, t in keys]
     rows = []
     for mode in spec.modes:
         if mode == "montecarlo":
@@ -129,7 +135,7 @@ def _cond_cp_rows(spec: ExperimentSpec, scn) -> list[Row]:
             est = [(analysis.conditional_cp(t, f.theta, f.r, spec.kappa, scn, mode), None)
                    for t in grid]
         rows += [Row(spec.name, mode, None, None, spec.kappa, d, metric, *e)
-                 for (metric, d), e in zip(keys, est)]
+                 for (metric, d, _), e in zip(keys, est)]
     return rows
 
 
@@ -191,12 +197,14 @@ _EXPERIMENTS = {
 
 
 def _frozen(spec: ExperimentSpec) -> list[tuple]:
-    """(sweep value, mode, tau_db, lobes needed, lobes kept) for every mlap
-    or upper threshold, per sweep point, that needs more lobes (m_star) than
-    the pattern keeps. The lobes beyond the kept ones have gain 0, so there
-    the quantized route reports its frozen regime, little more than the
-    chance that every interferer sits on gain 0. pattern-cut and
-    polar-heatmap rows have no threshold."""
+    """(sweep value, mode, tau_db, metric, threshold in dB, lobes needed,
+    lobes kept) for every finite threshold that an mlap or upper row
+    evaluates (tau_db for cp, its SINR-equivalent threshold for cp_sinr),
+    per sweep point, that needs more lobes (m_star) than the pattern keeps.
+    The lobes beyond the kept ones have gain 0, so there the quantized route
+    reports its frozen regime, little more than the chance that every
+    interferer sits on gain 0; at an infinite threshold CP is 0 instead.
+    pattern-cut and polar-heatmap rows have no threshold."""
     modes = [m for m in spec.modes if m in ("mlap", "upper")]
     if not modes or spec.name in ("pattern-cut", "polar-heatmap"):
         return []
@@ -204,10 +212,13 @@ def _frozen(spec: ExperimentSpec) -> list[tuple]:
               else [(None, spec.scenario)])
     flags = []
     for value, scn in points:
-        need = [(d, m_star(scn.array, scn.mlap, db_to_linear(d)).m)
-                for d in spec.tau_grid_db]
-        flags += [(value, mode, d, m, scn.mlap.n_levels) for mode in modes
-                  for d, m in need if m > scn.mlap.n_levels]
+        # only cond-cp reads the noise: m-sweep's cp rows drop it
+        grid = _cond_cp_thresholds(spec, scn if spec.name == "cond-cp"
+                                   else scn.with_(noise_power=0.0))
+        need = [(d, metric, 10.0 * math.log10(t), m_star(scn.array, scn.mlap, t).m)
+                for metric, d, t in grid if t < math.inf]
+        flags += [(value, mode, d, metric, t_db, m, scn.mlap.n_levels) for mode in modes
+                  for d, metric, t_db, m in need if m > scn.mlap.n_levels]
     return flags
 
 
@@ -287,9 +298,11 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"ok: experiment={spec.name} modes={','.join(spec.modes)}")
         return 0
-    for value, mode, d, need, kept in _frozen(spec):
+    for value, mode, d, metric, t_db, need, kept in _frozen(spec):
         at = "" if value is None else f" at {spec.sweep.param}={value:g}"
-        print(f"warning: {mode} at {d:g} dB{at} is in the frozen regime: the threshold "
+        row, threshold = ((mode, "the threshold") if metric == "cp" else
+                          (f"{mode} {metric}", f"its SINR-equivalent threshold {t_db:.2f} dB"))
+        print(f"warning: {row} at {d:g} dB{at} is in the frozen regime: {threshold} "
               f"needs {need} lobes, the pattern keeps {kept}", file=sys.stderr)
     table = run_experiment(spec)
     try:

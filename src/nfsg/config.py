@@ -7,8 +7,8 @@ Wavelength and spacing are derived from the carrier frequency and are not
 settable. An omitted threshold grid or sweep takes the experiment's default
 from EXPERIMENTS. Only the four sweep experiments take a `sweep` block, and
 only on their own parameter; every scenario a sweep runs is built here. Each
-experiment takes only the modes it runs, and its default modes are those of
-the default list that it runs.
+experiment takes only the modes it runs, each at most once, and its default
+modes are those of the default list that it runs.
 Unknown keys and inputs outside the model are rejected with their path.
 The anchor, and the kappa of cond-cp and m-sweep, are checked by
 geometry._pinned_user, the rule every route runs.
@@ -281,6 +281,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
             raise ConfigError("modes", f"unknown mode {mode!r}")
         if mode not in runs:
             raise ConfigError("modes", f"{name} runs only {', '.join(runs)}")
+        if modes.count(mode) > 1:
+            raise ConfigError("modes", f"{mode!r} is listed more than once")
 
     tau_grid = _build_tau_grid(doc.get("tau_grid_db"), name)
 

@@ -158,6 +158,16 @@ def table_difference(table_in, table_out, n_cells):
     return cells, diff, counts
 
 
+def anchor_laws(scenario, exact: bool):
+    """The (inner, outer) laws that overall_cp gives _node_cp: analysis._node_laws
+    at the location average's nodes, angle-major, both sides holding
+    interferers."""
+    th, _, r, _ = analysis._anchor_nodes(scenario.sector)
+    return analysis._node_laws(scenario.array, scenario.sector, scenario.mlap, exact,
+                               tuple(np.repeat(th, r.size).tolist()),
+                               tuple(np.tile(r, th.size).tolist()), (True, True))
+
+
 def reference_side_grid(arr, sec, mlap, side, theta_k, r_k):
     """(g, w) of analysis._side_grid built the long way: one zero-padded
     inverse FFT of length P N per beta node, every cell binned, mass or not.

@@ -54,13 +54,18 @@ class TestLevelProbabilities:
             freq = np.bincount(idx, minlength=p.size) / idx.size
             assert np.max(np.abs(freq - p)) < 0.006
 
-    def test_cell_edge_parks_outer_side(self, scn):
-        # the last user on the cell edge has no outer law and needs none
+    @pytest.mark.parametrize("kappa", [15, 1], ids=["cell_edge_outer", "first_inner"])
+    def test_empty_side_parked_on_zero_level(self, scn, kappa):
+        # a side that holds no interferer has no law and needs none: all its
+        # mass sits on the zero level. So it is for the outer side of the
+        # last user on the cell edge and the inner side of the first user
         m = scn.mlap.n_levels
-        p_in, p_out = level_probabilities(0.0, scn.sector.cell_radius, scn.n_active, scn)
-        assert p_out.tolist() == [0.0] * (m + 1) + [1.0]
-        assert abs(p_in.sum() - 1.0) < 1e-9
-        assert np.all((0.0 <= p_in) & (p_in <= 1.0))
+        r = scn.sector.cell_radius if kappa == scn.n_active else ANCHOR.r
+        laws = level_probabilities(0.0, r, kappa, scn)
+        empty, used = laws if kappa == 1 else laws[::-1]
+        assert empty.tolist() == [0.0] * (m + 1) + [1.0]
+        assert abs(used.sum() - 1.0) < 1e-9
+        assert np.all((0.0 <= used) & (used <= 1.0))
 
     def test_degenerate_errors(self, scn):
         with pytest.raises(DegenerateSupportError):

@@ -130,10 +130,10 @@ class TestExperiments:
 
     def test_cond_cp_builds_levels_once(self):
         # the pinned user's quantized laws do not depend on the threshold:
-        # the default grid's nine thresholds build them once, and they are
-        # handed out read-only
+        # the default grid's nine thresholds build them once, in the one
+        # cache of node laws, and they are handed out read-only
         spec = parse_config(json.dumps({"experiment": "cond-cp", "modes": ["mlap"]}))
-        analysis._pinned_level_laws.cache_clear()
+        analysis._node_laws.cache_clear()
         with mock.patch.object(analysis, "_level_laws", wraps=analysis._level_laws) as build:
             rows = run_experiment(spec)
         assert build.call_count == 1 and len(rows) == len(spec.tau_grid_db) == 9
@@ -399,7 +399,91 @@ class TestMain:
         assert out.read_bytes() == table.read_bytes()
 
 
+# the overall mlap and upper table at N = 256 with 15 users and 9
+# thresholds, its scenario pinned as in the overall-analytic benchmark
+ANALYTIC = {"experiment": "overall", "modes": ["mlap", "upper"],
+            "tau_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
+            "scenario": {"n_antennas": 256, "carrier_freq_hz": 28e9, "n_sectors": 3,
+                         "cell_radius_m": 150.0, "los_radius_m": 150.0, "n_active": 15}}
+
+
+class TestAnalyticTable:
+    def test_threads_and_json_lines(self, tmp_path, monkeypatch):
+        # The location average cuts every lattice batch out of one step
+        # table per side, which holds both bounds; no thread count may change
+        # a row of it. Both output formats read each row's fields in column
+        # order, and the JSON lines must hold the CSV rows: equal floats, and
+        # an empty CSV cell wherever JSON has null.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(ANALYTIC))
+        for threads, fmt in (("1", "csv"), ("2", "csv"), ("1", "jsonl")):
+            monkeypatch.setenv("NFSG_THREADS", threads)
+            assert main(["run", "--config", str(cfg), "--format", fmt,
+                         "--out", str(tmp_path / f"t{threads}.{fmt}")]) == 0
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+        with open(tmp_path / "t1.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        objs = [json.loads(line) for line in (tmp_path / "t1.jsonl").read_text().splitlines()]
+        assert tuple(header) == COLUMNS and len(rows) == len(objs) == 9 * 2 * 31
+        for cells, obj in zip(rows, objs):
+            assert tuple(obj) == COLUMNS
+            for cell, value in zip(cells, obj.values()):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, float):
+                    assert float(cell) == value
+                else:
+                    assert cell == str(value)
+
+    def test_without_difference_path(self, tmp_path):
+        # Every mlap batch steps one ladder, the inner law's CDF powers, and
+        # sums the outer law's difference from it (the difference path).
+        # Switched off, every batch walks the outer law's pmf powers against
+        # the same ladder, for every order; every row must agree to
+        # round-off.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(ANALYTIC))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "one.csv")]) == 0
+        with mock.patch.object(analysis, "_DELTA_TERMS", 0):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "two.csv")]) == 0
+        one, two = (list(csv.DictReader(open(tmp_path / name))) for name in ("one.csv", "two.csv"))
+        assert len(one) == len(two) == 9 * 2 * 31
+        for a, b in zip(one, two):
+            assert {**a, "value": None} == {**b, "value": None}
+            x, y = float(a["value"]), float(b["value"])
+            assert abs(x - y) <= 1e-14 * max(abs(x), abs(y)), (a, b)
+
+
 class TestFrozenRegime:
+    def test_noisy_cond_cp(self, tmp_path, capsys):
+        # a cp_sinr row evaluates the SINR-equivalent threshold, which the
+        # noise lifts above tau: at 30 dB it is 35.63 dB, which needs 12
+        # lobes of the 10 kept. At 35 and 40 dB it is +inf, where CP is 0,
+        # not frozen; the cp rows there are flagged as without noise
+        doc = {"experiment": "cond-cp", "modes": ["mlap", "upper"],
+               "scenario": {"n_antennas": 256, "noise_power_w": 1e-10}}
+        scn = parse_config(json.dumps(doc)).scenario
+        tau_eq = [sinr_equivalent_threshold(db_to_linear(d), 30.0, scn) for d in (30, 35, 40)]
+        assert round(10.0 * math.log10(tau_eq[0]), 2) == 35.63
+        assert m_star(scn.array, scn.mlap, tau_eq[0]).m == 12
+        assert tau_eq[1:] == [math.inf, math.inf]
+        cfg, out = tmp_path / "c.json", tmp_path / "r.csv"
+        err = {}
+        for noise in (1e-10, 0.0):
+            doc["scenario"]["noise_power_w"] = noise
+            cfg.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            err[noise] = capsys.readouterr().err.splitlines()
+        cp = [[f"warning: {mode} at {d} dB is in the frozen regime: the threshold needs "
+               f"{need} lobes, the pattern keeps 10" for d, need in ((35, 12), (40, 20))]
+              for mode in ("mlap", "upper")]
+        assert err[0.0] == cp[0] + cp[1]
+        assert err[1e-10] == [
+            line for mode, lines in zip(("mlap", "upper"), cp)
+            for line in [f"warning: {mode} cp_sinr at 30 dB is in the frozen regime: its "
+                         "SINR-equivalent threshold 35.63 dB needs 12 lobes, the pattern "
+                         "keeps 10", *lines]]
+
     def test_default_overall(self):
         # at the baseline's 10 lobes, 35 and 40 dB need 12 and 20: every
         # quantized route is frozen there, and nowhere else

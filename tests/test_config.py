@@ -173,6 +173,9 @@ def test_modes_belong_to_experiment():
             parse_config(json.dumps({"experiment": experiment, "modes": [mode]}))
     with pytest.raises(ConfigError, match="unknown mode"):
         parse_config(json.dumps({"experiment": "overall", "modes": ["bogus"]}))
+    # a repeated mode wrote every row of its route twice
+    with pytest.raises(ConfigError, match="'mlap' is listed more than once"):
+        parse_config(json.dumps({"experiment": "cond-cp", "modes": ["mlap", "upper", "mlap"]}))
     # the default modes are mlap and montecarlo where the experiment runs them
     defaults = {"pattern-cut": ("mlap",), "polar-heatmap": ("mlap",),
                 "m-sweep": ("mlap",)}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (mlap_interference_on_anchor, mlap_network_interference,
+from helpers import (anchor_laws, mlap_interference_on_anchor, mlap_network_interference,
                      table_difference, two_level_sum_cdf)
 from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
                   MlapConfig, PolarPoint, ScenarioConfig, SectorGeometry, TrialPlan,
@@ -25,8 +25,8 @@ from nfsg.config import EXPERIMENTS
 from nfsg.pattern import beam_depth
 from nfsg import analysis
 from nfsg.analysis import (_BATCH_CELLS, _EXACT_CELLS, _MLAP_CELLS, _SHIFT_ADD_ATOMS,
-                           _anchor_laws, _anchor_nodes, _conditional_cp_bounds, _lattice_cp,
-                           _level_laws, _node_cp, _side_grid, _step_table)
+                           _anchor_nodes, _conditional_cp_bounds, _lattice_cp, _level_laws,
+                           _node_cp, _pinned_laws, _side_grid, _step_table)
 from nfsg.geometry import (ordered_distance_dist, sample_conditional_arrays,
                            sample_user_arrays)
 from nfsg.montecarlo import conditional_interference_samples
@@ -218,10 +218,10 @@ class TestDifferencePath:
     def test_baseline_difference_matches_tables(self, scn):
         # the mlap location average at every default overall threshold; the
         # exact side grids have gains of their own and get no difference
-        laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+        laws = anchor_laws(scn, False)
         for db_val in EXPERIMENTS["overall"][0]:
             _assert_difference(10.0 ** (-db_val / 10.0), *laws, scn.n_active)
-        exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
+        exact = anchor_laws(SMALL, True)
         assert analysis._difference(1.0, *exact, SMALL.n_active, _EXACT_CELLS) is None
 
     @settings(max_examples=40, deadline=None)
@@ -290,7 +290,7 @@ class TestLadderChoice:
         # default overall threshold, steps the inner ladder alone: n_active-1
         # steps per batch, its rows those of both bounds. Where every node is
         # covered or frozen (35 and 40 dB) no lattice call is made
-        laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+        laws = anchor_laws(scn, False)
         batches = skipped = 0
         for db_val in EXPERIMENTS["overall"][0]:
             with mock.patch.object(analysis, "_lattice_cp", wraps=_lattice_cp) as lattice, \
@@ -315,7 +315,7 @@ class TestLadderChoice:
         # grids of the location average and of a pinned user. So does the
         # mlap law pinned on the cell edge, whose outer law sits at gain 0:
         # its difference has too many cells
-        exact = _anchor_laws(SMALL.array, SMALL.sector, SMALL.mlap, True)
+        exact = anchor_laws(SMALL, True)
         for run, steps in (
                 (lambda: _node_cp(1.0, *exact, SMALL.n_active, "exact"), None),
                 # a pinned user's two rows, one per bound, make one batch: it
@@ -386,10 +386,11 @@ class TestLadderChoice:
 
 _FAULTS_SCRIPT = """
 import resource, sys
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:]
+from helpers import anchor_laws
 from nfsg import analysis, default_scenario
 scn = default_scenario()
-laws = analysis._anchor_laws(scn.array, scn.sector, scn.mlap, False)
+laws = anchor_laws(scn, False)
 args = (10.0 ** -1.5, *laws, scn.n_active, "mlap")
 analysis._node_cp(*args)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -412,7 +413,8 @@ def test_location_average_reuses_its_memory():
     # table per side and bound on the same lattice. A fresh interpreter
     # keeps other tests' allocations out of the count.
     src = str(Path(analysis.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, src],
+    tests = str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, src, tests],
                           capture_output=True, text=True, timeout=120, check=True)
     assert int(proc.stdout) < 2000
 
@@ -660,7 +662,7 @@ def test_one_step_table_per_side_and_bound(scn, monkeypatch):
         return table
 
     monkeypatch.setattr(analysis, "_step_table", spy)
-    inner, outer = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+    inner, outer = anchor_laws(scn, False)
     assert inner[0].shape[0] > 2 * (_BATCH_CELLS // (_MLAP_CELLS + 1))
     _node_cp(0.1, inner, outer, scn.n_active, "mlap")
     assert len(tables) == 2
@@ -676,7 +678,7 @@ def fine_nodes(scn):
     """(tau, lower, upper) of every node of the baseline mlap location
     average at each default overall threshold, for every order, on
     _FINE_CELLS cells."""
-    laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+    laws = anchor_laws(scn, False)
     with mock.patch.object(analysis, "_MLAP_CELLS", _FINE_CELLS):
         return [(tau, *_node_cp(1.0 / tau, *laws, scn.n_active, "mlap"))
                 for tau in (10.0 ** (d / 10.0) for d in EXPERIMENTS["overall"][0])]
@@ -703,7 +705,7 @@ class TestLatticeSize:
         # on _MLAP_CELLS holds the fine midpoint once widened by the fine
         # half-width; the location average weighs the nodes with positive
         # weights, so every overall row's bracket holds it too
-        laws = _anchor_laws(scn.array, scn.sector, scn.mlap, False)
+        laws = anchor_laws(scn, False)
         for tau, fine_lower, fine_upper in fine_nodes:
             lower, upper = _node_cp(1.0 / tau, *laws, scn.n_active, "mlap")
             mid, half = 0.5 * (fine_lower + fine_upper), 0.5 * (fine_upper - fine_lower)
@@ -779,7 +781,7 @@ class TestOverall:
 
     def test_many_users_bounds_ordered(self, scn):
         many = scn.with_(n_active=64)
-        inner, outer = _anchor_laws(many.array, many.sector, many.mlap, False)
+        inner, outer = anchor_laws(many, False)
         kappas = np.arange(1, many.n_active + 1)
         for tau in (3.0, 100.0):
             lower, upper = _node_cp(1.0 / tau, inner, outer, many.n_active, "mlap")
@@ -826,7 +828,7 @@ class TestOverall:
         limit = beam_depth(scn.array, 0.3, 1.0, scn.mlap.beta_gamma).focal_limit
         theta = np.append(np.repeat(th, r.size), 0.3)
         dist = np.append(np.tile(r, th.size), limit)
-        g, _, _ = _level_laws(scn.array, scn.sector, scn.mlap, theta, dist)
+        g, _, _ = _level_laws(scn.array, scn.sector, scn.mlap, theta, dist, (True, True))
         depth = beam_depth(scn.array, theta, dist, scn.mlap.beta_gamma)
         levels = [mlap_levels(scn.array, scn.mlap, PolarPoint(t, d))
                   for t, d in zip(theta, dist)]
@@ -840,23 +842,20 @@ class TestOverall:
                              ids=["exact", "mlap"])
     def test_exact_padding_changes_no_node(self, scn, mode, db_vals):
         # each node's row of the stacked laws gives the bounds of that node
-        # run alone. The exact rows are padded with zero-mass atoms at gain
-        # 0; the baseline mlap rows share step tables across many lattice
-        # batches, which must hand each row its own atoms.
+        # run alone, on its own laws: those of a user pinned there with
+        # interferers on both sides, one node of the same builder. The exact
+        # rows are padded with zero-mass atoms at gain 0; the baseline mlap
+        # rows share step tables across many lattice batches, which must
+        # hand each row its own atoms.
         model = SMALL if mode == "exact" else scn
-        inner, outer = _anchor_laws(model.array, model.sector, model.mlap, mode == "exact")
+        inner, outer = anchor_laws(model, mode == "exact")
         if mode == "exact":
             assert np.any(inner[1] == 0.0) and np.any(outer[1] == 0.0)
         thrs = [10.0 ** (-d / 10.0) for d in db_vals]
         stacked = [_node_cp(thr, inner, outer, model.n_active, mode) for thr in thrs]
         th, _, r, _ = _anchor_nodes(model.sector)
-        for row, (t, d) in enumerate((float(t), float(d)) for t in th for d in r):
-            if mode == "exact":
-                own = [(g[None], w[None]) for g, w in
-                       (_side_grid(model.array, model.sector, model.mlap, side, t, d)
-                        for side in ("inner", "outer"))]
-            else:
-                own = [(g[row:row + 1], p[row:row + 1]) for g, p in (inner, outer)]
+        for row, (t, d) in enumerate((t, d) for t in th for d in r):
+            own = _pinned_laws(t, d, 2, model, mode)
             for thr, (lower, upper) in zip(thrs, stacked):
                 lo, up = _node_cp(thr, *own, model.n_active, mode)
                 assert np.max(np.abs(lower[row] - lo[0])) <= 1e-12
