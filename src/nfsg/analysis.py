@@ -542,24 +542,15 @@ def _step_table(thr: float, gains, probs, n_cells: int):
     x *= n_cells / thr
     cell = np.concatenate([np.ceil(x), np.floor(x, out=x)])
     np.minimum(cell, n_cells, out=cell)
-    # one key per row and cell: equal keys are one atom. Laws that keep an
-    # atom per four cells or more are merged by one pass over every cell,
-    # sparser ones by sorting their keys. The real traffic lies far to either
-    # side (atoms per cell; one pass against sorting; Xeon): the baseline mlap
-    # anchors, 280 rows, 0.01, 1.6-1.8 ms against 0.21-0.26 ms; a pinned exact
-    # row at N = 256, 13.5, 0.28 against 0.51 ms; the N = 13 exact inner
-    # stack, 280 rows at 0 dB, 7.9, 52-56 ms against 99-109 ms.
+    # one key per row and cell: equal keys are one atom, merged by sorting
+    # the keys. A pass over every cell beats that only where a law keeps an
+    # atom per few cells, as only the pinned exact rows do: about 1 ms a run.
     row = np.floor_divide(kept, m, out=kept)
     flat = np.concatenate([row, row + rows]) * width + cell.astype(np.intp)
     rows *= 2
-    if 4 * flat.size >= rows * width:
-        mass = np.bincount(flat, p, rows * width)
-        key = np.flatnonzero(mass)
-        mass = mass[key]
-    else:
-        key, atom = np.unique(flat, return_inverse=True)
-        mass = np.bincount(atom, p, key.size)
-        key, mass = key[mass != 0], mass[mass != 0]
+    key, atom = np.unique(flat, return_inverse=True)
+    mass = np.bincount(atom, p, key.size)
+    key, mass = key[mass != 0], mass[mass != 0]
     row, cell = np.divmod(key, width)
     counts = np.bincount(row, minlength=rows)
     at = np.arange(key.size) - (np.cumsum(counts) - counts)[row]

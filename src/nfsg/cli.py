@@ -6,8 +6,10 @@
 
 Runs the ExperimentSpec that `config.parse_config` returns as it is: the
 spec carries every default, the threshold grid and, for a sweep, the scenario
-at each value. The command-line flags only override document keys. A sweep
-re-runs its base experiment's row builder at each value and keeps one metric.
+at each value, and parse_config has rejected every input that no row reads,
+so no code here tests an experiment's name. The command-line flags only
+override document keys. A sweep re-runs its base experiment's row builder at
+each value and keeps one metric.
 
 Emits machine-readable tables with the fixed column set
 (experiment, mode, sweep_param, sweep_value, kappa, tau_db, metric, value,
@@ -15,7 +17,8 @@ std_error). All thresholds cross the CLI boundary in dB and are converted to
 linear here, with `config.db_to_linear`. `run` writes one stderr line for
 each finite threshold that an mlap or upper row evaluates, per sweep point,
 that lies in the quantized pattern's frozen regime (`_frozen`), naming a
-cp_sinr row's SINR-equivalent threshold; the table does not change.
+cp_sinr row's SINR-equivalent threshold; a threshold that needs more than
+all N//2 lobes is flagged too. The table does not change.
 NFSG_THREADS sets the worker count of the Monte Carlo block pool
 (`montecarlo._map_blocks`), which runs the trial blocks of each Monte Carlo
 estimate; the points of an ASE sweep run one after another. The output does
@@ -176,8 +179,7 @@ def _swept(spec: ExperimentSpec, rows_at, metric: str) -> list[Row]:
 
 def _rows_m_sweep(spec: ExperimentSpec) -> list[Row]:
     scn = spec.scenario
-    # no cp row reads the noise; without it, no cp_sinr row is built
-    rows = _swept(spec, lambda _, at: _cond_cp_rows(spec, at.with_(noise_power=0.0)), "cp")
+    rows = _swept(spec, _cond_cp_rows, "cp")
     for d in spec.tau_grid_db:
         ms = m_star(scn.array, scn.mlap, db_to_linear(d))
         rows.append(Row(spec.name, "mlap", None, None, None, d, "m_star",
@@ -197,28 +199,26 @@ _EXPERIMENTS = {
 
 
 def _frozen(spec: ExperimentSpec) -> list[tuple]:
-    """(sweep value, mode, tau_db, metric, threshold in dB, lobes needed,
-    lobes kept) for every finite threshold that an mlap or upper row
-    evaluates (tau_db for cp, its SINR-equivalent threshold for cp_sinr),
-    per sweep point, that needs more lobes (m_star) than the pattern keeps.
-    The lobes beyond the kept ones have gain 0, so there the quantized route
-    reports its frozen regime, little more than the chance that every
-    interferer sits on gain 0; at an infinite threshold CP is 0 instead.
-    pattern-cut and polar-heatmap rows have no threshold."""
+    """(sweep value, mode, tau_db, metric, threshold in dB, m_star, lobes
+    kept) for every finite threshold that an mlap or upper row evaluates
+    (tau_db for cp, its SINR-equivalent threshold for cp_sinr), per sweep
+    point, that needs more lobes (m_star) than the pattern keeps; a
+    saturated m_star needs more than all N//2. The lobes beyond the kept
+    ones have gain 0, so there the quantized route reports its frozen
+    regime, little more than the chance that every interferer sits on gain
+    0; at an infinite threshold CP is 0 instead."""
     modes = [m for m in spec.modes if m in ("mlap", "upper")]
-    if not modes or spec.name in ("pattern-cut", "polar-heatmap"):
+    if not modes:
         return []
     points = (zip(spec.sweep.values, spec.sweep.scenarios) if spec.sweep
               else [(None, spec.scenario)])
     flags = []
     for value, scn in points:
-        # only cond-cp reads the noise: m-sweep's cp rows drop it
-        grid = _cond_cp_thresholds(spec, scn if spec.name == "cond-cp"
-                                   else scn.with_(noise_power=0.0))
-        need = [(d, metric, 10.0 * math.log10(t), m_star(scn.array, scn.mlap, t).m)
-                for metric, d, t in grid if t < math.inf]
-        flags += [(value, mode, d, metric, t_db, m, scn.mlap.n_levels) for mode in modes
-                  for d, metric, t_db, m in need if m > scn.mlap.n_levels]
+        kept = scn.mlap.n_levels
+        need = [(d, metric, 10.0 * math.log10(t), m_star(scn.array, scn.mlap, t))
+                for metric, d, t in _cond_cp_thresholds(spec, scn) if t < math.inf]
+        flags += [(value, mode, d, metric, t_db, ms, kept) for mode in modes
+                  for d, metric, t_db, ms in need if ms.m > kept or ms.saturated]
     return flags
 
 
@@ -302,8 +302,9 @@ def main(argv=None) -> int:
         at = "" if value is None else f" at {spec.sweep.param}={value:g}"
         row, threshold = ((mode, "the threshold") if metric == "cp" else
                           (f"{mode} {metric}", f"its SINR-equivalent threshold {t_db:.2f} dB"))
+        lobes = f"more than {need.m}" if need.saturated else need.m
         print(f"warning: {row} at {d:g} dB{at} is in the frozen regime: {threshold} "
-              f"needs {need} lobes, the pattern keeps {kept}", file=sys.stderr)
+              f"needs {lobes} lobes, the pattern keeps {kept}", file=sys.stderr)
     table = run_experiment(spec)
     try:
         emit_results(table, spec.output_path, spec.fmt)

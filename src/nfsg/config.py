@@ -12,8 +12,10 @@ modes are those of the default list that it runs.
 Unknown keys and inputs outside the model are rejected with their path.
 The anchor, and the kappa of cond-cp and m-sweep, are checked by
 geometry._pinned_user, the rule every route runs.
-Noise is rejected where the experiment's metrics would drop it (_SIR_ONLY):
-only cond-cp and m-sweep read it.
+An input that no row of the experiment reads is rejected: noise on every
+experiment but cond-cp, whose pinned user alone has a constant noise term,
+and a threshold grid on pattern-cut and polar-heatmap, whose default grid
+is empty.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ _PATTERN_MODES = ("exact", "mlap")
 # Per experiment: the default threshold grid in dB, for a sweep the parameter
 # it varies with its default values, and the modes it runs.
 EXPERIMENTS = {
-    "pattern-cut": ((20.0,), None, _PATTERN_MODES),
-    "polar-heatmap": ((20.0,), None, _PATTERN_MODES),
+    "pattern-cut": ((), None, _PATTERN_MODES),
+    "polar-heatmap": ((), None, _PATTERN_MODES),
     "cond-cp": (_FULL_TAU_DB, None, MODES),
     "m-sweep": ((5.0, 20.0, 30.0, 35.0),
                 ("n_levels", (1, 2, 3, 4, 5, 6, 7, 8, 10, 12)), ("mlap",)),
@@ -45,9 +47,6 @@ EXPERIMENTS = {
     "ratio-sweep": ((20.0,), ("na_over_n", (0.04, 0.08, 0.16, 0.24, 0.32)),
                     MODES),
 }
-# The network metrics of these experiments read no noise, so a noisy
-# scenario is rejected instead of reported as its SIR coverage.
-_SIR_ONLY = ("overall", "ase-vs-n", "ase-vs-na", "ratio-sweep")
 
 # Scenario key: (baseline value, minimum, integer). The noise pair has no
 # baseline; the baseline is noiseless.
@@ -230,9 +229,12 @@ def _build_sweep(doc, name: str, scenario: ScenarioConfig) -> SweepSpec | None:
 
 def _build_tau_grid(doc, name: str) -> tuple[float, ...]:
     """The threshold grid in dB; each one must convert to a finite, positive
-    linear threshold."""
+    linear threshold. An experiment whose default grid is empty reads none."""
+    default = EXPERIMENTS[name][0]
     if doc is None:
-        return EXPERIMENTS[name][0]
+        return default
+    if not default:
+        raise ConfigError("tau_grid_db", f"{name} uses no threshold")
     grid = _increasing(doc, "tau_grid_db")
     for d in grid:
         try:
@@ -268,9 +270,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentSpec:
     name = get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError("experiment", f"must be one of {tuple(EXPERIMENTS)}")
-    if name in _SIR_ONLY and scenario.noise_power > 0:
+    # the network metrics are SIR coverage, and the pattern and m-sweep rows
+    # read no noise either
+    if name != "cond-cp" and scenario.noise_power > 0:
         raise ConfigError("scenario.noise_power_w",
-                          f"{name} computes SIR coverage only and would drop the noise")
+                          f"only cond-cp reads the noise; {name} would drop it")
     runs = EXPERIMENTS[name][2]
     # the default modes are the ones of _TOP_DEFAULTS that the experiment runs
     modes = doc.get("modes", [m for m in _TOP_DEFAULTS["modes"] if m in runs])

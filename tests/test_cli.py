@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,21 @@ SMALL_SCENARIO = {
     "n_antennas": 32, "n_active": 5, "cell_radius_m": 60.0,
     "los_radius_m": 60.0, "n_levels": 6,
 }
+
+
+def _tables_agree_at_1_and_2_threads(tmp_path, monkeypatch, doc) -> bytes:
+    """The CSV table that `nfsg run` writes for doc, which must be the same
+    bytes at NFSG_THREADS 1 and 2."""
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps(doc))
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NFSG_THREADS", threads)
+        out = tmp_path / f"threads{threads}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    return tables[0]
 
 
 def _spec(**overrides):
@@ -192,10 +208,9 @@ class TestExperiments:
     @pytest.mark.parametrize("noise", [0.0, 1e-8])
     def test_sweeps_rerun_base_rows(self, noise):
         # each sweep row is its base experiment's row at that point's
-        # scenario, tagged with the point: m-sweep the cond-cp mlap cp rows
-        # (with noise, not the cp_sinr ones), the ASE sweeps the overall ase
-        # rows. The ASE sweeps and overall read no noise, so a noisy scenario
-        # is a config error there.
+        # scenario, tagged with the point: m-sweep the cond-cp mlap cp rows,
+        # the ASE sweeps the overall ase rows. Only cond-cp reads the noise,
+        # so a noisy scenario is a config error on every sweep.
         scenario = {**SMALL_SCENARIO, "noise_power_w": noise}
         taus = [0.0, 10.0, 20.0]
 
@@ -203,13 +218,16 @@ class TestExperiments:
             return run_experiment(_spec(experiment=experiment, tau_grid_db=taus,
                                         scenario={**scenario, **point}, **doc))
 
-        m_sweep = run_experiment(_spec(experiment="m-sweep", scenario=scenario,
-                                       tau_grid_db=taus,
-                                       sweep={"param": "n_levels", "values": [2, 6]}))
-        assert [r for r in m_sweep if r.metric != "m_star"] == [
-            r._replace(experiment="m-sweep", sweep_param="n_levels", sweep_value=float(m))
-            for m in (2, 6) for r in base("cond-cp", {"n_levels": m}, modes=["mlap"])
-            if r.metric == "cp"]
+        doc = dict(experiment="m-sweep", scenario=scenario, tau_grid_db=taus,
+                   sweep={"param": "n_levels", "values": [2, 6]})
+        if noise:
+            with pytest.raises(ConfigError, match="noise"):
+                _spec(**doc)
+        else:
+            assert [r for r in run_experiment(_spec(**doc)) if r.metric != "m_star"] == [
+                r._replace(experiment="m-sweep", sweep_param="n_levels", sweep_value=float(m))
+                for m in (2, 6) for r in base("cond-cp", {"n_levels": m}, modes=["mlap"])
+                if r.metric == "cp"]
         modes = ["mlap", "upper", "montecarlo"]
         for experiment, param, values, users in (
                 ("ase-vs-na", "n_active", [3, 6], lambda v: v),
@@ -227,19 +245,6 @@ class TestExperiments:
                 for r in base("overall", {"n_active": users(v)}, modes=modes,
                               trials=200, kappa=1)
                 if r.metric == "ase"]
-
-    def test_noisy_m_sweep_asks_only_cp(self):
-        # m-sweep keeps only the cp rows, so with noise it must not evaluate
-        # the cp_sinr thresholds too: one CP per lobe count and threshold
-        taus, lobes = [0.0, 10.0, 20.0], [2, 4, 6]
-        spec = _spec(experiment="m-sweep", tau_grid_db=taus,
-                     scenario={**SMALL_SCENARIO, "noise_power_w": 1e-10},
-                     sweep={"param": "n_levels", "values": lobes})
-        with mock.patch.object(analysis, "conditional_cp",
-                               wraps=analysis.conditional_cp) as cp:
-            rows = run_experiment(spec)
-        assert cp.call_count == len(lobes) * len(taus)
-        assert sorted({r.metric for r in rows}) == ["cp", "m_star"]
 
     def test_overall_rows(self):
         spec = _spec(experiment="overall", modes=["upper", "montecarlo"],
@@ -328,38 +333,22 @@ class TestMain:
         assert len(text) > 1
 
     def test_sweep_thread_count_invariance(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
+        table = _tables_agree_at_1_and_2_threads(tmp_path, monkeypatch, {
             "scenario": SMALL_SCENARIO, "experiment": "ase-vs-na",
             "modes": ["mlap", "montecarlo"], "tau_grid_db": [10.0, 20.0],
             "trials": 300, "seed": 5,
-            "sweep": {"param": "n_active", "values": [1, 2, 4]}}))
-        tables = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("NFSG_THREADS", threads)
-            out = tmp_path / f"r{threads}.csv"
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            tables.append(out.read_bytes())
-        assert tables[0] == tables[1]
-        assert len(tables[0].splitlines()) == 1 + 3 * 2 * 2
+            "sweep": {"param": "n_active", "values": [1, 2, 4]}})
+        assert len(table.splitlines()) == 1 + 3 * 2 * 2
 
     def test_noisy_cond_cp_thread_count_invariance(self, tmp_path, monkeypatch):
         # 10,000 trials make two Monte Carlo blocks, so the conditional
         # sampler's block pool runs them on two workers; 20 dB is past the
         # noise budget, so every route also answers tau = +inf
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
+        table = _tables_agree_at_1_and_2_threads(tmp_path, monkeypatch, {
             "scenario": {**SMALL_SCENARIO, "noise_power_w": 1e-8},
             "experiment": "cond-cp", "modes": ["exact", "mlap", "upper", "montecarlo"],
-            "tau_grid_db": [0.0, 10.0, 20.0], "trials": 10_000, "seed": 3}))
-        tables = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("NFSG_THREADS", threads)
-            out = tmp_path / f"r{threads}.csv"
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            tables.append(out.read_bytes())
-        assert tables[0] == tables[1]
-        rows = list(csv.DictReader(tables[0].decode().splitlines()))
+            "tau_grid_db": [0.0, 10.0, 20.0], "trials": 10_000, "seed": 3})
+        rows = list(csv.DictReader(table.decode().splitlines()))
         # every route emits each cp_sinr row right after its cp row
         assert [(r["mode"], r["tau_db"], r["metric"]) for r in rows] == [
             (m, repr(d), metric) for m in ("exact", "mlap", "upper", "montecarlo")
@@ -399,10 +388,12 @@ class TestMain:
         assert out.read_bytes() == table.read_bytes()
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FULL_GRID_DB = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
 # the overall mlap and upper table at N = 256 with 15 users and 9
 # thresholds, its scenario pinned as in the overall-analytic benchmark
 ANALYTIC = {"experiment": "overall", "modes": ["mlap", "upper"],
-            "tau_grid_db": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
+            "tau_grid_db": FULL_GRID_DB,
             "scenario": {"n_antennas": 256, "carrier_freq_hz": 28e9, "n_sectors": 3,
                          "cell_radius_m": 150.0, "los_radius_m": 150.0, "n_active": 15}}
 
@@ -454,6 +445,48 @@ class TestAnalyticTable:
             assert abs(x - y) <= 1e-14 * max(abs(x), abs(y)), (a, b)
 
 
+class TestThreadsAtFullScale:
+    """The benchmark's Monte Carlo table and the noisy cond-cp table at
+    N = 256, at one and two threads; Tier-1's other thread checks run small
+    scenarios."""
+
+    def test_overall_mc(self, tmp_path, monkeypatch):
+        # four 8192-trial blocks in the Monte Carlo pool
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        doc = workloads.WORKLOADS["overall-mc"].config(1)
+        table = _tables_agree_at_1_and_2_threads(tmp_path, monkeypatch, doc)
+        assert len(table.splitlines()) == 1 + 9 * (2 * 15 + 1)
+
+    def test_noisy_cond_cp_and_m_sweep(self, tmp_path, monkeypatch, capsys):
+        # All four routes, with three blocks in the conditional sampler's
+        # pool. At 35 and 40 dB the noise term alone uses up 1/tau, so the
+        # cp_sinr rows ask for tau = +inf and read 0 in every route.
+        scenario = {"n_antennas": 256, "noise_power_w": 1e-10}
+        table = _tables_agree_at_1_and_2_threads(tmp_path, monkeypatch, {
+            "experiment": "cond-cp", "modes": ["exact", "mlap", "upper", "montecarlo"],
+            "scenario": scenario, "trials": 20000, "seed": 1})
+        rows = list(csv.DictReader(table.decode().splitlines()))
+        assert sum((r["metric"], r["value"]) == ("cp_sinr", "0.0") for r in rows) == 8
+        # m-sweep re-runs the cond-cp rows at each lobe count, and no m-sweep
+        # row reads the noise, so a noisy one is a config error; at the
+        # baseline's 10 lobes its cp rows are the mlap cp rows above
+        doc = {"experiment": "m-sweep", "sweep": {"param": "n_levels", "values": [10]},
+               "tau_grid_db": FULL_GRID_DB, "scenario": scenario}
+        cfg, out = tmp_path / "m-sweep.json", tmp_path / "m-sweep.csv"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "config error: scenario.noise_power_w: ")
+        cfg.write_text(json.dumps({**doc, "scenario": {"n_antennas": 256}}))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        m_sweep = list(csv.DictReader(out.read_text().splitlines()))
+        cp = [[(r["tau_db"], r["value"]) for r in got if r["mode"] == "mlap"
+               and r["metric"] == "cp"] for got in (rows, m_sweep)]
+        assert len(cp[0]) == 9 and cp[1] == cp[0]
+        assert sorted(r["metric"] for r in m_sweep) == ["cp"] * 9 + ["m_star"] * 9
+
+
 class TestFrozenRegime:
     def test_noisy_cond_cp(self, tmp_path, capsys):
         # a cp_sinr row evaluates the SINR-equivalent threshold, which the
@@ -491,6 +524,41 @@ class TestFrozenRegime:
                                         "modes": ["exact", "mlap", "upper", "montecarlo"]}))
         assert [(value, mode, d) for value, mode, d, *_ in _frozen(spec)] == [
             (None, mode, d) for mode in ("mlap", "upper") for d in (35.0, 40.0)]
+
+    def test_saturated_thresholds(self, tmp_path, capsys):
+        # m_star caps the lobe count at N//2 = 8 and marks 30 and 35 dB
+        # saturated: they need more lobes than N = 16 antennas give, so they
+        # are flagged at every lobe count, the three clamped to 8 included
+        doc = {"experiment": "m-sweep", "scenario": {"n_antennas": 16, "n_levels": 8}}
+        spec = parse_config(json.dumps(doc))
+        arr, mlap = spec.scenario.array, spec.scenario.mlap
+        assert [m_star(arr, mlap, db_to_linear(d)) for d in spec.tau_grid_db] == [
+            (1, False), (3, False), (8, True), (8, True)]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        lines = []
+        for value, scn in zip(spec.sweep.values, spec.sweep.scenarios):
+            kept = scn.mlap.n_levels
+            need = [(20, 3)] * (kept < 3) + [(30, "more than 8"), (35, "more than 8")]
+            lines += [f"warning: mlap at {d} dB at n_levels={value:g} is in the frozen "
+                      f"regime: the threshold needs {m} lobes, the pattern keeps {kept}"
+                      for d, m in need]
+        assert capsys.readouterr().err.splitlines() == lines
+        assert [scn.mlap.n_levels for scn in spec.sweep.scenarios[-3:]] == [8, 8, 8]
+
+    @pytest.mark.parametrize("experiment", ["pattern-cut", "polar-heatmap"])
+    def test_pattern_rows_have_no_threshold(self, tmp_path, capsys, experiment):
+        # one lobe is frozen at 20 dB, but no pattern row reads a threshold
+        doc = {"experiment": experiment, "modes": ["exact", "mlap"],
+               "scenario": {"n_levels": 1}}
+        spec = parse_config(json.dumps(doc))
+        assert spec.tau_grid_db == ()
+        assert m_star(spec.scenario.array, spec.scenario.mlap, db_to_linear(20.0)).m > 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_criterion_9_grid(self):
         # criterion 9 runs its quantized half at the lobe count m_star gives

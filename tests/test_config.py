@@ -131,18 +131,19 @@ def test_thermal_noise_checked(bandwidth_hz, noise_figure_db):
 @pytest.mark.parametrize("noise", [{"noise_power_w": 1e-10},
                                    {"noise_bandwidth_hz": 200e6, "noise_figure_db": 10.0}],
                          ids=["power", "thermal"])
-@pytest.mark.parametrize("experiment", ["overall", "ase-vs-n", "ase-vs-na", "ratio-sweep"])
+@pytest.mark.parametrize("experiment", ["pattern-cut", "polar-heatmap", "m-sweep", "overall",
+                                        "ase-vs-n", "ase-vs-na", "ratio-sweep"])
 def test_noise_rejected_where_dropped(experiment, noise):
-    # these experiments' network metrics read no noise, so a noisy scenario
-    # would be reported as its SIR coverage; a noiseless one still parses
+    # only cond-cp's rows read the noise: the network metrics are SIR
+    # coverage, and the pattern and m-sweep rows read none, so a noisy
+    # scenario would be dropped; a noiseless one still parses
     with pytest.raises(ConfigError, match="noise") as err:
         parse_config(json.dumps({"experiment": experiment, "scenario": noise}))
     assert err.value.key == "scenario.noise_power_w"
     assert parse_config(json.dumps({"experiment": experiment,
                                     "scenario": {"noise_power_w": 0.0}})).name == experiment
-    for reads_noise in ("cond-cp", "m-sweep"):
-        spec = parse_config(json.dumps({"experiment": reads_noise, "scenario": noise}))
-        assert spec.scenario.noise_power > 0
+    spec = parse_config(json.dumps({"experiment": "cond-cp", "scenario": noise}))
+    assert spec.scenario.noise_power > 0
 
 
 def test_parse_document():
@@ -243,12 +244,17 @@ def test_sweep_defaults_and_other_experiments():
 
 
 def test_default_thresholds():
-    grids = {"pattern-cut": (20.0,), "polar-heatmap": (20.0,), "cond-cp": FULL_GRID,
+    grids = {"pattern-cut": (), "polar-heatmap": (), "cond-cp": FULL_GRID,
              "m-sweep": (5.0, 20.0, 30.0, 35.0), "overall": FULL_GRID,
              "ase-vs-n": (10.0, 20.0), "ase-vs-na": (10.0, 20.0),
              "ratio-sweep": (20.0,)}
     for experiment, grid in grids.items():
         assert parse_config(json.dumps({"experiment": experiment})).tau_grid_db == grid
+    # no pattern row reads a threshold, so a grid there is rejected, not ignored
+    for experiment in ("pattern-cut", "polar-heatmap"):
+        with pytest.raises(ConfigError, match="uses no threshold") as err:
+            parse_config(json.dumps({"experiment": experiment, "tau_grid_db": [20.0]}))
+        assert err.value.key == "tau_grid_db"
 
 
 def test_default_sweep_scenarios():
