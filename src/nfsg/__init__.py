@@ -13,9 +13,8 @@ from .geometry import (PolarPoint, SectorGeometry, conditional_distance_dist,
                        ordered_distance_dist, sample_conditional_arrays,
                        sample_user_arrays, spatial_angle_dist,
                        unordered_distance_dist)
-from .montecarlo import (EstimateWithError, TrialPlan, estimate_ase,
-                         estimate_conditional_cp, estimate_network,
-                         estimate_overall_cp, realize_sinr, realize_sir)
+from .montecarlo import (EstimateWithError, TrialPlan, estimate_conditional_cp,
+                         estimate_network, realize_sinr, realize_sir)
 from .pattern import (ArrayConfig, BeamDepthInterval, MlapConfig, MlapLevels,
                       angular_gain, array_response, asymptotic_gain, beam_depth,
                       distance_gain, exact_gain, ff_gain, m_star, mlap_gain,

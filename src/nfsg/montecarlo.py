@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, InvalidArgumentError
-from .geometry import PolarPoint, _user_orders, sample_conditional_arrays, sample_user_arrays
+from .geometry import PolarPoint, sample_conditional_arrays, sample_user_arrays
 from .pattern import array_response
 from .scenario import ScenarioConfig
 
@@ -140,14 +140,6 @@ def _coverage_counts(sir_kappa: np.ndarray, tau_grid: np.ndarray) -> np.ndarray:
     return (sir_kappa[:, None] > tau_grid[None, :]).sum(axis=0)
 
 
-def estimate_overall_cp(plan: TrialPlan, tau_grid, kappa: int
-                        ) -> list[EstimateWithError]:
-    """Empirical P{SIR_kappa > tau} over fresh user sets, one estimate per
-    threshold: user kappa's row of estimate_network."""
-    k = _user_orders(kappa, plan.scenario.n_active)
-    return estimate_network(plan, tau_grid)[0][k - 1]
-
-
 def _binomial_estimates(counts: np.ndarray, n: int) -> list[EstimateWithError]:
     out = []
     for c in np.atleast_1d(counts):
@@ -225,8 +217,3 @@ def estimate_network(plan: TrialPlan, tau_grid):
         scale = const * math.log2(1.0 + float(t))
         ase.append(EstimateWithError(scale * mean, scale * math.sqrt(var / n), n))
     return cp, ase
-
-
-def estimate_ase(plan: TrialPlan, tau_grid) -> list[EstimateWithError]:
-    """Aggregate per-area efficiency estimate per threshold."""
-    return estimate_network(plan, tau_grid)[1]

@@ -17,7 +17,7 @@ import pytest
 
 from helpers import ks_distance, mlap_cross_gains
 from nfsg import (ArrayConfig, MlapConfig, PolarPoint, TrialPlan, conditional_cp,
-                  conditional_cp_sinr, estimate_ase, fresnel_integrals,
+                  conditional_cp_sinr, estimate_network, fresnel_integrals,
                   level_probabilities, m_star, mlap_levels, ordered_distance_dist,
                   se_and_ase, tau_star, thermal_noise_power)
 from nfsg.geometry import (conditional_distance_dist, sample_conditional_arrays,
@@ -181,8 +181,8 @@ def test_09_ase_peak(scn):
     quantized = scn.with_(mlap=MlapConfig(n_levels=lobes.m,
                                           beta_gamma=scn.mlap.beta_gamma,
                                           delta=scn.mlap.delta))
-    mc = [e.value for e in estimate_ase(
-        TrialPlan(n_trials=10_000, root_seed=909, scenario=scn), taus)]
+    mc = [e.value for e in estimate_network(
+        TrialPlan(n_trials=10_000, root_seed=909, scenario=scn), taus)[1]]
     mlap = [se_and_ase(t, quantized, "mlap")[1] for t in taus]
     peak_mc = taus_db[int(np.argmax(mc))]
     peak_mlap = taus_db[int(np.argmax(mlap))]
@@ -202,7 +202,7 @@ def test_10_user_to_antenna_optimum(scn):
                       mlap=MlapConfig(n_levels=min(scn.mlap.n_levels, 50),
                                       beta_gamma=scn.mlap.beta_gamma))
         plan = TrialPlan(n_trials=10_000, root_seed=1717, scenario=s)
-        vals.append(estimate_ase(plan, [100.0])[0].value)
+        vals.append(estimate_network(plan, [100.0])[1][0].value)
     argmax = grid[int(np.argmax(vals))]
     ratio = vals[4] / vals[2]
     ok = argmax == 16 and ratio <= 0.65

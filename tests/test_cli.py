@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -485,6 +488,67 @@ class TestThreadsAtFullScale:
                and r["metric"] == "cp"] for got in (rows, m_sweep)]
         assert len(cp[0]) == 9 and cp[1] == cp[0]
         assert sorted(r["metric"] for r in m_sweep) == ["cp"] * 9 + ["m_star"] * 9
+
+
+# Runs `nfsg run` in a child interpreter and prints, on its last line, the
+# child's minor page faults and peak RSS in KB, as getrusage reports them for
+# waited-for children.
+_USAGE_SCRIPT = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "nfsg.cli", "run", "--config", sys.argv[1],
+                "--out", sys.argv[2]], check=True)
+use = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(use.ru_minflt, use.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+class TestBenchmarkRunUsage:
+    """Minor page faults and peak RSS of one `nfsg run` of a benchmark
+    workload at seed 1, at one thread, in a fresh interpreter, which also
+    counts importing nfsg: about 6k of the faults."""
+
+    def _usage(self, tmp_path, monkeypatch, name) -> tuple[int, float]:
+        """(minor faults, peak RSS in MB) of the workload's run."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(workloads.config_text(workloads.WORKLOADS[name].config(1)))
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        env = {**os.environ, "NFSG_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _USAGE_SCRIPT, str(cfg),
+                               str(tmp_path / f"{name}.csv")],
+                              env=env, capture_output=True, text=True, timeout=300, check=True)
+        faults, rss_kb = map(int, proc.stdout.splitlines()[-1].split())
+        return faults, rss_kb / 1024.0
+
+    def test_side_grid_run(self, tmp_path, monkeypatch):
+        # Each beta node's gains come from P/2 + 1 twiddled N-point FFTs, a
+        # Gauss-Legendre panel of 8 nodes at a time, and every cell-sized
+        # array of the panel loop lives in work arrays allocated once per
+        # grid. This run takes about 9k to 15k minor faults, depending on the
+        # directory that holds the checkout, and about 41 MB. With
+        # one P*N-point FFT per node and fresh arrays for every panel it took
+        # about 29k and 46 MB. The product grid that the FFT grid replaced
+        # took about 309k when its Fresnel sums took a fresh array for every
+        # product.
+        faults, rss_mb = self._usage(tmp_path, monkeypatch, "cond-cp-exact")
+        assert faults <= 50_000 and rss_mb <= 64.0, (faults, rss_mb)
+
+    def test_location_average_run(self, tmp_path, monkeypatch):
+        # Each threshold puts every node's law on the lattice once for both
+        # bounds: one step table per side holds the rounded-up rows, then the
+        # rounded-down ones, and one batch loop runs them all. Every batch
+        # steps the inner law's CDF ladder alone, in one workspace, and
+        # shifts in one window buffer. This run takes about 6k to 16k minor
+        # faults, depending on the directory that holds the checkout. With a
+        # window buffer and a step setup for every batch it took about 28k
+        # from a directory that read 15k; a ladder of about 1 MB taken afresh
+        # for each batch and bound made it about 89k.
+        faults, _ = self._usage(tmp_path, monkeypatch, "overall-analytic")
+        assert faults <= 50_000, faults
 
 
 class TestFrozenRegime:

@@ -17,9 +17,8 @@ from helpers import (anchor_laws, mlap_interference_on_anchor, mlap_network_inte
                      table_difference, two_level_sum_cdf)
 from nfsg import (ArrayConfig, DegenerateSupportError, DomainError, InvalidArgumentError,
                   MlapConfig, PolarPoint, ScenarioConfig, SectorGeometry, TrialPlan,
-                  conditional_cp, conditional_cp_sinr, estimate_ase,
-                  estimate_conditional_cp, estimate_network, estimate_overall_cp,
-                  level_probabilities, mlap_levels, overall_cp, se_and_ase,
+                  conditional_cp, conditional_cp_sinr, estimate_conditional_cp,
+                  estimate_network, level_probabilities, mlap_levels, overall_cp, se_and_ase,
                   sinr_equivalent_threshold, tau_star, thermal_noise_power)
 from nfsg.config import EXPERIMENTS
 from nfsg.pattern import beam_depth
@@ -384,6 +383,75 @@ class TestLadderChoice:
                 assert np.all(np.abs(a - b) <= 1e-11 * b)
 
 
+def _exchangeability_gap(scenario, thr: float, n_active: int, mode: str, laws) -> float:
+    """Largest gap, over the location average's nodes and the bounds that
+    carry no order-dependent term, between the binomial-weighted per-order
+    node CPs and the node CP of n_active-1 interferers drawn from the
+    mixture of the two side laws, whose orders must all agree."""
+    (g_in, p_in), (g_out, p_out) = laws
+    th, _, r, _ = _anchor_nodes(scenario.sector)
+    # the chance that one other user is inner, node by node, angle-major
+    share = np.tile((r / scenario.sector.cell_radius) ** 2, th.size)[:, None]
+    if mode == "exact":
+        # the side grids have gains of their own: the mixture holds both sets
+        mix = np.hstack([g_in, g_out]), np.hstack([share * p_in, (1.0 - share) * p_out])
+    else:
+        mix = g_in, share * p_in + (1.0 - share) * p_out
+    kappa = np.arange(1, n_active + 1)
+    weights = (np.array([math.comb(n_active - 1, k - 1) for k in kappa], float)
+               * share ** (kappa - 1) * (1.0 - share) ** (n_active - kappa))
+    per_order = _node_cp(thr, *laws, n_active, mode)
+    mixed = _node_cp(thr, mix, mix, n_active, mode)
+    gap = 0.0
+    # the exact lower bound takes off an inner-mass term that grows with kappa
+    for bound in (1,) if mode == "exact" else (0, 1):
+        assert np.all(np.abs(mixed[bound] - mixed[bound][:, :1]) <= ROUNDOFF)
+        gap = max(gap, np.max(np.abs((weights * per_order[bound]).sum(axis=1)
+                                     - mixed[bound][:, 0])))
+    return gap
+
+
+class TestExchangeability:
+    """Users are exchangeable. At a node x, each of the n_active-1 other
+    users is inner with chance F = (r/R)^2, so the node CP of n_active-1
+    i.i.d. interferers from F p_in + (1-F) p_out is sum over kappa of
+    C(n-1, kappa-1) F^(kappa-1) (1-F)^(n-kappa) CP_kappa(x). Convolution is
+    multilinear and truncating to [0, thr] commutes with it, so the identity
+    holds for the lattice bounds exactly: one ladder of one law checks the
+    per-order route, its weights, difference path and outer pmf walk."""
+
+    @pytest.mark.parametrize("mode", ["mlap", "upper"])
+    def test_baseline_thresholds(self, scn, mode):
+        laws = anchor_laws(scn, False)
+        for db_val in EXPERIMENTS["overall"][0]:
+            gap = _exchangeability_gap(scn, 10.0 ** (-db_val / 10.0), scn.n_active, mode, laws)
+            assert gap <= ROUNDOFF, db_val
+
+    def test_user_counts(self, scn):
+        # At 0 dB some outer laws differ from their inner ones on three
+        # lattice cells. Those rows take the difference path up to 17 users
+        # and the outer pmf walk from 18, whose step table is the fifth
+        # _step_table call of the two routes. At 20 dB the differences hold
+        # at most two cells and take the difference path throughout; at 0 dB
+        # two users are covered for sure and build no table
+        laws = anchor_laws(scn, False)
+        for db_val in (0.0, 20.0):
+            for n_active in (2, 5, 17, 18, 30, 41, 82):
+                with mock.patch.object(analysis, "_step_table", wraps=_step_table) as tables:
+                    gap = _exchangeability_gap(scn, 10.0 ** (-db_val / 10.0), n_active,
+                                               "mlap", laws)
+                assert gap <= ROUNDOFF, (db_val, n_active)
+                walked = tables.call_count == 5
+                assert walked == (db_val == 0.0 and n_active >= 18), (db_val, n_active)
+
+    def test_exact_upper_bound(self):
+        laws = anchor_laws(SMALL, True)
+        for db_val in (0.0, 10.0):
+            gap = _exchangeability_gap(SMALL, 10.0 ** (-db_val / 10.0), SMALL.n_active,
+                                       "exact", laws)
+            assert gap <= ROUNDOFF, db_val
+
+
 _FAULTS_SCRIPT = """
 import resource, sys
 sys.path[:0] = sys.argv[1:]
@@ -618,9 +686,7 @@ class TestSinr:
                    for m in ("exact", "mlap", "upper")]
         network += [lambda m=m: se_and_ase(math.inf, scn, m)
                     for m in ("exact", "mlap", "upper")]
-        network += [lambda: estimate_network(plan, [10.0, math.inf]),
-                    lambda: estimate_overall_cp(plan, [math.inf], kappa),
-                    lambda: estimate_ase(plan, [math.inf])]
+        network += [lambda: estimate_network(plan, [10.0, math.inf])]
         for call in network:
             with pytest.raises(DomainError, match="tau must be positive and finite"):
                 call()
@@ -808,7 +874,7 @@ class TestOverall:
         # simulation of the same scenario
         cp = overall_cp(3.0, 2, SMALL, "exact")
         plan = TrialPlan(n_trials=200_000, root_seed=41, scenario=SMALL)
-        mc = estimate_overall_cp(plan, [3.0], 2)[0]
+        mc = estimate_network(plan, [3.0])[0][1][0]
         assert abs(cp - mc.value) < 0.01
 
     def test_exact_grids_built_once(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nfsg import (ConfigError, DomainError, InvalidArgumentError, PolarPoint, TrialPlan,
-                  conditional_cp_sinr, estimate_ase, estimate_conditional_cp,
-                  estimate_network, estimate_overall_cp, realize_sinr, realize_sir,
-                  sample_user_arrays, sinr_equivalent_threshold)
+                  conditional_cp_sinr, estimate_conditional_cp, estimate_network,
+                  realize_sinr, realize_sir, sample_user_arrays,
+                  sinr_equivalent_threshold)
 from nfsg.montecarlo import conditional_interference_samples
 
 ANCHOR = PolarPoint(0.0, 30.0)
@@ -46,8 +46,8 @@ class TestRealize:
 class TestDeterminism:
     def test_identical_plans(self, scn):
         plan = TrialPlan(n_trials=20_000, root_seed=99, scenario=scn)
-        a = estimate_overall_cp(plan, [10.0, 100.0], 3)
-        b = estimate_overall_cp(plan, [10.0, 100.0], 3)
+        a = estimate_network(plan, [10.0, 100.0])
+        b = estimate_network(plan, [10.0, 100.0])
         assert a == b
 
     def test_worker_count_invariance(self, scn, monkeypatch):
@@ -70,7 +70,7 @@ class TestDeterminism:
         monkeypatch.setenv("NFSG_THREADS", value)
         plan = TrialPlan(n_trials=16, root_seed=1, scenario=scn, block_size=8)
         with pytest.raises(ConfigError, match="NFSG_THREADS"):
-            estimate_overall_cp(plan, [10.0], 1)
+            estimate_network(plan, [10.0])
 
     def test_block_structure_part_of_plan(self, scn):
         # each block draws its own stream, so the block size changes the draws
@@ -87,7 +87,7 @@ class TestDeterminism:
 class TestEstimators:
     def test_single_user_covered(self, scn):
         plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn.with_(n_active=1))
-        for est in estimate_overall_cp(plan, [1.0, 1e6], 1):
+        for est in estimate_network(plan, [1.0, 1e6])[0][0]:
             assert est.value == 1.0 and est.std_error == 0.0
 
     def test_single_user_pays_noise(self, scn):
@@ -121,11 +121,6 @@ class TestEstimators:
         with pytest.raises(DomainError):
             estimate_conditional_cp(plan, 1, PolarPoint(3.0, 500.0), [1.0])
 
-    def test_kappa_validated(self, scn):
-        plan = TrialPlan(n_trials=64, root_seed=0, scenario=scn)
-        with pytest.raises(InvalidArgumentError):
-            estimate_overall_cp(plan, [1.0], 0)
-
     def test_plan_validated(self, scn):
         with pytest.raises(InvalidArgumentError):
             TrialPlan(n_trials=0, root_seed=0, scenario=scn)
@@ -137,10 +132,10 @@ class TestEstimators:
 
     def test_clt_scaling(self, scn):
         tau = [100.0]
-        se1 = estimate_overall_cp(
-            TrialPlan(n_trials=8_000, root_seed=3, scenario=scn), tau, 3)[0].std_error
-        se2 = estimate_overall_cp(
-            TrialPlan(n_trials=16_000, root_seed=3, scenario=scn), tau, 3)[0].std_error
+        se1 = estimate_network(
+            TrialPlan(n_trials=8_000, root_seed=3, scenario=scn), tau)[0][2][0].std_error
+        se2 = estimate_network(
+            TrialPlan(n_trials=16_000, root_seed=3, scenario=scn), tau)[0][2][0].std_error
         ratio = se2 / se1
         assert abs(ratio - 1.0 / math.sqrt(2.0)) < 0.2 / math.sqrt(2.0)
 
@@ -181,10 +176,6 @@ class TestEstimators:
             ref = const * math.log2(1 + tau) * sum(cp[k][i].value
                                                    for k in range(scn.n_active))
             assert ase[i].value == pytest.approx(ref, rel=1e-12)
-
-    def test_estimate_ase_matches_network(self, scn):
-        plan = TrialPlan(n_trials=2_000, root_seed=4, scenario=scn)
-        assert estimate_ase(plan, [100.0]) == estimate_network(plan, [100.0])[1]
 
 
 class TestAgreementWithAnalysis:
